@@ -35,6 +35,13 @@ def _number(obj: dict, key: str, where: str, default=None, required=False):
     return val
 
 
+def _integer(obj: dict, key: str, where: str, default: int) -> int:
+    val = _number(obj, key, where, default)
+    if isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+    return int(val)
+
+
 def _number_list(obj: dict, key: str, where: str, length: int | None = None, default=None):
     if key not in obj:
         return default
@@ -239,7 +246,7 @@ def parse_config(doc: dict) -> RunConfig:
     try:
         solver = NewtonOptions(
             tol_residual=float(_number(sv, "tol_residual", "solver", 1e-10)),
-            max_iters=int(_number(sv, "max_iters", "solver", 50)),
+            max_iters=_integer(sv, "max_iters", "solver", 50),
             positivity_fraction=float(_number(sv, "positivity_fraction", "solver", 0.1)),
             armijo_c=float(_number(sv, "armijo_c", "solver", 1e-4)),
             min_damping=float(_number(sv, "min_damping", "solver", 1e-6)),
@@ -251,14 +258,17 @@ def parse_config(doc: dict) -> RunConfig:
     _check_keys(
         ct, {"initial_step", "growth", "shrink", "max_step", "min_step", "grow_iters"}, "continuation"
     )
-    continuation = StepOptions(
-        initial_step=float(_number(ct, "initial_step", "continuation", 0.1)),
-        growth=float(_number(ct, "growth", "continuation", 1.5)),
-        shrink=float(_number(ct, "shrink", "continuation", 0.5)),
-        max_step=float(_number(ct, "max_step", "continuation", 0.25)),
-        min_step=float(_number(ct, "min_step", "continuation", 1e-6)),
-        grow_iters=int(_number(ct, "grow_iters", "continuation", 3)),
-    )
+    try:
+        continuation = StepOptions(
+            initial_step=float(_number(ct, "initial_step", "continuation", 0.1)),
+            growth=float(_number(ct, "growth", "continuation", 1.5)),
+            shrink=float(_number(ct, "shrink", "continuation", 0.5)),
+            max_step=float(_number(ct, "max_step", "continuation", 0.25)),
+            min_step=float(_number(ct, "min_step", "continuation", 1e-6)),
+            grow_iters=_integer(ct, "grow_iters", "continuation", 3),
+        )
+    except ValueError as err:
+        raise ConfigError(f"continuation: {err}") from err
 
     dg = doc.get("diagnostics", {})
     _check_keys(dg, {"r_values", "checks", "identity_budget_factor"}, "diagnostics")

@@ -5,6 +5,10 @@ Newton damping enforces two guards before accepting a step fraction t:
 (b) Armijo decrease of the residual sup-norm.
 Positivity is handled entirely by the line search; the equations themselves
 are never floored or regularized.
+
+Each Newton step solves one 2N x 2N linear system.  In 2-D that is GMRES with a
+block preconditioner diagonal in the discrete Fourier basis; in 1-D, and
+whenever the Krylov answer is not accepted, it is the sparse direct solve.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import MatrixRankWarning, lsqr, spsolve
+from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, lsqr, spsolve
 
 from .diagnostics import DiagnosticsSnapshot, make_snapshot
 from .errors import (
@@ -25,10 +30,20 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
+from .grid import GridSpec
 from .linearization import LinearizedSystem, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
 log = logging.getLogger("mfgtorus")
+
+# GMRES stops at this relative residual; its answer is kept only if the true
+# relative residual is within KRYLOV_ACCEPT, else the direct solve runs.  The
+# preconditioned solves take at most about 15 iterations, so one cycle of 40
+# normally suffices and 3 cycles bound the work spent before a fallback.
+KRYLOV_RTOL = 1e-10
+KRYLOV_ACCEPT = 1e-8
+KRYLOV_RESTART = 40
+KRYLOV_MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -64,15 +79,28 @@ class StepOptions:
             raise ValueError("shrink must lie in (0, 1)")
         if self.growth < 1.0:
             raise ValueError("growth must be >= 1")
+        if self.min_step > self.max_step:
+            raise ValueError("min_step must not exceed max_step")
+        if self.grow_iters < 0:
+            raise ValueError("grow_iters must be >= 0")
 
 
 @dataclass
 class NewtonReport:
+    """One Newton solve.
+
+    `linear_paths` ("krylov", "direct" or "pinned") and `krylov_iterations`
+    (0 off the Krylov path) hold one entry per linear solve: one per accepted
+    iteration, plus the rejected last one when damping gave out.
+    """
+
     converged: bool
     iterations: int
     residual_history: list[float]
     damping_history: list[float]
     final_min_m: float
+    linear_paths: list[str]
+    krylov_iterations: list[int]
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +109,8 @@ class NewtonReport:
             "residual_history": self.residual_history,
             "damping_history": self.damping_history,
             "final_min_m": self.final_min_m,
+            "linear_paths": self.linear_paths,
+            "krylov_iterations": self.krylov_iterations,
         }
 
 
@@ -128,9 +158,68 @@ class ContinuationTrace:
         }
 
 
-def _solve_linear(sys: LinearizedSystem) -> np.ndarray:
-    """Direct sparse solve; on a (near-)singular factorization retry with a
-    mean-value constraint appended on the v block, least squares."""
+@lru_cache(maxsize=16)
+def _fourier_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols of I - L (compact Laplacian L) and of the wide Laplacian
+    W = sum_i D_i D_i on the 2-D DFT modes, indexed like `numpy.fft.fft2`."""
+    theta = 2.0 * np.pi * np.fft.fftfreq(grid.n)
+    h2 = grid.h * grid.h
+    compact = (2.0 * np.cos(theta) - 2.0) / h2
+    wide = -np.sin(theta) ** 2 / h2
+    return 1.0 - (compact[:, None] + compact[None, :]), wide[:, None] + wide[None, :]
+
+
+def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
+    """2-D GMRES, preconditioned with P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
+
+    P is the Jacobian at constant m and u, without the drift and the potential's
+    m-derivative.  Both blocks are diagonal in the Fourier basis, so applying
+    P^-1 costs two forward and two inverse 2-D FFTs.
+    Returns (None, 0) unless the answer is finite and its true relative
+    residual is at most KRYLOV_ACCEPT.
+    """
+    grid = sys.grid
+    n = grid.size
+    shape = grid.shape
+    eye_minus_lap, wide = _fourier_symbols(grid)
+    c = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha)
+
+    def apply_inverse(r: np.ndarray) -> np.ndarray:
+        r1 = np.fft.fft2(r[:n].reshape(shape))
+        r2 = np.fft.fft2(r[n:].reshape(shape))
+        x1 = r1 / eye_minus_lap
+        x2 = (r2 + c * wide * x1) / eye_minus_lap
+        return np.concatenate([np.fft.ifft2(x1).real.ravel(), np.fft.ifft2(x2).real.ravel()])
+
+    precond = LinearOperator((2 * n, 2 * n), matvec=apply_inverse, dtype=np.float64)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    delta, info = gmres(
+        sys.matrix, sys.rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
+        maxiter=KRYLOV_MAX_RESTARTS, M=precond, callback=count, callback_type="pr_norm",
+    )
+    if info != 0 or not np.all(np.isfinite(delta)):
+        return None, 0
+    if np.linalg.norm(sys.matrix @ delta - sys.rhs) > KRYLOV_ACCEPT * np.linalg.norm(sys.rhs):
+        return None, 0
+    return delta, iterations
+
+
+def _solve_linear(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray, str, int]:
+    """Solve the Newton system; returns (delta, path, Krylov iterations).
+
+    2-D tries `_solve_krylov` first.  The direct sparse solve is the 1-D path
+    and the fallback; on a (near-)singular factorization it retries with a
+    mean-value constraint appended on the v block, least squares ("pinned").
+    """
+    if sys.grid.dim == 2:
+        delta, iterations = _solve_krylov(sys, alpha)
+        if delta is not None:
+            return delta, "krylov", iterations
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
@@ -138,8 +227,8 @@ def _solve_linear(sys: LinearizedSystem) -> np.ndarray:
         except (MatrixRankWarning, RuntimeError):
             delta = None
     if delta is not None and np.all(np.isfinite(delta)):
-        return delta
-    return _solve_pinned(sys.matrix, sys.rhs, sys.grid.size)
+        return delta, "direct", 0
+    return _solve_pinned(sys.matrix, sys.rhs, sys.grid.size), "pinned", 0
 
 
 def _solve_pinned(matrix: sparse.csr_matrix, rhs: np.ndarray, n: int) -> np.ndarray:
@@ -169,24 +258,30 @@ def newton_solve(
     res_norm = max(np.max(np.abs(r1.values)), np.max(np.abs(r2.values)))
     history = [float(res_norm)]
     damping: list[float] = []
+    paths: list[str] = []
+    krylov: list[int] = []
+
+    def report(converged: bool) -> NewtonReport:
+        return NewtonReport(converged, it, history, damping, s.min_m(), paths, krylov)
 
     it = 0
     while True:
         if res_norm <= opts.tol_residual:
-            report = NewtonReport(True, it, history, damping, s.min_m())
-            return s, report
+            return s, report(True)
         if it >= opts.max_iters:
             raise MaxItersExceeded(
                 f"no convergence in {opts.max_iters} iterations (residual {res_norm:.3e})",
-                report=NewtonReport(False, it, history, damping, s.min_m()),
+                report=report(False),
             )
 
         sys = assemble_jacobian(spec, lam, s, sources)
         try:
-            delta = _solve_linear(sys)
+            delta, path, krylov_its = _solve_linear(sys, spec.alpha)
         except LinearSolveFailure as err:
-            err.report = NewtonReport(False, it, history, damping, s.min_m())
+            err.report = report(False)
             raise
+        paths.append(path)
+        krylov.append(krylov_its)
         dv, dm = delta[: grid.size], delta[grid.size :]
 
         min_m = s.min_m()
@@ -206,7 +301,7 @@ def newton_solve(
         if accepted is None:
             raise NoDescent(
                 f"damping underflowed below {opts.min_damping:g} at iteration {it}",
-                report=NewtonReport(False, it, history, damping, s.min_m()),
+                report=report(False),
             )
 
         s, res_norm = accepted

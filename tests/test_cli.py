@@ -116,6 +116,30 @@ class TestSolveCommand:
         assert (tmp_path / "a/trace.json").read_bytes() == (tmp_path / "b/trace.json").read_bytes()
         assert (tmp_path / "a/u.csv").read_bytes() == (tmp_path / "b/u.csv").read_bytes()
 
+    def test_byte_identical_reruns_2d_with_linear_solve_record(self, tmp_path):
+        doc = base_config()
+        doc["problem"].update(
+            dim=2,
+            n=16,
+            potential={"form": "separable", "kappa": 1.0, "a_cos": [0.5, 0.5], "a_sin": [0.0, 0.0]},
+            drift={"components": [
+                {"const": 0.0, "cos": [0.0, 0.0], "sin": [0.3, 0.0]},
+                {"const": 0.0, "cos": [0.0, 0.0], "sin": [0.0, 0.3]},
+            ]},
+        )
+        cfg = write_config(tmp_path, doc)
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "b")])
+        raw = (tmp_path / "a/trace.json").read_bytes()
+        assert raw == (tmp_path / "b/trace.json").read_bytes()
+        steps = json.loads(raw)["steps"]
+        newton = [st["newton"] for st in steps if st["newton"]["iterations"] > 0]
+        assert newton
+        for rep in newton:
+            assert rep["linear_paths"] == ["krylov"] * rep["iterations"]
+            assert len(rep["krylov_iterations"]) == rep["iterations"]
+            assert all(k > 0 for k in rep["krylov_iterations"])
+
     def test_resolved_config_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -307,6 +331,33 @@ class TestSweepCommand:
     def test_missing_section_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+
+class TestConfigHardening:
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("continuation", {"shrink": 2}, "shrink must lie in (0, 1)"),
+            ("continuation", {"min_step": 5}, "min_step must not exceed max_step"),
+            ("continuation", {"grow_iters": -1}, "grow_iters must be >= 0"),
+            ("solver", {"max_iters": 2.5}, "solver.max_iters: expected an integer"),
+            ("continuation", {"grow_iters": 1.5}, "continuation.grow_iters: expected an integer"),
+        ],
+        ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
+             "fractional-max-iters", "fractional-grow-iters"],
+    )
+    def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
+        cfg = write_config(tmp_path, base_config(**{section: values}))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+        assert message in lines[0]
+
+    def test_integral_float_counts_still_accepted(self):
+        cfg = parse_config(base_config(solver={"max_iters": 20.0}, continuation={"grow_iters": 2.0}))
+        assert cfg.solver.max_iters == 20
+        assert cfg.continuation.grow_iters == 2
 
 
 class TestUsageErrors:

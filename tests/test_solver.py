@@ -22,9 +22,10 @@ from mfgtorus import (
     residual_sup,
 )
 from mfgtorus.grid import mesh
-from mfgtorus.solver import _solve_pinned
+from mfgtorus.linearization import assemble_jacobian
+from mfgtorus.solver import _solve_krylov, _solve_linear, _solve_pinned
 
-from conftest import suite_problem
+from conftest import problem_2d, suite_problem
 
 TWO_PI = 2 * np.pi
 
@@ -135,6 +136,70 @@ class TestLinearFallback:
         rhs = mat @ x_true
         sol = _solve_pinned(mat, rhs, n)
         np.testing.assert_allclose(sol, x_true, atol=1e-8)
+
+
+class TestKrylovSolve:
+    @pytest.fixture(scope="class")
+    def strong_system(self):
+        """A lambda = 1 Newton system at the lambda = 0.5 solution, a = 4 cos, b = 4 sin, n = 32."""
+        pot = PotentialSpec("separable", TrigForm(0.0, (4.0, 4.0), (0.0, 0.0)), 1.0)
+        drift = DriftSpec(
+            (TrigForm(0.0, (0.0, 0.0), (4.0, 0.0)), TrigForm(0.0, (0.0, 0.0), (0.0, 4.0)))
+        )
+        spec = ProblemSpec(GridSpec(2, 32), 0.5, pot, drift)
+        s, _ = continuation_solve(spec)
+        s_half, _ = newton_solve(spec, 0.5, s)
+        return spec, assemble_jacobian(spec, 1.0, s_half)
+
+    def test_matches_direct_solve_on_strong_coefficients(self, strong_system):
+        from scipy.sparse.linalg import spsolve
+
+        spec, sys = strong_system
+        assert np.ptp(sys.base_state.m.values) > 1.0
+        delta, iterations = _solve_krylov(sys, spec.alpha)
+        direct = spsolve(sys.matrix, sys.rhs)
+        assert 0 < iterations
+        assert np.linalg.norm(delta - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("failure", ["info", "nonfinite"])
+    def test_failed_gmres_falls_back_to_direct(self, strong_system, monkeypatch, failure):
+        from scipy.sparse.linalg import spsolve
+
+        import mfgtorus.solver as solver_mod
+
+        spec, sys = strong_system
+
+        def broken_gmres(matrix, rhs, **kwargs):
+            if failure == "info":
+                return np.zeros_like(rhs), 1
+            return np.full_like(rhs, np.nan), 0
+
+        monkeypatch.setattr(solver_mod, "gmres", broken_gmres)
+        delta, path, iterations = _solve_linear(sys, spec.alpha)
+        assert (path, iterations) == ("direct", 0)
+        np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
+
+    def test_continuation_matches_direct_path(self, monkeypatch):
+        import mfgtorus.solver as solver_mod
+
+        spec = problem_2d()
+        s_k, trace_k = continuation_solve(spec)
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, alpha: (None, 0))
+        s_d, trace_d = continuation_solve(spec)
+        assert [st.newton.iterations for st in trace_k.steps] == [
+            st.newton.iterations for st in trace_d.steps
+        ]
+        assert {p for st in trace_k.steps for p in st.newton.linear_paths} == {"krylov"}
+        assert {p for st in trace_d.steps for p in st.newton.linear_paths} == {"direct"}
+        np.testing.assert_allclose(s_k.stacked(), s_d.stacked(), rtol=0, atol=1e-12)
+
+    def test_one_dimensional_newton_uses_direct_solve(self):
+        spec = suite_problem(0.5, n=64)
+        s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
+        _, rep = newton_solve(spec, 1.0, s0)
+        assert rep.iterations > 0
+        assert rep.linear_paths == ["direct"] * rep.iterations
+        assert rep.krylov_iterations == [0] * rep.iterations
 
 
 class TestContinuation:
