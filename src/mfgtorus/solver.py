@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -30,7 +29,6 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
-from .grid import GridSpec
 from .linearization import LinearizedSystem, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -158,17 +156,6 @@ class ContinuationTrace:
         }
 
 
-@lru_cache(maxsize=16)
-def _fourier_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols of I - L (compact Laplacian L) and of the wide Laplacian
-    W = sum_i D_i D_i on the 2-D DFT modes, indexed like `numpy.fft.fft2`."""
-    theta = 2.0 * np.pi * np.fft.fftfreq(grid.n)
-    h2 = grid.h * grid.h
-    compact = (2.0 * np.cos(theta) - 2.0) / h2
-    wide = -np.sin(theta) ** 2 / h2
-    return 1.0 - (compact[:, None] + compact[None, :]), wide[:, None] + wide[None, :]
-
-
 def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
     """2-D GMRES, preconditioned with P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
 
@@ -181,7 +168,13 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
     grid = sys.grid
     n = grid.size
     shape = grid.shape
-    eye_minus_lap, wide = _fourier_symbols(grid)
+    # Symbols on the 2-D DFT modes, indexed like numpy.fft.fft2.
+    theta = 2.0 * np.pi * np.fft.fftfreq(grid.n)
+    h2 = grid.h * grid.h
+    compact = (2.0 * np.cos(theta) - 2.0) / h2
+    wide_1d = -np.sin(theta) ** 2 / h2
+    eye_minus_lap = 1.0 - (compact[:, None] + compact[None, :])
+    wide = wide_1d[:, None] + wide_1d[None, :]
     c = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
