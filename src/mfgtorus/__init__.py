@@ -25,27 +25,19 @@ from .errors import (
     BadExponent,
     ConfigError,
     ContinuationStalled,
-    DegenerateState,
     LinearSolveFailure,
     MaxItersExceeded,
     MFGError,
     NoDescent,
     NonPositiveDensity,
     NotASolution,
-    NotPositive,
     SolverFailure,
 )
 from .grid import (
     Field,
     GridSpec,
-    VectorField,
     constant_field,
-    divergence,
-    field_from_function,
-    gradient,
-    grid_sum,
     integral,
-    laplacian,
     load_field,
     save_field,
     sup_norm,
@@ -64,10 +56,8 @@ from .problem import (
     ProblemSpec,
     State,
     TrigForm,
-    drift_field,
     exact_initial,
     residual,
-    residual_sup,
 )
 from .solver import (
     ContinuationTrace,

@@ -22,9 +22,9 @@ import scipy.io
 from . import diagnostics as diag
 from .config import ConfigError, RunConfig, load_config
 from .errors import BadExponent, ContinuationStalled, MFGError, NotASolution, SolverFailure
-from .grid import load_field, save_field
+from .grid import load_field, save_field, sup_norm
 from .linearization import assemble_jacobian, coercivity_check
-from .problem import PotentialSpec, ProblemSpec, State, exact_initial, residual
+from .problem import State, exact_initial, residual
 from .solver import continuation_solve, newton_solve
 from .verification import ManufacturedCase, convergence_study
 
@@ -178,13 +178,20 @@ def _diagnostic_rows(cfg: RunConfig, s: State, lam: float = 1.0) -> list[dict]:
     return rows
 
 
+def _read_field(path):
+    try:
+        return load_field(path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read field file {path}: {err}") from err
+
+
 def cmd_verify(args) -> int:
     cfg = _load(args)
     out = _ensure_out(args)
     entries = []
     for u_path, m_path in args.state:
-        u = load_field(u_path)
-        m = load_field(m_path)
+        u = _read_field(u_path)
+        m = _read_field(m_path)
         if u.grid != m.grid:
             raise ConfigError(f"{u_path} and {m_path} live on different grids")
         if u.grid.dim != cfg.problem.grid.dim:
@@ -304,13 +311,8 @@ def _sweep_cell(payload) -> dict:
     base = cfg.problem
     row = {"alpha": alpha, "kappa": kappa, "drift_scale": scale}
     try:
-        pot = base.potential
-        if pot.form == "x_only":
-            if kappa != 0.0:
-                raise ConfigError("nonzero kappa needs a potential form with an m-part")
-        else:
-            pot = PotentialSpec(pot.form, pot.a, kappa)
-        spec = ProblemSpec(base.grid, alpha, pot, base.drift.scaled(scale), base.epsilon_monotone)
+        pot = replace(base.potential, kappa=kappa)
+        spec = replace(base, alpha=alpha, potential=pot, drift=base.drift.scaled(scale))
         s, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics.r_values)
     except (MFGError, ValueError) as err:
         row.update(min_m=float("nan"), sup_u=float("nan"), iterations=-1,
@@ -318,7 +320,7 @@ def _sweep_cell(payload) -> dict:
         return row
     row.update(
         min_m=s.min_m(),
-        sup_u=float(np.max(np.abs(s.u.values))),
+        sup_u=sup_norm(s.u),
         iterations=sum(st.newton.iterations for st in trace.steps),
         success=True,
         error="",

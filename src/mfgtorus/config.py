@@ -1,14 +1,17 @@
 """Run configuration: strict JSON schema, defaults, resolved-config round-trip.
 
 Unknown keys are rejected at every level so a typo cannot silently fall back
-to a default.  `RunConfig.resolved()` materializes every default; re-running
-with the emitted copy reproduces the run byte for byte.
+to a default.  Every default is a field default of the dataclass the section
+parses into (`NewtonOptions`, `StepOptions`, `DiagnosticsConfig`, ...).
+`RunConfig.resolved()` materializes every default; re-running with the emitted
+copy reproduces the run byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .grid import GridSpec
@@ -24,19 +27,29 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _is_number(val) -> bool:
+    """A finite int or float, not a bool.  Python's json parses NaN and Infinity; the schema rejects them."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(obj: dict, key: str, where: str, default=None, required=False):
     if key not in obj:
         if required:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
+    if not _is_number(val):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {val!r}")
     return val
 
 
-def _integer(obj: dict, key: str, where: str, default: int) -> int:
-    val = _number(obj, key, where, default)
+def _integer(obj: dict, key: str, where: str) -> int:
+    val = _number(obj, key, where)
     if isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
     return int(val)
@@ -46,22 +59,47 @@ def _number_list(obj: dict, key: str, where: str, length: int | None = None, def
     if key not in obj:
         return default
     val = obj[key]
-    if not isinstance(val, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in val
-    ):
-        raise ConfigError(f"{where}.{key}: expected a list of numbers")
+    if not isinstance(val, list) or not all(_is_number(v) for v in val):
+        raise ConfigError(f"{where}.{key}: expected a list of finite numbers")
     if length is not None and len(val) != length:
         raise ConfigError(f"{where}.{key}: expected {length} entries, got {len(val)}")
     return [float(v) for v in val]
 
 
-def _trig(obj: dict, dim: int, where: str) -> TrigForm:
-    _check_keys(obj, {"const", "cos", "sin"}, where)
+def _trig(obj: dict, dim: int, where: str, prefix: str = "", other: tuple[str, ...] = ()) -> TrigForm:
+    """The TrigForm under keys `<prefix>const`, `<prefix>cos`, `<prefix>sin`; obj may hold `other` too."""
+    _check_keys(obj, {prefix + "const", prefix + "cos", prefix + "sin", *other}, where)
     return TrigForm(
-        const=float(_number(obj, "const", where, default=0.0)),
-        cos_amp=tuple(_number_list(obj, "cos", where, dim, [0.0] * dim)),
-        sin_amp=tuple(_number_list(obj, "sin", where, dim, [0.0] * dim)),
+        const=float(_number(obj, prefix + "const", where, default=0.0)),
+        cos_amp=tuple(_number_list(obj, prefix + "cos", where, dim, [0.0] * dim)),
+        sin_amp=tuple(_number_list(obj, prefix + "sin", where, dim, [0.0] * dim)),
     )
+
+
+def _trig_dict(t: TrigForm, prefix: str = "") -> dict:
+    """Inverse of `_trig`."""
+    return {prefix + "const": t.const, prefix + "cos": list(t.cos_amp), prefix + "sin": list(t.sin_amp)}
+
+
+def _options(cls, obj: dict, where: str):
+    """Build the options dataclass `cls` from the keys present in obj.
+
+    The dataclass is the schema: its field names are the accepted keys, its
+    defaults fill absent keys, and an integer default makes a key an integer.
+    """
+    _check_keys(obj, {f.name for f in fields(cls)}, where)
+    values = {
+        f.name: (
+            _integer(obj, f.name, where) if isinstance(f.default, int)
+            else float(_number(obj, f.name, where))
+        )
+        for f in fields(cls)
+        if f.name in obj
+    }
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def parse_problem(obj: dict) -> ProblemSpec:
@@ -85,15 +123,10 @@ def parse_problem(obj: dict) -> ProblemSpec:
     if pot_obj is None:
         raise ConfigError(f"{where}: missing required key 'potential'")
     pw = f"{where}.potential"
-    _check_keys(pot_obj, {"form", "kappa", "a_const", "a_cos", "a_sin"}, pw)
+    a = _trig(pot_obj, grid.dim, pw, "a_", other=("form", "kappa"))
     form = pot_obj.get("form")
     if form not in POTENTIAL_FORMS:
         raise ConfigError(f"{pw}.form: must be one of {POTENTIAL_FORMS}, got {form!r}")
-    a = TrigForm(
-        const=float(_number(pot_obj, "a_const", pw, default=0.0)),
-        cos_amp=tuple(_number_list(pot_obj, "a_cos", pw, grid.dim, [0.0] * grid.dim)),
-        sin_amp=tuple(_number_list(pot_obj, "a_sin", pw, grid.dim, [0.0] * grid.dim)),
-    )
     kappa = float(_number(pot_obj, "kappa", pw, default=0.0))
     if kappa < 0:
         raise ConfigError(f"{pw}.kappa: must be >= 0")
@@ -129,27 +162,20 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "potential": {
             "form": spec.potential.form,
             "kappa": spec.potential.kappa,
-            "a_const": spec.potential.a.const,
-            "a_cos": list(spec.potential.a.cos_amp),
-            "a_sin": list(spec.potential.a.sin_amp),
+            **_trig_dict(spec.potential.a, "a_"),
         },
-        "drift": {
-            "components": [
-                {"const": c.const, "cos": list(c.cos_amp), "sin": list(c.sin_amp)}
-                for c in spec.drift.components
-            ]
-        },
+        "drift": {"components": [_trig_dict(c) for c in spec.drift.components]},
         "epsilon_monotone": spec.epsilon_monotone,
     }
 
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
+    """`checks` defaults to every known check."""
+
     r_values: tuple[float, ...] = (1.0, 2.0, 4.0)
     checks: tuple[str, ...] = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
     identity_budget_factor: float = 50.0
-
-    KNOWN = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
 
 
 @dataclass(frozen=True)
@@ -180,50 +206,26 @@ class RunConfig:
     def resolved(self) -> dict:
         out = {
             "problem": problem_to_dict(self.problem),
-            "solver": {
-                "tol_residual": self.solver.tol_residual,
-                "max_iters": self.solver.max_iters,
-                "positivity_fraction": self.solver.positivity_fraction,
-                "armijo_c": self.solver.armijo_c,
-                "min_damping": self.solver.min_damping,
-            },
-            "continuation": {
-                "initial_step": self.continuation.initial_step,
-                "growth": self.continuation.growth,
-                "shrink": self.continuation.shrink,
-                "max_step": self.continuation.max_step,
-                "min_step": self.continuation.min_step,
-                "grow_iters": self.continuation.grow_iters,
-            },
-            "diagnostics": {
-                "r_values": list(self.diagnostics.r_values),
-                "checks": list(self.diagnostics.checks),
-                "identity_budget_factor": self.diagnostics.identity_budget_factor,
-            },
+            "solver": _plain(self.solver),
+            "continuation": _plain(self.continuation),
+            "diagnostics": _plain(self.diagnostics),
             "output": {"dump_matrix": self.dump_matrix},
             "seed": self.seed,
         }
         if self.mms is not None:
             out["mms"] = {
                 "grids": list(self.mms.grids),
-                "u": {
-                    "const": self.mms.u.const,
-                    "cos": list(self.mms.u.cos_amp),
-                    "sin": list(self.mms.u.sin_amp),
-                },
-                "m": {
-                    "const": self.mms.m.const,
-                    "cos": list(self.mms.m.cos_amp),
-                    "sin": list(self.mms.m.sin_amp),
-                },
+                "u": _trig_dict(self.mms.u),
+                "m": _trig_dict(self.mms.m),
             }
         if self.sweep is not None:
-            out["sweep"] = {
-                "alphas": list(self.sweep.alphas),
-                "kappas": list(self.sweep.kappas),
-                "drift_scales": list(self.sweep.drift_scales),
-            }
+            out["sweep"] = _plain(self.sweep)
         return out
+
+
+def _plain(options) -> dict:
+    """A flat dataclass as a JSON object: field names as keys, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(options).items()}
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -237,59 +239,32 @@ def parse_config(doc: dict) -> RunConfig:
     problem = parse_problem(doc["problem"])
     dim = problem.grid.dim
 
-    sv = doc.get("solver", {})
-    _check_keys(
-        sv,
-        {"tol_residual", "max_iters", "positivity_fraction", "armijo_c", "min_damping"},
-        "solver",
-    )
-    try:
-        solver = NewtonOptions(
-            tol_residual=float(_number(sv, "tol_residual", "solver", 1e-10)),
-            max_iters=_integer(sv, "max_iters", "solver", 50),
-            positivity_fraction=float(_number(sv, "positivity_fraction", "solver", 0.1)),
-            armijo_c=float(_number(sv, "armijo_c", "solver", 1e-4)),
-            min_damping=float(_number(sv, "min_damping", "solver", 1e-6)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"solver: {err}") from err
-
-    ct = doc.get("continuation", {})
-    _check_keys(
-        ct, {"initial_step", "growth", "shrink", "max_step", "min_step", "grow_iters"}, "continuation"
-    )
-    try:
-        continuation = StepOptions(
-            initial_step=float(_number(ct, "initial_step", "continuation", 0.1)),
-            growth=float(_number(ct, "growth", "continuation", 1.5)),
-            shrink=float(_number(ct, "shrink", "continuation", 0.5)),
-            max_step=float(_number(ct, "max_step", "continuation", 0.25)),
-            min_step=float(_number(ct, "min_step", "continuation", 1e-6)),
-            grow_iters=_integer(ct, "grow_iters", "continuation", 3),
-        )
-    except ValueError as err:
-        raise ConfigError(f"continuation: {err}") from err
+    solver = _options(NewtonOptions, doc.get("solver", {}), "solver")
+    continuation = _options(StepOptions, doc.get("continuation", {}), "continuation")
 
     dg = doc.get("diagnostics", {})
-    _check_keys(dg, {"r_values", "checks", "identity_budget_factor"}, "diagnostics")
-    checks = dg.get("checks", list(DiagnosticsConfig.KNOWN))
-    if not isinstance(checks, list) or any(c not in DiagnosticsConfig.KNOWN for c in checks):
-        raise ConfigError(f"diagnostics.checks: entries must be among {DiagnosticsConfig.KNOWN}")
+    _check_keys(dg, {f.name for f in fields(DiagnosticsConfig)}, "diagnostics")
+    known = DiagnosticsConfig.checks
+    checks = dg.get("checks", list(known))
+    if not isinstance(checks, list) or any(c not in known for c in checks):
+        raise ConfigError(f"diagnostics.checks: entries must be among {known}")
     diagnostics = DiagnosticsConfig(
-        r_values=tuple(_number_list(dg, "r_values", "diagnostics", None, [1.0, 2.0, 4.0])),
+        r_values=tuple(_number_list(dg, "r_values", "diagnostics", None, DiagnosticsConfig.r_values)),
         checks=tuple(checks),
-        identity_budget_factor=float(_number(dg, "identity_budget_factor", "diagnostics", 50.0)),
+        identity_budget_factor=float(
+            _number(dg, "identity_budget_factor", "diagnostics", DiagnosticsConfig.identity_budget_factor)
+        ),
     )
     if any(r <= problem.alpha for r in diagnostics.r_values):
         raise ConfigError("diagnostics.r_values: every r must exceed alpha")
 
     out_obj = doc.get("output", {})
     _check_keys(out_obj, {"dump_matrix"}, "output")
-    dump = out_obj.get("dump_matrix", False)
+    dump = out_obj.get("dump_matrix", RunConfig.dump_matrix)
     if not isinstance(dump, bool):
         raise ConfigError("output.dump_matrix: expected a boolean")
 
-    seed = _number(doc, "seed", "config", 0)
+    seed = _number(doc, "seed", "config", RunConfig.seed)
     if int(seed) != seed or seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
 
@@ -297,12 +272,8 @@ def parse_config(doc: dict) -> RunConfig:
     if "mms" in doc:
         mo = doc["mms"]
         _check_keys(mo, {"grids", "u", "m"}, "mms")
-        grids = mo.get("grids")
-        if (
-            not isinstance(grids, list)
-            or len(grids) < 3
-            or any(int(g) != g or g < 8 for g in grids)
-        ):
+        grids = _number_list(mo, "grids", "mms")
+        if grids is None or len(grids) < 3 or any(not g.is_integer() or g < 8 for g in grids):
             raise ConfigError("mms.grids: expected a list of >= 3 integer grid sizes")
         if "u" not in mo or "m" not in mo:
             raise ConfigError("mms: both 'u' and 'm' closed forms are required")
@@ -329,7 +300,7 @@ def parse_config(doc: dict) -> RunConfig:
         sweep = SweepConfig(
             alphas=tuple(alphas),
             kappas=tuple(kappas),
-            drift_scales=tuple(_number_list(so, "drift_scales", "sweep", None, [1.0])),
+            drift_scales=tuple(_number_list(so, "drift_scales", "sweep", None, SweepConfig.drift_scales)),
         )
 
     return RunConfig(

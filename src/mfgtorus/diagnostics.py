@@ -10,7 +10,7 @@ under refinement), and the convexity-in-theta machinery behind uniqueness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,14 +21,11 @@ from .grid import (
     integral,
     laplacian_array,
     mesh,
+    sup_norm,
 )
 from .problem import ProblemSpec, State, _drift_arrays, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
-
-
-def _integral(grid, arr: np.ndarray) -> float:
-    return grid.h**grid.dim * float(np.sum(arr))
 
 
 def certified_u_bound(spec: ProblemSpec, lam: float = 1.0) -> float:
@@ -47,14 +44,14 @@ def certified_u_bound(spec: ProblemSpec, lam: float = 1.0) -> float:
 
 def sup_bound_check(spec: ProblemSpec, s: State, lam: float = 1.0) -> tuple[float, float, bool]:
     """(sup |u|, certified bound, pass)."""
-    sup_u = float(np.max(np.abs(s.u.values)))
+    sup_u = sup_norm(s.u)
     bound = certified_u_bound(spec, lam)
     return sup_u, bound, sup_u <= bound + SUP_TOL
 
 
 def mass_positivity_check(s: State) -> tuple[float, float]:
     """(|integral(m) - 1|, min m).  Mass defect equals the integrated m-equation residual."""
-    return abs(integral(s.m) - 1.0), s.min_m()
+    return abs(integral(s.grid, s.m.values) - 1.0), s.min_m()
 
 
 def _generic_constant(spec: ProblemSpec, r: float) -> float:
@@ -98,7 +95,7 @@ def inverse_moment(spec: ProblemSpec, s: State, r: float) -> tuple[float, float]
     m = s.m.values
     if np.min(m) <= 0.0:
         raise NonPositiveDensity("inverse moment needs m > 0")
-    value = _integral(spec.grid, m ** -(r + 1.0 - spec.alpha))
+    value = integral(spec.grid, m ** -(r + 1.0 - spec.alpha))
     return value, moment_majorant(spec, r)
 
 
@@ -118,8 +115,8 @@ def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     lap_u = laplacian_array(s.u.reshaped(), grid)
     du = gradient_arrays(s.u)
     flux_div = divergence_arrays([m ** (1.0 - a) * d for d in du], grid)
-    term1 = _integral(grid, lap_u / (r * m**r))
-    term2 = _integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
+    term1 = integral(grid, lap_u / (r * m**r))
+    term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
     return term1 - term2
 
 
@@ -142,8 +139,7 @@ def moment_identity_check(
     m = s.m.reshaped()
     if np.min(m) <= 0.0:
         raise NonPositiveDensity("identity check needs m > 0")
-    r1, r2 = residual(spec, 1.0, s)
-    res = max(np.max(np.abs(r1.values)), np.max(np.abs(r2.values)))
+    res = sup_norm(*residual(spec, 1.0, s))
     if res > 100.0 * tol:
         raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
 
@@ -161,15 +157,15 @@ def moment_identity_check(
 
     p = r + 1.0 - a
     lhs = (
-        _integral(grid, m**-p) / p
-        + _integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
-        + _integral(grid, dm_sq * m ** -(r + 2.0 - a))
+        integral(grid, m**-p) / p
+        + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
+        + integral(grid, dm_sq * m ** -(r + 2.0 - a))
     )
     rhs = (
-        _integral(grid, (v_eff - u) * m**-r) / r
-        - _integral(grid, b_dot_du * m**-r) / r
-        + _integral(grid, m ** -(r - a)) / p
-        - _integral(grid, div_b * m ** -(r - a)) / (r - a)
+        integral(grid, (v_eff - u) * m**-r) / r
+        - integral(grid, b_dot_du * m**-r) / r
+        + integral(grid, m ** -(r - a)) / p
+        - integral(grid, div_b * m ** -(r - a)) / (r - a)
     )
     return lhs, rhs, abs(lhs - rhs)
 
@@ -203,6 +199,10 @@ def monotonicity_gap(
     Each derivative sample is certified against (1 - a/2) int m_t^(1-a) |D(u1-u0)|^2,
     which is nonnegative for alpha in [0, 2].
     """
+    # Imported here, not at the top: scipy.integrate adds about 0.35 s and 20 MB
+    # to every start of the command line, which never calls this function.
+    from scipy.integrate import trapezoid
+
     grid = spec.grid
     a = spec.alpha
     m0 = s0.m.reshaped()
@@ -223,13 +223,13 @@ def monotonicity_gap(
     def v_eff(m):
         return spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
 
-    lhs = _integral(
+    lhs = integral(
         grid, (du1_sq / (2.0 * m1**a) - du0_sq / (2.0 * m0**a)) * (m0 - m1)
-    ) + _integral(
+    ) + integral(
         grid,
         sum((m0 ** (1.0 - a) * g0 - m1 ** (1.0 - a) * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0,
     )
-    rhs = _integral(grid, (v_eff(m1) - v_eff(m0)) * (m0 - m1))
+    rhs = integral(grid, (v_eff(m1) - v_eff(m0)) * (m0 - m1))
 
     thetas = np.linspace(0.0, 1.0, n_theta)
     dmi = m1 - m0
@@ -242,12 +242,12 @@ def monotonicity_gap(
         du_t = [(1.0 - t) * g0 + t * g1 for g0, g1 in zip(du0, du1)]
         du_t_dot = sum(g * d for g, d in zip(du_t, ddiff))
         du_t_sq = sum(g * g for g in du_t)
-        cross = -a * _integral(grid, du_t_dot * dmi * m_t**-a)
-        square = 0.5 * a * _integral(grid, du_t_sq * dmi * dmi * m_t ** -(1.0 + a))
-        main = _integral(grid, m_t ** (1.0 - a) * ddiff_sq)
+        cross = -a * integral(grid, du_t_dot * dmi * m_t**-a)
+        square = 0.5 * a * integral(grid, du_t_sq * dmi * dmi * m_t ** -(1.0 + a))
+        main = integral(grid, m_t ** (1.0 - a) * ddiff_sq)
         curve.append(cross + square + main)
         bounds.append((1.0 - 0.5 * a) * main)
-    i1 = float(np.trapezoid(curve, thetas))
+    i1 = float(trapezoid(curve, thetas))
 
     return MonotonicityGapReport(
         lhs=lhs,
@@ -272,15 +272,7 @@ class DiagnosticsSnapshot:
     moment_identity_defects: tuple[tuple[float, float], ...]  # (r, defect); lam=1 solutions only
 
     def to_dict(self) -> dict:
-        return {
-            "sup_u": self.sup_u,
-            "sup_bound_V": self.sup_bound_V,
-            "min_m": self.min_m,
-            "mass_defect": self.mass_defect,
-            "inverse_moments": [list(t) for t in self.inverse_moments],
-            "cancellation_residuals": [list(t) for t in self.cancellation_residuals],
-            "moment_identity_defects": [list(t) for t in self.moment_identity_defects],
-        }
+        return asdict(self)
 
 
 def make_snapshot(

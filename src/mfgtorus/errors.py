@@ -6,7 +6,11 @@ class MFGError(Exception):
 
 
 class NonPositiveDensity(MFGError):
-    """The density field touched zero or went negative where positivity is required."""
+    """A density touched zero or went negative where positivity is required.
+
+    Raised for solver states, for the base state of a coercivity probe, and for
+    a manufactured density that is not uniformly positive.
+    """
 
 
 class BadExponent(MFGError):
@@ -15,14 +19,6 @@ class BadExponent(MFGError):
 
 class NotASolution(MFGError):
     """An identity that only holds on solutions was evaluated at a non-solution state."""
-
-
-class DegenerateState(MFGError):
-    """A linearized system was probed at a state with non-positive density."""
-
-
-class NotPositive(MFGError):
-    """A manufactured density is not strictly positive."""
 
 
 class SolverFailure(MFGError):

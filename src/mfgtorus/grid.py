@@ -12,6 +12,7 @@ therefore hold at O(h^2), not machine precision.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,28 +65,8 @@ class Field:
         return self.values.reshape(self.grid.shape)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """One Field per axis, all on the same grid."""
-
-    grid: GridSpec
-    components: tuple[Field, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.grid.dim:
-            raise ValueError("component count must equal grid dimension")
-        if any(c.grid != self.grid for c in self.components):
-            raise ValueError("all components must share the grid")
-
-
 def constant_field(grid: GridSpec, value: float) -> Field:
     return Field(grid, np.full(grid.size, float(value)))
-
-
-def field_from_function(grid: GridSpec, fn) -> Field:
-    """Sample fn(x) (d=1) or fn(x, y) (d=2) at the grid points."""
-    vals = np.broadcast_to(np.asarray(fn(*mesh(grid)), dtype=float), grid.shape)
-    return Field(grid, np.array(vals).ravel())
 
 
 @lru_cache(maxsize=64)
@@ -116,24 +97,12 @@ def gradient_arrays(f: Field) -> list[np.ndarray]:
     return [_diff(arr, ax, h) for ax in range(f.grid.dim)]
 
 
-def gradient(f: Field) -> VectorField:
-    """Centered-difference gradient, second-order consistent."""
-    comps = tuple(Field(f.grid, g) for g in gradient_arrays(f))
-    return VectorField(f.grid, comps)
-
-
 def divergence_arrays(comps: list[np.ndarray], grid: GridSpec) -> np.ndarray:
     h = grid.h
     out = np.zeros(grid.shape)
     for ax, c in enumerate(comps):
         out += _diff(c.reshape(grid.shape), ax, h)
     return out
-
-
-def divergence(F: VectorField) -> Field:
-    """Centered-difference divergence; exact negative adjoint of `gradient`."""
-    comps = [c.reshaped() for c in F.components]
-    return Field(F.grid, divergence_arrays(comps, F.grid))
 
 
 def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -144,22 +113,14 @@ def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def laplacian(f: Field) -> Field:
-    """Compact-stencil Laplacian, second-order consistent."""
-    return Field(f.grid, laplacian_array(f.reshaped(), f.grid))
-
-
-def grid_sum(f: Field) -> float:
-    return float(np.sum(f.values))
-
-
-def integral(f: Field) -> float:
+def integral(grid: GridSpec, values: np.ndarray) -> float:
     """Trapezoid rule on the uniform periodic grid: h^dim times the plain sum."""
-    return f.grid.h**f.grid.dim * float(np.sum(f.values))
+    return grid.h**grid.dim * float(np.sum(values))
 
 
-def sup_norm(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
+def sup_norm(*fields: Field) -> float:
+    """Largest absolute value over all the given fields."""
+    return max(float(np.max(np.abs(f.values))) for f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -167,30 +128,25 @@ def sup_norm(f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _diff_1d(n: int, h: float) -> sparse.csr_matrix:
-    ones = np.ones(n - 1)
-    mat = sparse.diags(
-        [ones, -ones, np.array([1.0]), np.array([-1.0])],
-        offsets=[1, -1, -(n - 1), n - 1],
-        format="csr",
-    )
-    return (mat / (2.0 * h)).tocsr()
+def _stencil_matrix(stencil, grid: GridSpec) -> sparse.csr_matrix:
+    """The 1-D periodic matrix of `stencil`: column j is the stencil applied to unit vector j.
 
-
-def _laplacian_1d(n: int, h: float) -> sparse.csr_matrix:
-    ones = np.ones(n - 1)
-    mat = sparse.diags(
-        [ones, -2.0 * np.ones(n), ones, np.array([1.0]), np.array([1.0])],
-        offsets=[1, 0, -1, -(n - 1), n - 1],
-        format="csr",
-    )
-    return (mat / (h * h)).tocsr()
+    The stencil is translation invariant, so column j is column 0 rolled by j.
+    """
+    n = grid.n
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    column = stencil(unit, 0, grid.h)
+    offsets = np.flatnonzero(column)
+    cols = np.tile(np.arange(n), offsets.size)
+    rows = (np.repeat(offsets, n) + cols) % n
+    return sparse.csr_matrix((np.repeat(column[offsets], n), (rows, cols)), shape=(n, n))
 
 
 @lru_cache(maxsize=64)
 def diff_matrix(grid: GridSpec, axis: int) -> sparse.csr_matrix:
     """Centered difference along `axis` as a sparse matrix on flat fields."""
-    d1 = _diff_1d(grid.n, grid.h)
+    d1 = _stencil_matrix(_diff, grid)
     if grid.dim == 1:
         return d1
     eye = sparse.identity(grid.n, format="csr")
@@ -202,7 +158,7 @@ def diff_matrix(grid: GridSpec, axis: int) -> sparse.csr_matrix:
 @lru_cache(maxsize=64)
 def laplacian_matrix(grid: GridSpec) -> sparse.csr_matrix:
     """Compact Laplacian as a sparse matrix on flat fields."""
-    l1 = _laplacian_1d(grid.n, grid.h)
+    l1 = _stencil_matrix(_second_diff, grid)
     if grid.dim == 1:
         return l1
     eye = sparse.identity(grid.n, format="csr")
@@ -231,11 +187,16 @@ def save_field(f: Field, path) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a `save_field` file; a malformed one raises ValueError, a missing one OSError."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
-            raise ValueError(f"{path}: missing field header")
-        items = dict(part.split("=") for part in header[1:].split())
+            raise ValueError("missing field header")
+        items = dict(part.split("=", 1) for part in header[1:].split() if "=" in part)
+        if not {"n", "dim"} <= items.keys():
+            raise ValueError("field header needs n=<n> and dim=<dim>")
         grid = GridSpec(dim=int(items["dim"]), n=int(items["n"]))
-        values = np.loadtxt(fh, delimiter=",", ndmin=1)
+        with warnings.catch_warnings():  # no values at all: Field reports the count
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(fh, delimiter=",", ndmin=1)
     return Field(grid, values.reshape(-1))

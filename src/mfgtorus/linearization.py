@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DegenerateState, NonPositiveDensity
+from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, diff_matrix, gradient_arrays, laplacian_matrix
 from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
 
@@ -126,7 +126,7 @@ def coercivity_check(sys: LinearizedSystem, n_samples: int = 200, seed: int = 0)
     """
     grid = sys.grid
     if sys.base_state.min_m() <= 0.0:
-        raise DegenerateState("coercivity probe needs min(m) > 0 at the base state")
+        raise NonPositiveDensity("coercivity probe needs min(m) > 0 at the base state")
     rng = np.random.default_rng(seed)
     vol = grid.h**grid.dim
     ratios = []

@@ -28,7 +28,6 @@ from .errors import NonPositiveDensity
 from .grid import (
     Field,
     GridSpec,
-    VectorField,
     constant_field,
     divergence_arrays,
     gradient_arrays,
@@ -150,14 +149,6 @@ class DriftSpec:
     """Reference vector field b(x), one TrigForm per component."""
 
     components: tuple[TrigForm, ...]
-
-    def sample(self, grid: GridSpec) -> VectorField:
-        xs = mesh(grid)
-        comps = tuple(
-            Field(grid, np.broadcast_to(c.value(xs), grid.shape).ravel().copy())
-            for c in self.components
-        )
-        return VectorField(grid, comps)
 
     def sup_bound(self) -> float:
         """Certified bound on sup |b| (Euclidean norm)."""
@@ -299,21 +290,7 @@ def residual(
     return Field(grid, r1), Field(grid, r2)
 
 
-def residual_sup(spec, lam, s, sources=None) -> float:
-    r1, r2 = residual(spec, lam, s, sources)
-    return max(float(np.max(np.abs(r1.values))), float(np.max(np.abs(r2.values))))
-
-
 def exact_initial(spec: ProblemSpec) -> State:
     """The lam = 0 solution (u, m) = (pi/4, 1): arctan(1) = pi/4 and the m-equation is 1 = 1."""
     return State(constant_field(spec.grid, math.pi / 4), constant_field(spec.grid, 1.0))
 
-
-def drift_field(spec: ProblemSpec, s: State) -> VectorField:
-    """Optimal feedback drift Du / m^alpha (pointwise; centered gradient)."""
-    m = s.m.reshaped()
-    if np.min(m) <= 0.0:
-        raise NonPositiveDensity("drift_field needs m > 0")
-    scale = m**-spec.alpha
-    comps = tuple(Field(spec.grid, g * scale) for g in gradient_arrays(s.u))
-    return VectorField(spec.grid, comps)

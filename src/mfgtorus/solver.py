@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -29,6 +29,7 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
+from .grid import sup_norm
 from .linearization import LinearizedSystem, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -101,15 +102,7 @@ class NewtonReport:
     krylov_iterations: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": self.residual_history,
-            "damping_history": self.damping_history,
-            "final_min_m": self.final_min_m,
-            "linear_paths": self.linear_paths,
-            "krylov_iterations": self.krylov_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -247,9 +240,8 @@ def newton_solve(
     opts = opts or NewtonOptions()
     grid = spec.grid
     s = s0
-    r1, r2 = residual(spec, lam, s, sources)
-    res_norm = max(np.max(np.abs(r1.values)), np.max(np.abs(r2.values)))
-    history = [float(res_norm)]
+    res_norm = sup_norm(*residual(spec, lam, s, sources))
+    history = [res_norm]
     damping: list[float] = []
     paths: list[str] = []
     krylov: list[int] = []
@@ -285,8 +277,7 @@ def newton_solve(
             trial_m = s.m.values + t * dm
             if np.min(trial_m) >= floor:
                 trial = State(Field(grid, s.u.values + t * dv), Field(grid, trial_m))
-                t1, t2 = residual(spec, lam, trial, sources)
-                trial_norm = max(np.max(np.abs(t1.values)), np.max(np.abs(t2.values)))
+                trial_norm = sup_norm(*residual(spec, lam, trial, sources))
                 if trial_norm <= (1.0 - opts.armijo_c * t) * res_norm:
                     accepted = (trial, trial_norm)
                     break
@@ -298,7 +289,7 @@ def newton_solve(
             )
 
         s, res_norm = accepted
-        history.append(float(res_norm))
+        history.append(res_norm)
         damping.append(t)
         it += 1
 
@@ -376,13 +367,7 @@ def perturbation_solve(
     results: list[tuple[float, State]] = []
     prev: State | None = None
     for eps in eps_list:
-        spec_eps = ProblemSpec(
-            grid=spec.grid,
-            alpha=spec.alpha,
-            potential=spec.potential,
-            drift=spec.drift,
-            epsilon_monotone=eps,
-        )
+        spec_eps = replace(spec, epsilon_monotone=eps)
         if prev is None:
             s, _ = continuation_solve(spec_eps, opts, step_opts)
         else:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotPositive
+from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, mesh
 from .problem import ProblemSpec, State, TrigForm, exact_initial
 from .solver import NewtonOptions, newton_solve
@@ -40,7 +40,7 @@ class ManufacturedCase:
         if self.u_exact.dim != d or self.m_exact.dim != d:
             raise ValueError("manufactured forms must match the grid dimension")
         if self.m_exact.const - self.m_exact.harmonic_sum() <= 0.0:
-            raise NotPositive(
+            raise NonPositiveDensity(
                 "manufactured m must have constant term exceeding its harmonic amplitudes"
             )
 
@@ -143,13 +143,7 @@ def convergence_study(
     errors = []
     for n in grids:
         grid = GridSpec(dim, n)
-        spec_n = ProblemSpec(
-            grid=grid,
-            alpha=case.spec.alpha,
-            potential=case.spec.potential,
-            drift=case.spec.drift,
-            epsilon_monotone=case.spec.epsilon_monotone,
-        )
+        spec_n = replace(case.spec, grid=grid)
         sources = mms_source(case, grid)
         s, _ = newton_solve(spec_n, 1.0, exact_initial(spec_n), opts, sources=sources)
         exact = case.sample(grid)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mfgtorus import load_field, save_field
+from dataclasses import fields
+
+from mfgtorus import NewtonOptions, StepOptions, load_field, save_field
 from mfgtorus.cli import main
-from mfgtorus.config import load_config, parse_config
+from mfgtorus.config import DiagnosticsConfig, load_config, parse_config
 from mfgtorus.errors import ConfigError
 
 
@@ -22,6 +24,23 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def every_key_config():
+    """mms and sweep sections, and a non-default value in every solver, continuation and diagnostics key."""
+    return base_config(
+        solver={"tol_residual": 1e-9, "max_iters": 40, "positivity_fraction": 0.2, "armijo_c": 1e-3,
+                "min_damping": 1e-5},
+        continuation={"initial_step": 0.05, "growth": 2.0, "shrink": 0.25, "max_step": 0.5,
+                      "min_step": 1e-5, "grow_iters": 4},
+        diagnostics={"r_values": [1.5, 3.0], "checks": ["mass", "sup", "identity"],
+                     "identity_budget_factor": 25.0},
+        output={"dump_matrix": True},
+        seed=7,
+        mms={"grids": [16, 32, 64], "u": {"const": 0.1, "cos": [0.2], "sin": [0.0]},
+             "m": {"const": 1.0, "cos": [0.25], "sin": [0.1]}},
+        sweep={"alphas": [0.0, 0.5], "kappas": [0.5, 1.0], "drift_scales": [0.0, 2.0]},
+    )
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -42,9 +61,16 @@ class TestConfigParsing:
         assert resolved["problem"]["potential"]["a_const"] == 0.0
 
     def test_resolved_reparses_identically(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, base_config()))
-        again = parse_config(cfg.resolved())
-        assert again.resolved() == cfg.resolved()
+        for doc in (base_config(), every_key_config()):
+            cfg = load_config(write_config(tmp_path, doc))
+            again = parse_config(cfg.resolved())
+            assert again == cfg
+            assert again.resolved() == cfg.resolved()
+        # the second config really leaves no solver, continuation or diagnostics default
+        for options, cls in ((cfg.solver, NewtonOptions), (cfg.continuation, StepOptions),
+                             (cfg.diagnostics, DiagnosticsConfig)):
+            for f in fields(cls):
+                assert getattr(options, f.name) != f.default, f.name
 
     def test_unknown_keys_rejected(self):
         doc = base_config()
@@ -241,6 +267,28 @@ class TestVerifyCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "# n=64 dim=1\n" + "1.0\n" * 30, "1.0\n2.0\n", "# n=64\n" + "1.0\n" * 64],
+        ids=["missing", "truncated", "no-header", "header-without-dim"],
+    )
+    def test_bad_state_file_exits_one_naming_it(self, tmp_path, capsys, content):
+        cfg = write_config(tmp_path, base_config())
+        from mfgtorus import GridSpec, constant_field
+
+        save_field(constant_field(GridSpec(1, 64), 1.0), tmp_path / "m.csv")
+        bad = tmp_path / "u.csv"
+        if content is not None:
+            bad.write_text(content)
+        code = main([
+            "verify", "--config", cfg, "--out", str(tmp_path / "ver"),
+            "--state", str(bad), str(tmp_path / "m.csv"),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: cannot read field file {bad}: ")
+
     def test_refined_state_pairs_emit_refinement_series(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         runs = {}
@@ -342,9 +390,16 @@ class TestConfigHardening:
             ("continuation", {"grow_iters": -1}, "grow_iters must be >= 0"),
             ("solver", {"max_iters": 2.5}, "solver.max_iters: expected an integer"),
             ("continuation", {"grow_iters": 1.5}, "continuation.grow_iters: expected an integer"),
+            # json writes these as the extensions NaN and Infinity, and a 401-digit integer
+            ("solver", {"tol_residual": float("nan")},
+             "solver.tol_residual: expected a finite number, got nan"),
+            ("diagnostics", {"r_values": [1.0, float("inf")]},
+             "diagnostics.r_values: expected a list of finite numbers"),
+            ("solver", {"max_iters": 10**400}, "solver.max_iters: expected a finite number"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
-             "fractional-max-iters", "fractional-grow-iters"],
+             "fractional-max-iters", "fractional-grow-iters", "nan-scalar", "infinite-list-entry",
+             "integer-beyond-float-range"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from mfgtorus import (
-    Field,
-    GridSpec,
-    VectorField,
-    constant_field,
-    divergence,
-    field_from_function,
-    gradient,
-    grid_sum,
-    integral,
-    laplacian,
-    load_field,
-    save_field,
+from mfgtorus import Field, GridSpec, constant_field, integral, load_field, save_field
+from mfgtorus.grid import (
+    diff_matrix,
+    divergence_arrays,
+    gradient_arrays,
+    laplacian_array,
+    laplacian_matrix,
+    mesh,
 )
-from mfgtorus.grid import diff_matrix, laplacian_matrix, mesh
 
 TWO_PI = 2 * np.pi
+
+
+def sampled(grid, fn):
+    """fn(x) (d=1) or fn(x, y) (d=2) at the grid points."""
+    return Field(grid, np.broadcast_to(fn(*mesh(grid)), grid.shape).ravel().copy())
 
 
 def simpson(fn, n=10**6):
@@ -57,99 +56,90 @@ class TestField:
         with pytest.raises(ValueError):
             Field(GridSpec(1, 16), vals)
 
-    def test_vector_field_needs_shared_grid(self):
-        f1 = constant_field(GridSpec(1, 16), 1.0)
-        f2 = constant_field(GridSpec(1, 32), 1.0)
-        VectorField(GridSpec(1, 16), (f1,))
-        with pytest.raises(ValueError):
-            VectorField(GridSpec(1, 16), (f2,))
-        with pytest.raises(ValueError):
-            VectorField(GridSpec(1, 16), (f1, f1))
-
 
 class TestGradient:
     def test_constant_gives_zero(self):
-        g = gradient(constant_field(GridSpec(2, 16), 3.7))
-        for c in g.components:
-            assert np.all(c.values == 0.0)
+        for c in gradient_arrays(constant_field(GridSpec(2, 16), 3.7)):
+            assert np.all(c == 0.0)
 
     def test_sine_matches_derivative_within_taylor_bound(self):
         grid = GridSpec(1, 64)
-        f = field_from_function(grid, lambda x: np.sin(TWO_PI * x))
-        (gx,) = gradient(f).components
+        f = sampled(grid, lambda x: np.sin(TWO_PI * x))
+        (gx,) = gradient_arrays(f)
         exact = TWO_PI * np.cos(TWO_PI * mesh(grid)[0])
-        err = np.max(np.abs(gx.values - exact))
+        err = np.max(np.abs(gx - exact))
         assert err <= TWO_PI**3 * grid.h**2 / 6.0
         assert err > 0.0
 
     def test_2d_component_of_independent_axis_is_zero(self):
         grid = GridSpec(2, 16)
-        f = field_from_function(grid, lambda x, y: np.sin(TWO_PI * y))
-        gx, gy = gradient(f).components
-        assert np.all(gx.values == 0.0)
-        assert np.max(np.abs(gy.values)) > 1.0
+        f = sampled(grid, lambda x, y: np.sin(TWO_PI * y))
+        gx, gy = gradient_arrays(f)
+        assert np.all(gx == 0.0)
+        assert np.max(np.abs(gy)) > 1.0
 
 
 class TestDivergence:
     def test_constant_gives_zero(self):
         grid = GridSpec(2, 16)
-        F = VectorField(grid, (constant_field(grid, 1.0), constant_field(grid, -2.0)))
-        assert np.all(divergence(F).values == 0.0)
+        F = [np.full(grid.shape, 1.0), np.full(grid.shape, -2.0)]
+        assert np.all(divergence_arrays(F, grid) == 0.0)
 
     def test_divergence_of_gradient_sums_to_zero(self):
         grid = GridSpec(1, 64)
-        f = field_from_function(grid, lambda x: np.sin(TWO_PI * x))
-        div = divergence(gradient(f))
-        assert abs(grid_sum(div)) < 1e-12
+        f = sampled(grid, lambda x: np.sin(TWO_PI * x))
+        div = divergence_arrays(gradient_arrays(f), grid)
+        assert abs(np.sum(div)) < 1e-12
 
     def test_rotational_field_is_divergence_free(self):
         grid = GridSpec(2, 32)
         x, y = mesh(grid)
-        Fx = Field(grid, (-TWO_PI * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)).ravel())
-        Fy = Field(grid, (TWO_PI * np.cos(TWO_PI * x) * np.sin(TWO_PI * y)).ravel())
-        div = divergence(VectorField(grid, (Fx, Fy)))
-        assert np.max(np.abs(div.values)) <= 100.0 * grid.h**2
-        assert abs(grid_sum(div)) < 1e-10
+        Fx = -TWO_PI * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
+        Fy = TWO_PI * np.cos(TWO_PI * x) * np.sin(TWO_PI * y)
+        div = divergence_arrays([Fx, Fy], grid)
+        assert np.max(np.abs(div)) <= 100.0 * grid.h**2
+        assert abs(np.sum(div)) < 1e-10
 
 
 class TestLaplacian:
     def test_constant_gives_zero(self):
-        assert np.all(laplacian(constant_field(GridSpec(1, 32), 5.0)).values == 0.0)
+        grid = GridSpec(1, 32)
+        assert np.all(laplacian_array(constant_field(grid, 5.0).values, grid) == 0.0)
 
     def test_cosine_converges_at_second_order(self):
         errs = []
         for n in (32, 64, 128):
             grid = GridSpec(1, n)
-            f = field_from_function(grid, lambda x: np.cos(TWO_PI * x))
+            f = sampled(grid, lambda x: np.cos(TWO_PI * x))
             exact = -(TWO_PI**2) * np.cos(TWO_PI * mesh(grid)[0])
-            errs.append(np.max(np.abs(laplacian(f).values - exact)))
+            errs.append(np.max(np.abs(laplacian_array(f.values, grid) - exact)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(p >= 1.9 for p in orders)
 
     def test_sums_to_zero(self):
         grid = GridSpec(2, 16)
         rng = np.random.default_rng(7)
-        f = Field(grid, rng.standard_normal(grid.size))
-        assert abs(grid_sum(laplacian(f))) < 1e-10
+        f = rng.standard_normal(grid.size)
+        assert abs(np.sum(laplacian_array(f, grid))) < 1e-10
 
 
 class TestQuadrature:
     def test_unit_torus_volume(self):
         for grid in (GridSpec(1, 32), GridSpec(2, 16)):
-            assert integral(constant_field(grid, 1.0)) == pytest.approx(1.0, abs=1e-14)
+            assert integral(grid, constant_field(grid, 1.0).values) == pytest.approx(1.0, abs=1e-14)
 
     def test_pure_harmonic_integrates_away(self):
         grid = GridSpec(1, 64)
-        f = field_from_function(grid, lambda x: 1.0 + 0.3 * np.cos(TWO_PI * x))
-        assert integral(f) == pytest.approx(1.0, abs=1e-13)
+        f = sampled(grid, lambda x: 1.0 + 0.3 * np.cos(TWO_PI * x))
+        assert integral(grid, f.values) == pytest.approx(1.0, abs=1e-13)
 
     def test_inverse_square_against_simpson_oracle(self):
         # integral of (1 + 0.5 cos(2 pi x))^-2 equals (1 - 0.25)^{-3/2}
         grid = GridSpec(1, 64)
-        f = field_from_function(grid, lambda x: (1.0 + 0.5 * np.cos(TWO_PI * x)) ** -2.0)
+        f = sampled(grid, lambda x: (1.0 + 0.5 * np.cos(TWO_PI * x)) ** -2.0)
         oracle = simpson(lambda x: (1.0 + 0.5 * np.cos(TWO_PI * x)) ** -2.0)
         assert oracle == pytest.approx(1.539600717839002, abs=1e-9)
-        assert integral(f) == pytest.approx(oracle, abs=1e-6)
+        assert integral(grid, f.values) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestAdjointness:
@@ -168,17 +158,12 @@ class TestAdjointness:
     @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16)])
     def test_divergence_is_negative_adjoint_of_gradient(self, grid):
         rng = np.random.default_rng(13)
-        F = VectorField(
-            grid, tuple(Field(grid, rng.standard_normal(grid.size)) for _ in range(grid.dim))
-        )
+        F = [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
         g = Field(grid, rng.standard_normal(grid.size))
-        lhs = grid_sum(Field(grid, divergence(F).values * g.values))
-        rhs = -sum(
-            grid_sum(Field(grid, c.values * d.values))
-            for c, d in zip(F.components, gradient(g).components)
-        )
+        lhs = np.sum(divergence_arrays(F, grid) * g.reshaped())
+        rhs = -sum(np.sum(c * d) for c, d in zip(F, gradient_arrays(g)))
         assert lhs == pytest.approx(rhs, abs=1e-9)
-        assert abs(grid_sum(divergence(F))) < 1e-10
+        assert abs(np.sum(divergence_arrays(F, grid))) < 1e-10
 
     def test_compact_laplacian_pairs_with_forward_differences(self):
         # <-lap(v), f> = sum_i <D+ v, D+ f> exactly: the summation-by-parts form
@@ -186,7 +171,7 @@ class TestAdjointness:
         rng = np.random.default_rng(17)
         v = rng.standard_normal(grid.shape)
         f = rng.standard_normal(grid.shape)
-        lhs = -np.sum(laplacian(Field(grid, v.ravel())).values * f.ravel())
+        lhs = -np.sum(laplacian_array(v, grid) * f)
         rhs = sum(
             np.sum(forward_diff(v, ax, grid.h) * forward_diff(f, ax, grid.h))
             for ax in range(grid.dim)
@@ -203,7 +188,7 @@ class TestConsistencyOrders:
             xs = mesh(grid)
             f = Field(grid, np.broadcast_to(np.sin(TWO_PI * xs[0]), grid.shape).ravel().copy())
             exact = TWO_PI * np.cos(TWO_PI * xs[0])
-            err = np.max(np.abs(gradient(f).components[0].reshaped() - exact))
+            err = np.max(np.abs(gradient_arrays(f)[0] - exact))
             errs.append(err)
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(p >= 1.9 for p in orders)
@@ -213,15 +198,9 @@ class TestConsistencyOrders:
         for n in (16, 32, 64):
             grid = GridSpec(2, n)
             x, y = mesh(grid)
-            F = VectorField(
-                grid,
-                (
-                    Field(grid, (np.sin(TWO_PI * x) * np.cos(TWO_PI * y)).ravel()),
-                    Field(grid, (np.cos(TWO_PI * x) * np.sin(TWO_PI * y)).ravel()),
-                ),
-            )
+            F = [np.sin(TWO_PI * x) * np.cos(TWO_PI * y), np.cos(TWO_PI * x) * np.sin(TWO_PI * y)]
             exact = 2 * TWO_PI * np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
-            errs.append(np.max(np.abs(divergence(F).reshaped() - exact)))
+            errs.append(np.max(np.abs(divergence_arrays(F, grid) - exact)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(p >= 1.9 for p in orders)
 
@@ -233,11 +212,28 @@ class TestOperatorMatrices:
         f = Field(grid, rng.standard_normal(grid.size))
         for ax in range(grid.dim):
             assert diff_matrix(grid, ax) @ f.values == pytest.approx(
-                gradient(f).components[ax].values, abs=1e-12
+                gradient_arrays(f)[ax].ravel(), abs=1e-12
             )
         assert laplacian_matrix(grid) @ f.values == pytest.approx(
-            laplacian(f).values, abs=1e-9
+            laplacian_array(f.values, grid).ravel(), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n", [8, 9, 48])
+    def test_1d_matrices_equal_tridiagonal_plus_corners(self, n):
+        grid = GridSpec(1, n)
+        h = grid.h
+        i = np.arange(n)
+        diff = np.zeros((n, n))
+        diff[i, (i + 1) % n] = 1.0 / (2.0 * h)
+        diff[i, (i - 1) % n] = -1.0 / (2.0 * h)
+        lap = np.zeros((n, n))
+        lap[i, i] = -2.0 / (h * h)
+        lap[i, (i + 1) % n] = 1.0 / (h * h)
+        lap[i, (i - 1) % n] = 1.0 / (h * h)
+        assert diff[0, n - 1] != 0.0 and lap[n - 1, 0] != 0.0  # the periodic corners
+        for got, ref in ((diff_matrix(grid, 0), diff), (laplacian_matrix(grid), lap)):
+            assert got.nnz == np.count_nonzero(ref)
+            assert np.array_equal(got.toarray(), ref)
 
 
 class TestFieldFiles:

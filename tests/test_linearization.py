@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sparse
 
 from mfgtorus import (
-    DegenerateState,
     Field,
     GridSpec,
+    NonPositiveDensity,
     State,
     assemble_jacobian,
     bilinear_form,
@@ -347,7 +347,7 @@ class TestCoercivity:
             base_state=bad,
             lam=0.0,
         )
-        with pytest.raises(DegenerateState):
+        with pytest.raises(NonPositiveDensity):
             coercivity_check(sys_, n_samples=2, seed=0)
 
     def test_reports_are_seeded_and_deterministic(self):
