@@ -275,6 +275,8 @@ def parse_config(doc: dict) -> RunConfig:
         grids = _number_list(mo, "grids", "mms")
         if grids is None or len(grids) < 3 or any(not g.is_integer() or g < 8 for g in grids):
             raise ConfigError("mms.grids: expected a list of >= 3 integer grid sizes")
+        if any(b != 2 * a for a, b in zip(grids, grids[1:])):
+            raise ConfigError("mms.grids: each grid must double the previous one")
         if "u" not in mo or "m" not in mo:
             raise ConfigError("mms: both 'u' and 'm' closed forms are required")
         mms = MmsConfig(

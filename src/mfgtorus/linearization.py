@@ -9,6 +9,7 @@ finite-difference consistency check exact in the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -35,11 +36,95 @@ class LinearizedSystem:
         return self.base_state.grid
 
 
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """The Jacobian's CSR structure on one grid, and the CSR slot of each term.
+
+    Per axis, `rows` gathers the A_vv coefficient for each nonzero of the
+    difference matrix D, and `first`/`second` pick the nonzeros of D in each
+    product d_ij m_j d_jk of D diag(m^(1-a)) D; `partial` sums the products
+    per axis before the axes are added, as the matrix products did.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    first: tuple[np.ndarray, ...]
+    second: tuple[np.ndarray, ...]
+    partial: np.ndarray
+    n_partial: int
+
+
+def _coo_rows(mat: sparse.csr_matrix) -> np.ndarray:
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
+def _slots(structure: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Index into the CSR arrays of `structure` of each (row, col) entry."""
+    positions = sparse.csr_matrix(
+        (np.arange(structure.nnz, dtype=np.float64), structure.indices, structure.indptr),
+        shape=structure.shape,
+    )
+    return np.asarray(positions[rows, cols], dtype=np.int32).ravel()
+
+
+@lru_cache(maxsize=64)
+def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
+    """Term positions of `assemble_jacobian`, from the stencil matrices of the grid."""
+    n = grid.size
+    node = np.arange(n)
+    eye = sparse.identity(n, format="csr")
+    lap = laplacian_matrix(grid)
+    diffs = [diff_matrix(grid, ax) for ax in range(grid.dim)]
+    # absolute values, so that no position cancels out of the structure
+    wide = [abs(d) @ abs(d) for d in diffs]
+    for w in wide:
+        w.sort_indices()
+    local = sum((abs(d) for d in diffs), abs(eye) + abs(lap))
+    structure = sparse.bmat([[local, eye], [sum(wide[1:], wide[0]), local]], format="csr")
+    structure.sort_indices()
+
+    rows, first, second, partial, vv, fv, ff = [], [], [], [], [], [], []
+    offset = 0
+    for d, w in zip(diffs, wide):
+        d_rows = _coo_rows(d)
+        rows.append(d_rows.astype(np.int32))
+        vv.append((d_rows, d.indices))
+        ff += [(d_rows + n, d.indices + n)] * 2  # (1-a) D diag(w) and lam D diag(b)
+        # nonzero jj = (i, j) of D meets each nonzero kk of row j
+        per_row = np.diff(d.indptr)[d.indices]
+        jj = np.repeat(np.arange(d.nnz), per_row)
+        kk = np.repeat(d.indptr[d.indices] - np.cumsum(per_row) + per_row, per_row) + np.arange(jj.size)
+        first.append(jj.astype(np.int32))
+        second.append(kk.astype(np.int32))
+        partial.append(_slots(w, d_rows[jj], d.indices[kk]) + offset)
+        offset += w.nnz
+        fv.append((_coo_rows(w) + n, w.indices))
+
+    eye_minus_lap = [(node, node), (_coo_rows(lap), lap.indices)]
+    terms = eye_minus_lap + vv + [(node, node + n)] + fv + [(r + n, c + n) for r, c in eye_minus_lap] + ff
+    # every matrix the fill returns shares these two arrays
+    structure.indptr.flags.writeable = False
+    structure.indices.flags.writeable = False
+    return _JacobianPattern(
+        indptr=structure.indptr,
+        indices=structure.indices,
+        slots=np.concatenate([_slots(structure, r, c) for r, c in terms]),
+        rows=tuple(rows),
+        first=tuple(first),
+        second=tuple(second),
+        partial=np.concatenate(partial),
+        n_partial=offset,
+    )
+
+
 def assemble_jacobian(
     spec: ProblemSpec,
     lam: float,
     s: State,
     sources: tuple[Field, Field] | None = None,
+    res: tuple[Field, Field] | None = None,
 ) -> LinearizedSystem:
     """Assemble the linearization of `residual` at (lam, s).
 
@@ -47,41 +132,49 @@ def assemble_jacobian(
                   - d/dm[potential_term] f
     Row block 2:  f - lap(f) - div(m^(1-a) Dv) - (1-a) div(m^(-a) f Du) - lam div(b f)
 
-    Every differential term reuses the stencils of `residual` exactly.
+    Every differential term reuses the stencils of `residual` exactly.  The
+    values are summed with `np.bincount` into the structure `_jacobian_pattern`
+    builds once per grid, term by term in the order of the expression, and
+    entries that come out exactly zero are dropped.  `res`, the residual at
+    (lam, s) when the caller has it, gives the right-hand side; else it is evaluated.
     """
     grid = spec.grid
     m = s.m.values
     if np.min(m) <= 0.0:
         raise NonPositiveDensity("assemble_jacobian needs m > 0")
     alpha = spec.alpha
+    pattern = _jacobian_pattern(grid)
 
     du = [g.ravel() for g in gradient_arrays(s.u)]
     du_sq = sum(d * d for d in du)
     bvals = [b.ravel() for b in _drift_arrays(spec.drift, grid)]
-
-    eye = sparse.identity(grid.size, format="csr")
-    lap = laplacian_matrix(grid)
-
-    a_vv = eye - lap
-    for ax in range(grid.dim):
-        coef = du[ax] / m**alpha + lam * bvals[ax]
-        a_vv = a_vv + sparse.diags(coef) @ diff_matrix(grid, ax)
-
+    m_alpha, m_neg_alpha, m_flux = m**alpha, m**-alpha, m ** (1.0 - alpha)
     pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
-    a_vf = sparse.diags(-alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm)
+    eye_minus_lap = [np.ones(grid.size), -laplacian_matrix(grid).data]
 
-    a_fv = None
-    a_ff = eye - lap
-    m_flux = sparse.diags(m ** (1.0 - alpha))
+    # A_vv: I - L + sum_i diag(c_i) D_i;  A_ff: I - L - sum_i ((1-a) D_i diag(w_i) + lam D_i diag(b_i))
+    vv, ff, products = [], [], []
     for ax in range(grid.dim):
         d = diff_matrix(grid, ax)
-        term = d @ m_flux @ d
-        a_fv = term if a_fv is None else a_fv + term
-        a_ff = a_ff - (1.0 - alpha) * d @ sparse.diags(m**-alpha * du[ax]) - lam * d @ sparse.diags(bvals[ax])
-    a_fv = -a_fv
+        coef = du[ax] / m_alpha + lam * bvals[ax]
+        vv.append(coef[pattern.rows[ax]] * d.data)
+        ff.append(-(((1.0 - alpha) * d.data) * (m_neg_alpha * du[ax])[d.indices]))
+        ff.append(-((lam * d.data) * bvals[ax][d.indices]))
+        products.append((d.data * m_flux[d.indices])[pattern.first[ax]] * d.data[pattern.second[ax]])
+    # A_fv: -sum_i D_i diag(m^(1-a)) D_i;  A_vf: diagonal
+    fv = np.bincount(pattern.partial, np.concatenate(products), minlength=pattern.n_partial)
+    vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm
 
-    mat = sparse.bmat([[a_vv, a_vf], [a_fv, a_ff]], format="csr")
-    r1, r2 = residual(spec, lam, s, sources)
+    weights = np.concatenate(eye_minus_lap + vv + [vf, -fv] + eye_minus_lap + ff)
+    data = np.bincount(pattern.slots, weights, minlength=pattern.indices.size)
+    shape = (2 * grid.size, 2 * grid.size)
+    if data.all():
+        mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape)
+    else:
+        mat = sparse.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=shape)
+        mat.eliminate_zeros()
+
+    r1, r2 = res if res is not None else residual(spec, lam, s, sources)
     rhs = -np.concatenate([r1.values, r2.values])
     return LinearizedSystem(matrix=mat, rhs=rhs, base_state=s, lam=lam)
 

@@ -240,7 +240,8 @@ def newton_solve(
     opts = opts or NewtonOptions()
     grid = spec.grid
     s = s0
-    res_norm = sup_norm(*residual(spec, lam, s, sources))
+    res = residual(spec, lam, s, sources)
+    res_norm = sup_norm(*res)
     history = [res_norm]
     damping: list[float] = []
     paths: list[str] = []
@@ -259,7 +260,7 @@ def newton_solve(
                 report=report(False),
             )
 
-        sys = assemble_jacobian(spec, lam, s, sources)
+        sys = assemble_jacobian(spec, lam, s, sources, res)
         try:
             delta, path, krylov_its = _solve_linear(sys, spec.alpha)
         except LinearSolveFailure as err:
@@ -277,9 +278,10 @@ def newton_solve(
             trial_m = s.m.values + t * dm
             if np.min(trial_m) >= floor:
                 trial = State(Field(grid, s.u.values + t * dv), Field(grid, trial_m))
-                trial_norm = sup_norm(*residual(spec, lam, trial, sources))
+                trial_res = residual(spec, lam, trial, sources)
+                trial_norm = sup_norm(*trial_res)
                 if trial_norm <= (1.0 - opts.armijo_c * t) * res_norm:
-                    accepted = (trial, trial_norm)
+                    accepted = (trial, trial_res, trial_norm)
                     break
             t *= 0.5
         if accepted is None:
@@ -288,7 +290,7 @@ def newton_solve(
                 report=report(False),
             )
 
-        s, res_norm = accepted
+        s, res, res_norm = accepted
         history.append(res_norm)
         damping.append(t)
         it += 1

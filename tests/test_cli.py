@@ -396,10 +396,13 @@ class TestConfigHardening:
             ("diagnostics", {"r_values": [1.0, float("inf")]},
              "diagnostics.r_values: expected a list of finite numbers"),
             ("solver", {"max_iters": 10**400}, "solver.max_iters: expected a finite number"),
+            ("mms", {"grids": [16, 24, 48], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
+                     "m": {"const": 1.0, "cos": [0.25], "sin": [0.0]}},
+             "mms.grids: each grid must double the previous one"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
              "fractional-max-iters", "fractional-grow-iters", "nan-scalar", "infinite-list-entry",
-             "integer-beyond-float-range"],
+             "integer-beyond-float-range", "grids-not-doubling"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

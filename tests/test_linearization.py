@@ -76,6 +76,101 @@ class TestJacobianExactness:
             assemble_jacobian(spec, 0.0, bad)
 
 
+def reference_jacobian(spec, lam, s):
+    """The Jacobian as sparse-sparse products and `bmat`, the way it was assembled before the pattern fill."""
+    from mfgtorus.grid import gradient_arrays
+    from mfgtorus.problem import _drift_arrays
+
+    grid = spec.grid
+    m = s.m.values
+    alpha = spec.alpha
+    du = [g.ravel() for g in gradient_arrays(s.u)]
+    du_sq = sum(d * d for d in du)
+    bvals = [b.ravel() for b in _drift_arrays(spec.drift, grid)]
+
+    eye = sparse.identity(grid.size, format="csr")
+    lap = laplacian_matrix(grid)
+
+    a_vv = eye - lap
+    for ax in range(grid.dim):
+        coef = du[ax] / m**alpha + lam * bvals[ax]
+        a_vv = a_vv + sparse.diags(coef) @ diff_matrix(grid, ax)
+
+    pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
+    a_vf = sparse.diags(-alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm)
+
+    a_fv = None
+    a_ff = eye - lap
+    m_flux = sparse.diags(m ** (1.0 - alpha))
+    for ax in range(grid.dim):
+        d = diff_matrix(grid, ax)
+        term = d @ m_flux @ d
+        a_fv = term if a_fv is None else a_fv + term
+        a_ff = a_ff - (1.0 - alpha) * d @ sparse.diags(m**-alpha * du[ax]) - lam * d @ sparse.diags(bvals[ax])
+    a_fv = -a_fv
+
+    return sparse.bmat([[a_vv, a_vf], [a_fv, a_ff]], format="csr")
+
+
+def coefficient_case(dim, n, case, alpha):
+    """`flat`: kappa = 0, no drift, no x-dependence; `x_only`: that potential form; `sources`: MMS."""
+    from mfgtorus import DriftSpec, ManufacturedCase, PotentialSpec, ProblemSpec, TrigForm, mms_source
+
+    grid = GridSpec(dim, n)
+    if case == "flat":
+        pot = PotentialSpec("separable", TrigForm.zero(dim), 0.0)
+        drift = DriftSpec.zero(dim)
+    else:
+        form, kappa = ("x_only", 0.0) if case == "x_only" else ("separable", 1.0)
+        pot = PotentialSpec(form, TrigForm(0.0, (0.4,) * dim, (0.1,) * dim), kappa)
+        drift = DriftSpec(tuple(
+            TrigForm(0.0, tuple(0.5 * (i == ax) for i in range(dim)), (1.5,) * dim) for ax in range(dim)
+        ))
+    spec = ProblemSpec(grid, alpha, pot, drift)
+    sources = None
+    if case == "sources":
+        mms = ManufacturedCase(spec, TrigForm(0.0, (0.0,) * dim, (0.1,) * dim),
+                               TrigForm(1.0, (0.25,) * dim, (0.0,) * dim))
+        sources = mms_source(mms, grid)
+    return spec, sources
+
+
+class TestPatternFill:
+    """The pattern fill reproduces the product-and-bmat assembly bit for bit."""
+
+    @pytest.mark.parametrize("case", ["flat", "x_only", "sources"])
+    @pytest.mark.parametrize("n", [8, 9, 48])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_reference_assembly_exactly(self, dim, n, case):
+        for alpha in (0.0, 0.5, 0.9, 1.5):
+            spec, sources = coefficient_case(dim, n, case, alpha)
+            for s in (exact_initial(spec), random_positive_state(spec.grid, seed=n + dim)):
+                for lam in (0.0, 0.5, 1.0):
+                    got = assemble_jacobian(spec, lam, s, sources)
+                    want = reference_jacobian(spec, lam, s)
+                    for attr in ("indptr", "indices", "data"):
+                        a, b = getattr(got.matrix, attr), getattr(want, attr)
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (attr, alpha, lam)
+                    r1, r2 = residual(spec, lam, s, sources)
+                    assert np.array_equal(got.rhs, -np.concatenate([r1.values, r2.values]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exact_zeros_are_dropped(self, dim):
+        # alpha = 0, kappa = 0, lam = 1: the whole v-f coupling is zero and stores nothing
+        spec, _ = coefficient_case(dim, 9, "flat", 0.0)
+        mat = assemble_jacobian(spec, 1.0, random_positive_state(spec.grid, seed=1)).matrix
+        n = spec.grid.size
+        assert mat[:n, n:].nnz == 0
+        assert np.all(mat.data != 0.0)
+
+    def test_given_residual_becomes_the_right_hand_side(self):
+        spec = suite_problem(0.5, n=16)
+        s = random_positive_state(spec.grid, seed=2)
+        res = (constant_field(spec.grid, 1.0), constant_field(spec.grid, -2.0))
+        sys_ = assemble_jacobian(spec, 0.5, s, res=res)
+        assert np.array_equal(sys_.rhs, np.repeat([-1.0, 2.0], spec.grid.size))
+
+
 class TestBlockStructureAtExplicitStart:
     """At (pi/4, 1) with lam=0: Du = 0 and m = 1 reduce every block to a closed form."""
 

@@ -109,6 +109,32 @@ class TestNewton:
         with pytest.raises(ValueError):
             NewtonOptions(tol_residual=-1.0)
 
+    def test_assembly_reuses_the_accepted_trial_residual(self, monkeypatch):
+        # strong coefficients: the positivity guard rejects some full steps unevaluated
+        import mfgtorus.linearization as lin_mod
+        import mfgtorus.solver as solver_mod
+
+        pot = PotentialSpec("separable", TrigForm(0.0, (32.0,), (0.0,)), 1.0)
+        spec = ProblemSpec(GridSpec(1, 64), 0.5, pot, DriftSpec((TrigForm(0.0, (0.0,), (32.0,)),)))
+        evaluated, trials, assembly = [], [], []
+
+        def counting(calls, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(args[2])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solver_mod, "residual", counting(evaluated, solver_mod.residual))
+        monkeypatch.setattr(lin_mod, "residual", counting(assembly, lin_mod.residual))
+        monkeypatch.setattr(solver_mod, "State", lambda *a: trials.append(a) or State(*a))
+        s0 = exact_initial(spec)
+        s, rep = newton_solve(spec, 1.0, s0)
+        assert rep.converged
+        assert assembly == []
+        assert evaluated[0] is s0
+        assert len(evaluated) == 1 + len(trials)
+        assert len(trials) < sum(1 + round(-np.log2(t)) for t in rep.damping_history)
+
     def test_tolerance_below_roundoff_floor_raises_solver_failure(self):
         # the residual cannot drop that far; damping or the iteration cap must give out
         from mfgtorus import SolverFailure
