@@ -329,6 +329,8 @@ def _sweep_cell(payload) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     cfg = _load(args)
     if cfg.sweep is None:
         raise ConfigError("config has no 'sweep' section")
@@ -339,8 +341,8 @@ def cmd_sweep(args) -> int:
         for k in cfg.sweep.kappas
         for sc in cfg.sweep.drift_scales
     ]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

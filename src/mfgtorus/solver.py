@@ -29,7 +29,7 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
-from .grid import sup_norm
+from .grid import diff_matrix, laplacian_matrix, sup_norm
 from .linearization import LinearizedSystem, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -153,31 +153,29 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
     """2-D GMRES, preconditioned with P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
 
     P is the Jacobian at constant m and u, without the drift and the potential's
-    m-derivative.  Both blocks are diagonal in the Fourier basis, so applying
-    P^-1 costs two forward and two inverse 2-D FFTs.
+    m-derivative.  Its blocks are circulant, so each symbol is the DFT of column 0
+    of laplacian_matrix or of diff_matrix D_i, squared in W = sum_i D_i D_i.
+    Applying P^-1 takes one rfft2 and one irfft2 of the two stacked components.
     Returns (None, 0) unless the answer is finite and its true relative
     residual is at most KRYLOV_ACCEPT.
     """
     grid = sys.grid
-    n = grid.size
-    shape = grid.shape
-    # Symbols on the 2-D DFT modes, indexed like numpy.fft.fft2.
-    theta = 2.0 * np.pi * np.fft.fftfreq(grid.n)
-    h2 = grid.h * grid.h
-    compact = (2.0 * np.cos(theta) - 2.0) / h2
-    wide_1d = -np.sin(theta) ** 2 / h2
-    eye_minus_lap = 1.0 - (compact[:, None] + compact[None, :])
-    wide = wide_1d[:, None] + wide_1d[None, :]
+    unit = np.eye(1, grid.size).ravel()  # e_0, so op @ unit is column 0 of op
+
+    def symbol(op: sparse.csr_matrix) -> np.ndarray:
+        return np.fft.rfft2((op @ unit).reshape(grid.shape))
+
+    eye_minus_lap = 1.0 - symbol(laplacian_matrix(grid)).real
+    wide = sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(grid.dim)).real
     c = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        r1 = np.fft.fft2(r[:n].reshape(shape))
-        r2 = np.fft.fft2(r[n:].reshape(shape))
-        x1 = r1 / eye_minus_lap
-        x2 = (r2 + c * wide * x1) / eye_minus_lap
-        return np.concatenate([np.fft.ifft2(x1).real.ravel(), np.fft.ifft2(x2).real.ravel()])
+        x = np.fft.rfft2(r.reshape((2, *grid.shape)))
+        x[0] /= eye_minus_lap
+        x[1] = (x[1] + c * wide * x[0]) / eye_minus_lap
+        return np.fft.irfft2(x, s=grid.shape).ravel()
 
-    precond = LinearOperator((2 * n, 2 * n), matvec=apply_inverse, dtype=np.float64)
+    precond = LinearOperator(sys.matrix.shape, matvec=apply_inverse, dtype=np.float64)
     iterations = 0
 
     def count(_):

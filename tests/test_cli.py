@@ -380,6 +380,46 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Replace the process pool with an in-process one that records `max_workers`."""
+        import mfgtorus.cli as cli_mod
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+        return started
+
+    def test_pool_never_exceeds_cell_count(self, tmp_path, fake_pool):
+        doc = base_config(sweep={"alphas": [0.0, 0.5], "kappas": [1.0]})
+        doc["problem"]["n"] = 16
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "5000"]) == 0
+        assert fake_pool == [2]
+        assert len((tmp_path / "s/sweep.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one_with_one_line(self, tmp_path, capsys, fake_pool, jobs):
+        cfg = write_config(tmp_path, base_config(sweep={"alphas": [0.0, 0.5], "kappas": [1.0]}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", jobs]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: --jobs must be at least 1"]
+        assert fake_pool == []
+        assert not (tmp_path / "s").exists()
+
 
 class TestConfigHardening:
     @pytest.mark.parametrize(

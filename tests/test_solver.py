@@ -6,6 +6,7 @@ from mfgtorus import (
     DriftSpec,
     Field,
     GridSpec,
+    ManufacturedCase,
     MaxItersExceeded,
     NewtonOptions,
     PotentialSpec,
@@ -17,12 +18,13 @@ from mfgtorus import (
     continuation_solve,
     exact_initial,
     integral,
+    mms_source,
     newton_solve,
     perturbation_solve,
     residual,
     sup_norm,
 )
-from mfgtorus.grid import mesh
+from mfgtorus.grid import diff_matrix, laplacian_matrix, mesh
 from mfgtorus.linearization import assemble_jacobian
 from mfgtorus.solver import _solve_krylov, _solve_linear, _solve_pinned
 
@@ -165,24 +167,45 @@ class TestLinearFallback:
         np.testing.assert_allclose(sol, x_true, atol=1e-8)
 
 
+def strong_problem() -> ProblemSpec:
+    """a = 4 cos, b = 4 sin, alpha = 0.5, 2-D n = 32."""
+    pot = PotentialSpec("separable", TrigForm(0.0, (4.0, 4.0), (0.0, 0.0)), 1.0)
+    drift = DriftSpec(
+        (TrigForm(0.0, (0.0, 0.0), (4.0, 0.0)), TrigForm(0.0, (0.0, 0.0), (0.0, 4.0)))
+    )
+    return ProblemSpec(GridSpec(2, 32), 0.5, pot, drift)
+
+
 class TestKrylovSolve:
     @pytest.fixture(scope="class")
     def strong_system(self):
-        """A lambda = 1 Newton system at the lambda = 0.5 solution, a = 4 cos, b = 4 sin, n = 32."""
-        pot = PotentialSpec("separable", TrigForm(0.0, (4.0, 4.0), (0.0, 0.0)), 1.0)
-        drift = DriftSpec(
-            (TrigForm(0.0, (0.0, 0.0), (4.0, 0.0)), TrigForm(0.0, (0.0, 0.0), (0.0, 4.0)))
-        )
-        spec = ProblemSpec(GridSpec(2, 32), 0.5, pot, drift)
+        """A lambda = 1 Newton system at the lambda = 0.5 solution of the strong problem; max(m) - min(m) > 1."""
+        spec = strong_problem()
         s, _ = continuation_solve(spec)
         s_half, _ = newton_solve(spec, 0.5, s)
-        return spec, assemble_jacobian(spec, 1.0, s_half)
+        sys = assemble_jacobian(spec, 1.0, s_half)
+        assert np.ptp(sys.base_state.m.values) > 1.0
+        return spec, sys
 
-    def test_matches_direct_solve_on_strong_coefficients(self, strong_system):
+    @pytest.fixture(scope="class")
+    def mms_system(self):
+        """The strong problem with MMS sources for m* = 2 + 0.25 cos, at (u*, m*): c = sqrt(2)."""
+        spec = strong_problem()
+        case = ManufacturedCase(
+            spec, TrigForm(0.0, (0.05, 0.0), (0.0, 0.05)), TrigForm(2.0, (0.25, 0.0), (0.0, 0.0))
+        )
+        sys = assemble_jacobian(spec, 1.0, case.sample(spec.grid), mms_source(case, spec.grid))
+        assert np.mean(sys.base_state.m.values) == pytest.approx(2.0, abs=1e-14)
+        return spec, sys
+
+    @pytest.fixture(params=["strong_system", "mms_system"])
+    def krylov_system(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_matches_direct_solve_on_strong_coefficients(self, krylov_system):
         from scipy.sparse.linalg import spsolve
 
-        spec, sys = strong_system
-        assert np.ptp(sys.base_state.m.values) > 1.0
+        spec, sys = krylov_system
         delta, iterations = _solve_krylov(sys, spec.alpha)
         direct = spsolve(sys.matrix, sys.rhs)
         assert 0 < iterations
@@ -205,6 +228,36 @@ class TestKrylovSolve:
         delta, path, iterations = _solve_linear(sys, spec.alpha)
         assert (path, iterations) == ("direct", 0)
         np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
+
+    @pytest.mark.parametrize("n", [8, 9, 48])
+    def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
+        """M passed to GMRES is the inverse of [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""
+        import scipy.sparse as sparse
+
+        import mfgtorus.solver as solver_mod
+
+        spec = problem_2d(n=n)
+        grid = spec.grid
+        m = 2.0 + 0.25 * np.cos(TWO_PI * mesh(grid)[0]).ravel()
+        sys = assemble_jacobian(spec, 1.0, State(constant_field(grid, 0.0), Field(grid, m)))
+        preconditioners = []
+        forward = solver_mod.gmres
+
+        def recording_gmres(*args, **kwargs):
+            preconditioners.append(kwargs["M"])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "gmres", recording_gmres)
+        _solve_krylov(sys, spec.alpha)
+
+        c = 2.0 ** (1.0 - spec.alpha)
+        eye_minus_lap = sparse.identity(grid.size) - laplacian_matrix(grid)
+        wide = sum(diff_matrix(grid, axis) @ diff_matrix(grid, axis) for axis in range(grid.dim))
+        p = sparse.bmat([[eye_minus_lap, None], [-c * wide, eye_minus_lap]]).tocsr()
+        x = np.random.default_rng(n).standard_normal(2 * grid.size)
+        assert len(preconditioners) == 1
+        error = preconditioners[0].matvec(p @ x) - x
+        assert np.linalg.norm(error) <= 1e-12 * np.linalg.norm(x)
 
     def test_continuation_matches_direct_path(self, monkeypatch):
         import mfgtorus.solver as solver_mod
