@@ -2,7 +2,9 @@
 
 Unknown keys are rejected at every level so a typo cannot silently fall back
 to a default.  Every default is a field default of the dataclass the section
-parses into (`NewtonOptions`, `StepOptions`, `DiagnosticsConfig`, ...).
+parses into (`NewtonOptions`, `StepOptions`, `DiagnosticsConfig`, ...), and
+every rule on a value is checked once, in the `__post_init__` of the type that
+owns it; only the rules that span sections are checked here.
 `RunConfig.resolved()` materializes every default; re-running with the emitted
 copy reproduces the run byte for byte.
 """
@@ -11,20 +13,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .grid import GridSpec
-from .problem import DriftSpec, PotentialSpec, ProblemSpec, TrigForm, POTENTIAL_FORMS
+from .problem import DriftSpec, PotentialSpec, ProblemSpec, TrigForm
 from .solver import NewtonOptions, StepOptions
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: dict, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing required key {key!r}")
 
 
 def _is_number(val) -> bool:
@@ -37,43 +42,68 @@ def _is_number(val) -> bool:
         return False
 
 
-def _number(obj: dict, key: str, where: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = obj[key]
+def _float(val, where: str) -> float:
     if not _is_number(val):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {val!r}")
-    return val
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+    return float(val)
 
 
-def _integer(obj: dict, key: str, where: str) -> int:
-    val = _number(obj, key, where)
-    if isinstance(val, float) and not val.is_integer():
-        raise ConfigError(f"{where}.{key}: expected an integer, got {val!r}")
+def _integer(val, where: str) -> int:
+    if not _float(val, where).is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {val!r}")
     return int(val)
 
 
-def _number_list(obj: dict, key: str, where: str, length: int | None = None, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
+def _floats(val, where: str) -> tuple[float, ...]:
     if not isinstance(val, list) or not all(_is_number(v) for v in val):
-        raise ConfigError(f"{where}.{key}: expected a list of finite numbers")
-    if length is not None and len(val) != length:
-        raise ConfigError(f"{where}.{key}: expected {length} entries, got {len(val)}")
-    return [float(v) for v in val]
+        raise ConfigError(f"{where}: expected a list of finite numbers")
+    return tuple(float(v) for v in val)
+
+
+def _strings(val, where: str) -> tuple[str, ...]:
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise ConfigError(f"{where}: expected a list of strings")
+    return tuple(val)
+
+
+# The parser of each field annotation a flat section uses (annotations are strings here).
+_PARSERS = {"int": _integer, "float": _float, "tuple[float, ...]": _floats, "tuple[str, ...]": _strings}
+
+
+def _build(where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs); a ValueError from its checks becomes a ConfigError under `where`."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _options(cls, obj: dict, where: str):
+    """Build the flat dataclass `cls` from the JSON object obj.
+
+    The dataclass is the schema: its field names are the accepted keys, each
+    field's annotation picks the parser of its key, its default fills an
+    absent key, a field without a default is required, and `__post_init__`
+    holds the rules on the values.
+    """
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+    _check_keys(obj, {f.name for f in fields(cls)}, where, required)
+    values = {
+        f.name: _PARSERS[f.type](obj[f.name], f"{where}.{f.name}") for f in fields(cls) if f.name in obj
+    }
+    return _build(where, cls, **values)
 
 
 def _trig(obj: dict, dim: int, where: str, prefix: str = "", other: tuple[str, ...] = ()) -> TrigForm:
     """The TrigForm under keys `<prefix>const`, `<prefix>cos`, `<prefix>sin`; obj may hold `other` too."""
     _check_keys(obj, {prefix + "const", prefix + "cos", prefix + "sin", *other}, where)
-    return TrigForm(
-        const=float(_number(obj, prefix + "const", where, default=0.0)),
-        cos_amp=tuple(_number_list(obj, prefix + "cos", where, dim, [0.0] * dim)),
-        sin_amp=tuple(_number_list(obj, prefix + "sin", where, dim, [0.0] * dim)),
-    )
+    amps = []
+    for key in (prefix + "cos", prefix + "sin"):
+        amp = _floats(obj.get(key, [0.0] * dim), f"{where}.{key}")
+        if len(amp) != dim:
+            raise ConfigError(f"{where}.{key}: expected {dim} entries, got {len(amp)}")
+        amps.append(amp)
+    return TrigForm(_float(obj.get(prefix + "const", 0.0), f"{where}.{prefix}const"), *amps)
 
 
 def _trig_dict(t: TrigForm, prefix: str = "") -> dict:
@@ -81,55 +111,22 @@ def _trig_dict(t: TrigForm, prefix: str = "") -> dict:
     return {prefix + "const": t.const, prefix + "cos": list(t.cos_amp), prefix + "sin": list(t.sin_amp)}
 
 
-def _options(cls, obj: dict, where: str):
-    """Build the options dataclass `cls` from the keys present in obj.
-
-    The dataclass is the schema: its field names are the accepted keys, its
-    defaults fill absent keys, and an integer default makes a key an integer.
-    """
-    _check_keys(obj, {f.name for f in fields(cls)}, where)
-    values = {
-        f.name: (
-            _integer(obj, f.name, where) if isinstance(f.default, int)
-            else float(_number(obj, f.name, where))
-        )
-        for f in fields(cls)
-        if f.name in obj
-    }
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-
-
 def parse_problem(obj: dict) -> ProblemSpec:
+    """The `problem` section; the spec types' own checks are reported under the section path."""
     where = "problem"
-    _check_keys(obj, {"dim", "n", "alpha", "potential", "drift", "epsilon_monotone"}, where)
-    dim = _number(obj, "dim", where, required=True)
-    n = _number(obj, "n", where, required=True)
-    if dim not in (1, 2) or int(dim) != dim:
-        raise ConfigError(f"{where}.dim: must be 1 or 2")
-    if int(n) != n or n < 8:
-        raise ConfigError(f"{where}.n: must be an integer >= 8")
-    grid = GridSpec(int(dim), int(n))
-
-    alpha = _number(obj, "alpha", where, required=True)
-    if not 0.0 <= alpha < 1.0:
+    keys = ("dim", "n", "alpha", "potential", "drift", "epsilon_monotone")
+    _check_keys(obj, set(keys), where, required=keys[:4])
+    grid = _build(where, GridSpec, _integer(obj["dim"], f"{where}.dim"), _integer(obj["n"], f"{where}.n"))
+    alpha = _float(obj["alpha"], f"{where}.alpha")
+    if not 0.0 <= alpha < 1.0:  # narrower than ProblemSpec's: a config is run by the solver
         raise ConfigError(
             f"{where}.alpha: the congestion exponent must satisfy 0 <= alpha < 1, got {alpha}"
         )
 
-    pot_obj = obj.get("potential")
-    if pot_obj is None:
-        raise ConfigError(f"{where}: missing required key 'potential'")
     pw = f"{where}.potential"
-    a = _trig(pot_obj, grid.dim, pw, "a_", other=("form", "kappa"))
-    form = pot_obj.get("form")
-    if form not in POTENTIAL_FORMS:
-        raise ConfigError(f"{pw}.form: must be one of {POTENTIAL_FORMS}, got {form!r}")
-    kappa = float(_number(pot_obj, "kappa", pw, default=0.0))
-    if kappa < 0:
-        raise ConfigError(f"{pw}.kappa: must be >= 0")
+    a = _trig(obj["potential"], grid.dim, pw, "a_", other=("form", "kappa"))
+    kappa = _float(obj["potential"].get("kappa", 0.0), f"{pw}.kappa")
+    potential = _build(pw, PotentialSpec, obj["potential"].get("form"), a, kappa)
 
     drift_obj = obj.get("drift", {"components": None})
     dw = f"{where}.drift"
@@ -144,14 +141,8 @@ def parse_problem(obj: dict) -> ProblemSpec:
             tuple(_trig(c, grid.dim, f"{dw}.components[{i}]") for i, c in enumerate(comp_list))
         )
 
-    eps = float(_number(obj, "epsilon_monotone", where, default=0.0))
-    if eps < 0:
-        raise ConfigError(f"{where}.epsilon_monotone: must be >= 0")
-
-    try:
-        return ProblemSpec(grid, float(alpha), PotentialSpec(form, a, kappa), drift, eps)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+    eps = _float(obj.get("epsilon_monotone", 0.0), f"{where}.epsilon_monotone")
+    return _build(where, ProblemSpec, grid, alpha, potential, drift, eps)
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:
@@ -177,6 +168,11 @@ class DiagnosticsConfig:
     checks: tuple[str, ...] = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
     identity_budget_factor: float = 50.0
 
+    def __post_init__(self):
+        known = DiagnosticsConfig.checks
+        if any(c not in known for c in self.checks):
+            raise ValueError(f"checks must be among {known}")
+
 
 @dataclass(frozen=True)
 class MmsConfig:
@@ -190,6 +186,15 @@ class SweepConfig:
     alphas: tuple[float, ...]
     kappas: tuple[float, ...]
     drift_scales: tuple[float, ...] = (1.0,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"{f.name} must be a non-empty list")
+        if any(not 0.0 <= a < 1.0 for a in self.alphas):
+            raise ValueError("every entry of alphas must satisfy 0 <= alpha < 1")
+        if any(k < 0 for k in self.kappas):
+            raise ValueError("every entry of kappas must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -233,28 +238,11 @@ def parse_config(doc: dict) -> RunConfig:
         doc,
         {"problem", "solver", "continuation", "diagnostics", "output", "seed", "mms", "sweep"},
         "config",
+        required=("problem",),
     )
-    if "problem" not in doc:
-        raise ConfigError("config: missing required key 'problem'")
     problem = parse_problem(doc["problem"])
-    dim = problem.grid.dim
 
-    solver = _options(NewtonOptions, doc.get("solver", {}), "solver")
-    continuation = _options(StepOptions, doc.get("continuation", {}), "continuation")
-
-    dg = doc.get("diagnostics", {})
-    _check_keys(dg, {f.name for f in fields(DiagnosticsConfig)}, "diagnostics")
-    known = DiagnosticsConfig.checks
-    checks = dg.get("checks", list(known))
-    if not isinstance(checks, list) or any(c not in known for c in checks):
-        raise ConfigError(f"diagnostics.checks: entries must be among {known}")
-    diagnostics = DiagnosticsConfig(
-        r_values=tuple(_number_list(dg, "r_values", "diagnostics", None, DiagnosticsConfig.r_values)),
-        checks=tuple(checks),
-        identity_budget_factor=float(
-            _number(dg, "identity_budget_factor", "diagnostics", DiagnosticsConfig.identity_budget_factor)
-        ),
-    )
+    diagnostics = _options(DiagnosticsConfig, doc.get("diagnostics", {}), "diagnostics")
     if any(r <= problem.alpha for r in diagnostics.r_values):
         raise ConfigError("diagnostics.r_values: every r must exceed alpha")
 
@@ -264,54 +252,38 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(dump, bool):
         raise ConfigError("output.dump_matrix: expected a boolean")
 
-    seed = _number(doc, "seed", "config", RunConfig.seed)
-    if int(seed) != seed or seed < 0:
+    seed = _integer(doc.get("seed", RunConfig.seed), "config.seed")
+    if seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
 
     mms = None
     if "mms" in doc:
         mo = doc["mms"]
-        _check_keys(mo, {"grids", "u", "m"}, "mms")
-        grids = _number_list(mo, "grids", "mms")
-        if grids is None or len(grids) < 3 or any(not g.is_integer() or g < 8 for g in grids):
+        _check_keys(mo, {"grids", "u", "m"}, "mms", required=("grids", "u", "m"))
+        grids = _floats(mo["grids"], "mms.grids")
+        if len(grids) < 3 or any(not g.is_integer() or g < 8 for g in grids):
             raise ConfigError("mms.grids: expected a list of >= 3 integer grid sizes")
         if any(b != 2 * a for a, b in zip(grids, grids[1:])):
             raise ConfigError("mms.grids: each grid must double the previous one")
-        if "u" not in mo or "m" not in mo:
-            raise ConfigError("mms: both 'u' and 'm' closed forms are required")
         mms = MmsConfig(
             grids=tuple(int(g) for g in grids),
-            u=_trig(mo["u"], dim, "mms.u"),
-            m=_trig(mo["m"], dim, "mms.m"),
+            u=_trig(mo["u"], problem.grid.dim, "mms.u"),
+            m=_trig(mo["m"], problem.grid.dim, "mms.m"),
         )
 
     sweep = None
     if "sweep" in doc:
-        so = doc["sweep"]
-        _check_keys(so, {"alphas", "kappas", "drift_scales"}, "sweep")
-        alphas = _number_list(so, "alphas", "sweep", None, None)
-        kappas = _number_list(so, "kappas", "sweep", None, None)
-        if not alphas or not kappas:
-            raise ConfigError("sweep: 'alphas' and 'kappas' are required non-empty lists")
-        if any(not 0.0 <= a < 1.0 for a in alphas):
-            raise ConfigError("sweep.alphas: every alpha must satisfy 0 <= alpha < 1")
-        if any(k < 0 for k in kappas):
-            raise ConfigError("sweep.kappas: must be >= 0")
-        if problem.potential.form == "x_only" and any(k != 0.0 for k in kappas):
+        sweep = _options(SweepConfig, doc["sweep"], "sweep")
+        if problem.potential.form == "x_only" and any(k != 0.0 for k in sweep.kappas):
             raise ConfigError("sweep.kappas: nonzero kappa needs a potential form with an m-part")
-        sweep = SweepConfig(
-            alphas=tuple(alphas),
-            kappas=tuple(kappas),
-            drift_scales=tuple(_number_list(so, "drift_scales", "sweep", None, SweepConfig.drift_scales)),
-        )
 
     return RunConfig(
         problem=problem,
-        solver=solver,
-        continuation=continuation,
+        solver=_options(NewtonOptions, doc.get("solver", {}), "solver"),
+        continuation=_options(StepOptions, doc.get("continuation", {}), "continuation"),
         diagnostics=diagnostics,
         dump_matrix=dump,
-        seed=int(seed),
+        seed=seed,
         mms=mms,
         sweep=sweep,
     )

@@ -10,7 +10,7 @@ under refinement), and the convexity-in-theta machinery behind uniqueness.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .grid import (
     mesh,
     sup_norm,
 )
-from .problem import ProblemSpec, State, _drift_arrays, residual
+from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
 
@@ -152,8 +152,7 @@ def moment_identity_check(
     bvals = _drift_arrays(spec.drift, grid)
     b_dot_du = sum(b * d for b, d in zip(bvals, du))
     div_b = divergence_arrays(list(bvals), grid)
-    xs = mesh(grid)
-    v_eff = spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
+    v_eff = effective_potential(spec, mesh(grid), m)
 
     p = r + 1.0 - a
     lhs = (
@@ -218,18 +217,14 @@ def monotonicity_gap(
     du0_sq = sum(d * d for d in du0)
     du1_sq = sum(d * d for d in du1)
 
-    xs = mesh(grid)
-
-    def v_eff(m):
-        return spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
-
     lhs = integral(
         grid, (du1_sq / (2.0 * m1**a) - du0_sq / (2.0 * m0**a)) * (m0 - m1)
     ) + integral(
         grid,
         sum((m0 ** (1.0 - a) * g0 - m1 ** (1.0 - a) * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0,
     )
-    rhs = integral(grid, (v_eff(m1) - v_eff(m0)) * (m0 - m1))
+    v0, v1 = (effective_potential(spec, mesh(grid), m) for m in (m0, m1))
+    rhs = integral(grid, (v1 - v0) * (m0 - m1))
 
     thetas = np.linspace(0.0, 1.0, n_theta)
     dmi = m1 - m0
@@ -270,9 +265,6 @@ class DiagnosticsSnapshot:
     inverse_moments: tuple[tuple[float, float, float], ...]  # (r, value, majorant)
     cancellation_residuals: tuple[tuple[float, float], ...]  # (r, value)
     moment_identity_defects: tuple[tuple[float, float], ...]  # (r, defect); lam=1 solutions only
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def make_snapshot(

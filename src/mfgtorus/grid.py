@@ -31,7 +31,7 @@ class GridSpec:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8:
-            raise ValueError(f"need at least 8 points per axis, got {self.n}")
+            raise ValueError(f"n must be at least 8, got {self.n}")
 
     @property
     def h(self) -> float:
@@ -175,15 +175,8 @@ def save_field(f: Field, path) -> None:
 
     d=1: one value per line; d=2: one row of n comma-separated values per line.
     """
-    grid = f.grid
-    with open(path, "w") as fh:
-        fh.write(f"# n={grid.n} dim={grid.dim}\n")
-        if grid.dim == 1:
-            for v in f.values:
-                fh.write(f"{v:.17g}\n")
-        else:
-            for row in f.reshaped():
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = f"n={f.grid.n} dim={f.grid.dim}"
+    np.savetxt(path, f.reshaped(), fmt="%.17g", delimiter=",", header=header, comments="# ")
 
 
 def load_field(path) -> Field:

@@ -109,7 +109,7 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.form not in POTENTIAL_FORMS:
-            raise ValueError(f"unknown potential form {self.form!r}")
+            raise ValueError(f"form must be one of {POTENTIAL_FORMS}, got {self.form!r}")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
         if self.form == "x_only" and self.kappa != 0.0:
@@ -156,9 +156,6 @@ class DriftSpec:
 
     def scaled(self, factor: float) -> "DriftSpec":
         return DriftSpec(tuple(c.scaled(factor) for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.sup_bound() == 0.0 for c in self.components)
 
     @staticmethod
     def zero(dim: int) -> "DriftSpec":
@@ -225,15 +222,17 @@ class State:
 
 @lru_cache(maxsize=64)
 def _drift_arrays(drift: DriftSpec, grid: GridSpec) -> tuple[np.ndarray, ...]:
-    xs = mesh(grid)
-    return tuple(np.broadcast_to(c.value(xs), grid.shape).copy() for c in drift.components)
+    return tuple(c.value(mesh(grid)) for c in drift.components)
+
+
+def effective_potential(spec: ProblemSpec, xs, m):
+    """V_eff = V + epsilon_monotone * arctan(m) at the points xs: the coupling of the lam = 1 system."""
+    return spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
 
 
 def potential_term(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:
-    """lam * (V + eps * arctan(m)) + (1 - lam) * arctan(m), evaluated on the grid."""
-    xs = mesh(spec.grid)
-    v_eff = spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
-    return lam * v_eff + (1.0 - lam) * np.arctan(m)
+    """lam * V_eff + (1 - lam) * arctan(m), evaluated on the grid."""
+    return lam * effective_potential(spec, mesh(spec.grid), m) + (1.0 - lam) * np.arctan(m)
 
 
 def potential_term_dm(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:

@@ -101,8 +101,9 @@ class NewtonReport:
     linear_paths: list[str]
     krylov_iterations: list[int]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+# trace.json spells out the fields named after lambda, a Python keyword
+_JSON_KEYS = {"lam": "lambda", "lam_attempted": "lambda_attempted"}
 
 
 @dataclass
@@ -111,26 +112,12 @@ class ContinuationStep:
     newton: NewtonReport
     diagnostics: DiagnosticsSnapshot
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "newton": self.newton.to_dict(),
-            "diagnostics": self.diagnostics.to_dict(),
-        }
-
 
 @dataclass
 class FailureRecord:
     lam_attempted: float
     error: str
     step_after: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_attempted": self.lam_attempted,
-            "error": self.error,
-            "step_after": self.step_after,
-        }
 
 
 @dataclass
@@ -141,12 +128,8 @@ class ContinuationTrace:
     success: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "failures": [f.to_dict() for f in self.failures],
-            "reached_lambda": self.reached_lambda,
-            "success": self.success,
-        }
+        """The trace as trace.json holds it: every field under its own name, but `lambda` for `lam`."""
+        return asdict(self, dict_factory=lambda items: {_JSON_KEYS.get(k, k): v for k, v in items})
 
 
 def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, mesh
-from .problem import ProblemSpec, State, TrigForm, exact_initial
+from .problem import ProblemSpec, State, TrigForm, _drift_arrays, effective_potential, exact_initial
 from .solver import NewtonOptions, newton_solve
 
 
@@ -46,9 +46,7 @@ class ManufacturedCase:
 
     def sample(self, grid: GridSpec) -> State:
         xs = mesh(grid)
-        u = np.broadcast_to(self.u_exact.value(xs), grid.shape).ravel().copy()
-        m = np.broadcast_to(self.m_exact.value(xs), grid.shape).ravel().copy()
-        return State(Field(grid, u), Field(grid, m))
+        return State(Field(grid, self.u_exact.value(xs)), Field(grid, self.m_exact.value(xs)))
 
 
 def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
@@ -72,10 +70,10 @@ def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
     lap_m = sum(ddm)
     du_sq = sum(d * d for d in du)
 
-    bvals = [c.value(xs) for c in spec.drift.components]
+    bvals = _drift_arrays(spec.drift, grid)
     db = [spec.drift.components[ax].deriv(xs, ax) for ax in range(dim)]
 
-    v_eff = spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
+    v_eff = effective_potential(spec, xs, m)
     s1 = u - lap_u + du_sq / (2.0 * m**a) + sum(b * d for b, d in zip(bvals, du)) - v_eff
 
     # div(m^(1-a) Du) by the chain rule, then div(b m) likewise
@@ -85,12 +83,7 @@ def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
     )
     drift_div = sum(dbi * m + bi * dmi for dbi, bi, dmi in zip(db, bvals, dm))
     s2 = m - lap_m - flux_div - drift_div - 1.0
-
-    full = np.broadcast_to
-    return (
-        Field(grid, full(s1, grid.shape).ravel().copy()),
-        Field(grid, full(s2, grid.shape).ravel().copy()),
-    )
+    return Field(grid, s1), Field(grid, s2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestConfigParsing:
                              (cfg.diagnostics, DiagnosticsConfig)):
             for f in fields(cls):
                 assert getattr(options, f.name) != f.default, f.name
+
+    def test_readme_example_parses_and_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(example))
+        assert parse_config(cfg.resolved()) == cfg
 
     def test_unknown_keys_rejected(self):
         doc = base_config()
@@ -439,10 +447,12 @@ class TestConfigHardening:
             ("mms", {"grids": [16, 24, 48], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
                      "m": {"const": 1.0, "cos": [0.25], "sin": [0.0]}},
              "mms.grids: each grid must double the previous one"),
+            ("sweep", {"alphas": [0.5], "kappas": [1.0], "drift_scales": []},
+             "sweep: drift_scales must be a non-empty list"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
              "fractional-max-iters", "fractional-grow-iters", "nan-scalar", "infinite-list-entry",
-             "integer-beyond-float-range", "grids-not-doubling"],
+             "integer-beyond-float-range", "grids-not-doubling", "empty-drift-scales"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -329,7 +331,7 @@ class TestSnapshot:
         for _, value, bound in snap.inverse_moments:
             assert value <= bound
         assert snap.moment_identity_defects
-        d = snap.to_dict()
+        d = asdict(snap)
         assert set(d) == {
             "sup_u",
             "sup_bound_V",

@@ -1,0 +1,106 @@
+"""Check that two source trees write the same bytes on the benchmark workloads.
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is the root of a checkout.  Every operation of the three workloads in
+`perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
+inputs the stored reference was made from (`build(w, None, dir)`), once per
+tree, each tree in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS
+thread.  Both trees read the same configs, written once from this checkout's
+`perfbench`.  The script then compares every output file, the stdout of every
+operation and its exit code, prints each difference, and exits 1 if there is
+any (0 when everything is byte-identical).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+
+import workloads  # noqa: E402
+
+# Runs one tree: each workload in its own directory, where each operation
+# writes its outputs under its own directory and its stdout to <id>.stdout;
+# the exit codes go to the workload's rc.json.
+CHILD = """
+import contextlib, json, os, sys
+from pathlib import Path
+from mfgtorus import cli
+ops_file, src, work = (Path(a).resolve() for a in sys.argv[1:])
+if src not in Path(cli.__file__).resolve().parents:
+    raise SystemExit(f"imported {cli.__file__}, not the tree under test")
+for workload, ops in json.loads(ops_file.read_text()).items():
+    (work / workload).mkdir(parents=True)
+    os.chdir(work / workload)
+    codes = {}
+    for op in ops:
+        with open(op["id"] + ".stdout", "w") as out, contextlib.redirect_stdout(out):
+            codes[op["id"]] = cli.main(op["argv"])
+    Path("rc.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
+"""
+
+
+def run_tree(tree: Path, ops_file: Path, work: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(ops_file), str(tree / "src"), str(work)],
+                          env=env, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree} failed\n{proc.stderr}")
+
+
+def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
+    """(the files identical in both trees, one line per difference)."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = [f"only in {a.name}: {p}" for p in sorted(files_a - files_b)]
+    diffs += [f"only in {b.name}: {p}" for p in sorted(files_b - files_a)]
+    same = []
+    for p in sorted(files_a & files_b):
+        if (a / p).read_bytes() == (b / p).read_bytes():
+            same.append(p)
+        else:
+            diffs.append(f"differs: {p}")
+    return same, diffs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    for tree in trees:
+        if not (tree / "src" / "mfgtorus").is_dir():
+            print(f"{tree}: no src/mfgtorus", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ops = {}
+        for workload in workloads.WORKLOADS:
+            config_dir = tmp / "configs" / workload
+            config_dir.mkdir(parents=True)
+            ops[workload] = workloads.build(workload, None, config_dir)
+        ops_file = tmp / "configs" / "ops.json"
+        ops_file.write_text(json.dumps(ops))
+        for label, tree in zip(("parent", "change"), trees):
+            run_tree(tree, ops_file, tmp / label)
+        same, diffs = compare(tmp / "parent", tmp / "change")
+    for line in diffs:
+        print(line)
+    stdouts = sum(p.suffix == ".stdout" for p in same)
+    codes = sum(p.name == "rc.json" for p in same)
+    print(f"identical: {len(same) - stdouts - codes} output files, {stdouts} stdouts, "
+          f"{codes} exit-code records; {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
