@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
+FD_TOLERANCE = 1e-6  # largest relative J.w error `jacobian-check` accepts from central differences
+
 
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
@@ -111,9 +113,7 @@ def cmd_solve(args) -> int:
     out = _ensure_out(args)
     _write_json(os.path.join(out, "resolved_config.json"), cfg.resolved())
     try:
-        s, trace = continuation_solve(
-            cfg.problem, cfg.solver, cfg.continuation, cfg.diagnostics.r_values
-        )
+        s, trace = continuation_solve(cfg.problem, cfg.solver, cfg.continuation, cfg.diagnostics)
     except ContinuationStalled as err:
         print(f"continuation stalled: {err}", file=sys.stderr)
         if err.trace is not None:
@@ -252,16 +252,16 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
-def _fd_max_error(spec, lam, s, sources, rng, n_dirs=20, fd_eps=1e-6):
-    sys_ = assemble_jacobian(spec, lam, s, sources)
+def _fd_max_error(spec, lam, s, rng, n_dirs=20, fd_eps=1e-6):
+    sys_ = assemble_jacobian(spec, lam, s)
     worst = 0.0
     base = s.stacked()
     for _ in range(n_dirs):
         w = rng.standard_normal(2 * spec.grid.size)
         sp = State.from_stacked(spec.grid, base + fd_eps * w)
         sm = State.from_stacked(spec.grid, base - fd_eps * w)
-        rp = np.concatenate([f.values for f in residual(spec, lam, sp, sources)])
-        rm = np.concatenate([f.values for f in residual(spec, lam, sm, sources)])
+        rp = np.concatenate([f.values for f in residual(spec, lam, sp)])
+        rm = np.concatenate([f.values for f in residual(spec, lam, sm)])
         fd = (rp - rm) / (2.0 * fd_eps)
         jw = sys_.matrix @ w
         worst = max(worst, float(np.max(np.abs(jw - fd)) / np.max(np.abs(jw))))
@@ -276,20 +276,20 @@ def cmd_jacobian_check(args) -> int:
 
     s0 = exact_initial(spec)
     try:
-        s_final, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics.r_values)
+        s_final, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics)
     except ContinuationStalled as err:
         print(f"continuation stalled before the check: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     mid = trace.steps[len(trace.steps) // 2]
     s_mid, _ = newton_solve(spec, mid.lam, s_final, cfg.solver)
 
-    report = {"fd_tolerance": 1e-6, "states": []}
+    report = {"fd_tolerance": FD_TOLERANCE, "states": []}
     ok = True
     for tag, lam, s in (("initial", 0.0, s0), ("mid", mid.lam, s_mid), ("final", 1.0, s_final)):
-        err, sys_ = _fd_max_error(spec, lam, s, None, rng)
+        err, sys_ = _fd_max_error(spec, lam, s, rng)
         entry = {"state": tag, "lambda": lam, "fd_max_rel_error": err}
         if tag in ("initial", "final"):
-            co = coercivity_check(sys_, 200, cfg.seed)
+            co = coercivity_check(sys_, seed=cfg.seed)
             entry["coercivity"] = {
                 "all_negative": co.all_negative,
                 "max_ratio": co.max_ratio,
@@ -298,7 +298,7 @@ def cmd_jacobian_check(args) -> int:
             ok = ok and co.all_negative
         if args.dump_matrix or cfg.dump_matrix:
             scipy.io.mmwrite(os.path.join(out, f"jacobian_{tag}.mtx"), sys_.matrix)
-        ok = ok and err <= 1e-6
+        ok = ok and err <= FD_TOLERANCE
         report["states"].append(entry)
         print(f"{tag:<8s} lambda={lam:.3f} fd_error={err:.3e}"
               + (f" coercivity_max_ratio={entry['coercivity']['max_ratio']:.4f}" if "coercivity" in entry else ""))
@@ -313,7 +313,7 @@ def _sweep_cell(payload) -> dict:
     try:
         pot = replace(base.potential, kappa=kappa)
         spec = replace(base, alpha=alpha, potential=pot, drift=base.drift.scaled(scale))
-        s, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics.r_values)
+        s, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics)
     except (MFGError, ValueError) as err:
         row.update(min_m=float("nan"), sup_u=float("nan"), iterations=-1,
                    success=False, error=type(err).__name__)

@@ -2,9 +2,11 @@
 
 Unknown keys are rejected at every level so a typo cannot silently fall back
 to a default.  Every default is a field default of the dataclass the section
-parses into (`NewtonOptions`, `StepOptions`, `DiagnosticsConfig`, ...), and
-every rule on a value is checked once, in the `__post_init__` of the type that
-owns it; only the rules that span sections are checked here.
+parses into, which lives beside the code that reads it (`NewtonOptions` and
+`StepOptions` in `solver`, `DiagnosticsConfig` in `diagnostics`), and every
+rule on a value is checked once, by the type or function that owns it (the
+`mms` rules are `verification`'s); only the rules that span sections are
+checked here.
 `RunConfig.resolved()` materializes every default; re-running with the emitted
 copy reproduces the run byte for byte.
 """
@@ -15,10 +17,12 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .errors import ConfigError
+from .diagnostics import DiagnosticsConfig
+from .errors import ConfigError, NonPositiveDensity
 from .grid import GridSpec
 from .problem import DriftSpec, PotentialSpec, ProblemSpec, TrigForm
 from .solver import NewtonOptions, StepOptions
+from .verification import ManufacturedCase, refinement_grids
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> None:
@@ -71,10 +75,10 @@ _PARSERS = {"int": _integer, "float": _float, "tuple[float, ...]": _floats, "tup
 
 
 def _build(where: str, cls, *args, **kwargs):
-    """cls(*args, **kwargs); a ValueError from its checks becomes a ConfigError under `where`."""
+    """cls(*args, **kwargs); a ValueError or NonPositiveDensity it raises becomes a ConfigError under `where`."""
     try:
         return cls(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, NonPositiveDensity) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
@@ -158,20 +162,6 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "drift": {"components": [_trig_dict(c) for c in spec.drift.components]},
         "epsilon_monotone": spec.epsilon_monotone,
     }
-
-
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """`checks` defaults to every known check."""
-
-    r_values: tuple[float, ...] = (1.0, 2.0, 4.0)
-    checks: tuple[str, ...] = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
-    identity_budget_factor: float = 50.0
-
-    def __post_init__(self):
-        known = DiagnosticsConfig.checks
-        if any(c not in known for c in self.checks):
-            raise ValueError(f"checks must be among {known}")
 
 
 @dataclass(frozen=True)
@@ -260,16 +250,14 @@ def parse_config(doc: dict) -> RunConfig:
     if "mms" in doc:
         mo = doc["mms"]
         _check_keys(mo, {"grids", "u", "m"}, "mms", required=("grids", "u", "m"))
-        grids = _floats(mo["grids"], "mms.grids")
-        if len(grids) < 3 or any(not g.is_integer() or g < 8 for g in grids):
-            raise ConfigError("mms.grids: expected a list of >= 3 integer grid sizes")
-        if any(b != 2 * a for a, b in zip(grids, grids[1:])):
-            raise ConfigError("mms.grids: each grid must double the previous one")
+        grids = tuple(_integer(g, "mms.grids") for g in _floats(mo["grids"], "mms.grids"))
+        _build("mms.grids", refinement_grids, problem.grid.dim, grids)
         mms = MmsConfig(
-            grids=tuple(int(g) for g in grids),
+            grids=grids,
             u=_trig(mo["u"], problem.grid.dim, "mms.u"),
             m=_trig(mo["m"], problem.grid.dim, "mms.m"),
         )
+        _build("mms.m", ManufacturedCase, problem, mms.u, mms.m)
 
     sweep = None
     if "sweep" in doc:

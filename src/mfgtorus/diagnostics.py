@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, NonPositiveDensity, NotASolution
+from .errors import BadExponent, MFGError, NonPositiveDensity, NotASolution
 from .grid import (
     divergence_arrays,
     gradient_arrays,
@@ -26,6 +26,20 @@ from .grid import (
 from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
+
+
+@dataclass(frozen=True)
+class DiagnosticsConfig:
+    """Which certificates run and at which moment exponents; `checks` defaults to every known check."""
+
+    r_values: tuple[float, ...] = (1.0, 2.0, 4.0)
+    checks: tuple[str, ...] = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
+    identity_budget_factor: float = 50.0
+
+    def __post_init__(self):
+        known = DiagnosticsConfig.checks
+        if any(c not in known for c in self.checks):
+            raise ValueError(f"checks must be among {known}")
 
 
 def certified_u_bound(spec: ProblemSpec, lam: float = 1.0) -> float:
@@ -75,28 +89,35 @@ def moment_majorant(spec: ProblemSpec, r: float) -> float:
         C1 = (1-a) 4^(r/(1-a)) C^((r+1-a)/(1-a)) / (r (r+1-a))
         C2 = 4^(r-a) C^(r+1-a) (r-a)^(r-a-1) / (r+1-a)^(r+1-a)
         bound = 2 (r+1-a) (C1 + C2)
+
+    Raises MFGError when the bound does not fit in a float.
     """
     a = spec.alpha
     if a >= 1.0:
         raise BadExponent("the moment majorant requires alpha < 1")
     if r <= a:
         raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
-    c = _generic_constant(spec, r)
     p = r + 1.0 - a
-    c1 = (1.0 - a) * 4.0 ** (r / (1.0 - a)) * c ** (p / (1.0 - a)) / (r * p)
-    c2 = 4.0 ** (r - a) * c**p * (r - a) ** (r - a - 1.0) / p**p
-    return 2.0 * p * (c1 + c2)
+    c = bound = math.inf
+    try:
+        c = _generic_constant(spec, r)
+        c1 = (1.0 - a) * 4.0 ** (r / (1.0 - a)) * c ** (p / (1.0 - a)) / (r * p)
+        c2 = 4.0 ** (r - a) * c**p * (r - a) ** (r - a - 1.0) / p**p
+        bound = 2.0 * p * (c1 + c2)
+    except OverflowError:  # float ** raises where float * returns inf
+        pass
+    if not math.isfinite(bound):
+        raise MFGError(f"the moment majorant overflows at r = {r:g}, alpha = {a:g}, constant C = {c:.6g}")
+    return bound
 
 
 def inverse_moment(spec: ProblemSpec, s: State, r: float) -> tuple[float, float]:
     """(integral(m^-(r+1-alpha)), certified majorant); finite value quantifies m staying away from 0."""
-    if r <= spec.alpha:
-        raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
+    majorant = moment_majorant(spec, r)  # raises BadExponent unless r > alpha
     m = s.m.values
     if np.min(m) <= 0.0:
         raise NonPositiveDensity("inverse moment needs m > 0")
-    value = integral(spec.grid, m ** -(r + 1.0 - spec.alpha))
-    return value, moment_majorant(spec, r)
+    return integral(spec.grid, m ** -(r + 1.0 - spec.alpha)), majorant
 
 
 def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
@@ -120,16 +141,14 @@ def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     return term1 - term2
 
 
-def moment_identity_check(
-    spec: ProblemSpec, s: State, r: float, tol: float = 1e-10
-) -> tuple[float, float, float]:
+def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> tuple[float, float, float]:
     """Both sides of the rearranged master identity on a lam=1 solution; returns (lhs, rhs, defect).
 
         lhs = int m^-(r+1-a)/(r+1-a) + int |Du|^2/(2 r m^(r+a)) + int |Dm|^2/m^(r+2-a)
         rhs = int (V_eff - u)/(r m^r) - int b.Du/(r m^r)
               + int m^-(r-a)/(r+1-a) - int div(b) m^-(r-a)/(r-a)
 
-    Only holds on solutions: raises NotASolution above 100x the Newton tolerance.
+    Only holds on solutions: raises NotASolution above 100x the Newton tolerance `tol`.
     The defect is O(h^2): the discrete chain rule behind the |Dm|^2 term is not
     exact, so the identity is verified by refinement, not equality.
     """
@@ -208,8 +227,6 @@ def monotonicity_gap(
     m1 = s1.m.reshaped()
     if min(np.min(m0), np.min(m1)) <= 0.0:
         raise NonPositiveDensity("both states need m > 0")
-    u0 = s0.u.reshaped()
-    u1 = s1.u.reshaped()
     du0 = gradient_arrays(s0.u)
     du1 = gradient_arrays(s1.u)
     ddiff = [g1 - g0 for g0, g1 in zip(du0, du1)]  # D(u1 - u0)
@@ -268,11 +285,7 @@ class DiagnosticsSnapshot:
 
 
 def make_snapshot(
-    spec: ProblemSpec,
-    s: State,
-    lam: float = 1.0,
-    r_values: tuple[float, ...] = (1.0, 2.0, 4.0),
-    newton_tol: float = 1e-10,
+    spec: ProblemSpec, s: State, lam: float, r_values: tuple[float, ...], newton_tol: float
 ) -> DiagnosticsSnapshot:
     sup_u, bound, _ = sup_bound_check(spec, s, lam)
     mass_defect, min_m = mass_positivity_check(s)

@@ -29,7 +29,6 @@ class LinearizedSystem:
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     base_state: State
-    lam: float
 
     @property
     def grid(self) -> GridSpec:
@@ -176,7 +175,7 @@ def assemble_jacobian(
 
     r1, r2 = res if res is not None else residual(spec, lam, s, sources)
     rhs = -np.concatenate([r1.values, r2.values])
-    return LinearizedSystem(matrix=mat, rhs=rhs, base_state=s, lam=lam)
+    return LinearizedSystem(matrix=mat, rhs=rhs, base_state=s)
 
 
 def rotate_pair(w: tuple[Field, Field]) -> tuple[Field, Field]:
@@ -202,10 +201,7 @@ class CoercivityReport:
     strictly negative, and -max_ratio estimates the coercivity constant.
     """
 
-    n_samples: int
-    seed: int
     max_ratio: float
-    min_ratio: float
     c_estimate: float
     all_negative: bool
     ratios: tuple[float, ...]
@@ -235,10 +231,7 @@ def coercivity_check(sys: LinearizedSystem, n_samples: int = 200, seed: int = 0)
     ratios_arr = np.array(ratios)
     max_ratio = float(np.max(ratios_arr))
     return CoercivityReport(
-        n_samples=n_samples,
-        seed=seed,
         max_ratio=max_ratio,
-        min_ratio=float(np.min(ratios_arr)),
         c_estimate=-max_ratio,
         all_negative=bool(np.all(ratios_arr < 0.0)),
         ratios=tuple(float(r) for r in ratios_arr),

@@ -71,7 +71,7 @@ class TrigForm:
         return -w * w * (a * np.cos(w * xs[axis]) + b * np.sin(w * xs[axis]))
 
     def sup_bound(self) -> float:
-        return abs(self.const) + sum(abs(a) + abs(b) for a, b in zip(self.cos_amp, self.sin_amp))
+        return abs(self.const) + self.harmonic_sum()
 
     def harmonic_sum(self) -> float:
         return sum(abs(a) + abs(b) for a, b in zip(self.cos_amp, self.sin_amp))

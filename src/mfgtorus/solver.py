@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, lsqr, spsolve
 
-from .diagnostics import DiagnosticsSnapshot, make_snapshot
+from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
 from .errors import (
     ContinuationStalled,
     LinearSolveFailure,
@@ -281,13 +281,14 @@ def continuation_solve(
     spec: ProblemSpec,
     opts: NewtonOptions | None = None,
     step_opts: StepOptions | None = None,
-    r_values: tuple[float, ...] = (1.0, 2.0, 4.0),
+    diagnostics: DiagnosticsConfig = DiagnosticsConfig(),
 ) -> tuple[State, ContinuationTrace]:
     """Track the solution branch from the explicit lam=0 state up to lam=1.
 
     Warm-starts every step from the last accepted state, halves the step on any
     Newton failure, grows it after fast steps, and clamps the final step to
-    land on lam=1 exactly.
+    land on lam=1 exactly.  Each accepted state gets a snapshot at the
+    moment exponents `diagnostics.r_values`.
     """
     if not spec.solvable:
         raise ValueError(f"the solver requires alpha < 1, got alpha = {spec.alpha}")
@@ -296,9 +297,8 @@ def continuation_solve(
     trace = ContinuationTrace()
 
     s, report = newton_solve(spec, 0.0, exact_initial(spec), opts)
-    trace.steps.append(
-        ContinuationStep(0.0, report, make_snapshot(spec, s, 0.0, r_values, opts.tol_residual))
-    )
+    snapshot = make_snapshot(spec, s, 0.0, diagnostics.r_values, opts.tol_residual)
+    trace.steps.append(ContinuationStep(0.0, report, snapshot))
     lam = 0.0
     dlam = step_opts.initial_step
 
@@ -317,9 +317,8 @@ def continuation_solve(
                 ) from err
             continue
         lam, s = lam_try, s_new
-        trace.steps.append(
-            ContinuationStep(lam, report, make_snapshot(spec, s, lam, r_values, opts.tol_residual))
-        )
+        snapshot = make_snapshot(spec, s, lam, diagnostics.r_values, opts.tol_residual)
+        trace.steps.append(ContinuationStep(lam, report, snapshot))
         log.debug("accepted lambda=%.6f in %d iterations", lam, report.iterations)
         if report.iterations <= step_opts.grow_iters:
             dlam = min(dlam * step_opts.growth, step_opts.max_step)

@@ -116,33 +116,37 @@ class RateTable:
 ROUNDOFF_ERROR = 1e-12
 
 
+def refinement_grids(dim: int, sizes) -> tuple[GridSpec, ...]:
+    """The grids of a convergence study: at least 3 sizes, each double the one before.
+
+    Every size also meets GridSpec's own rule, n >= 8.
+    """
+    if len(sizes) < 3:
+        raise ValueError("need at least 3 grids")
+    if any(b != 2 * a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("each grid must double the previous one")
+    return tuple(GridSpec(dim, n) for n in sizes)
+
+
 def convergence_study(
     case: ManufacturedCase,
     grids: list[int],
     opts: NewtonOptions | None = None,
 ) -> RateTable:
-    """Solve the augmented lam=1 system on each grid and fit the observed order.
+    """Solve the augmented lam=1 system on each of the `refinement_grids` and fit the observed order.
 
-    Requires at least three grids, each doubling the previous.  The order is the
-    mean of the successive log2 error ratios.
+    The order is the mean of the successive log2 error ratios.
     """
-    if len(grids) < 3:
-        raise ValueError("need at least 3 grids")
-    if any(b != 2 * a for a, b in zip(grids, grids[1:])):
-        raise ValueError("each grid must double the previous one")
     opts = opts or NewtonOptions()
-    dim = case.spec.grid.dim
-
     errors = []
-    for n in grids:
-        grid = GridSpec(dim, n)
+    for grid in refinement_grids(case.spec.grid.dim, grids):
         spec_n = replace(case.spec, grid=grid)
         sources = mms_source(case, grid)
         s, _ = newton_solve(spec_n, 1.0, exact_initial(spec_n), opts, sources=sources)
         exact = case.sample(grid)
         err_u = float(np.max(np.abs(s.u.values - exact.u.values)))
         err_m = float(np.max(np.abs(s.m.values - exact.m.values)))
-        errors.append((n, err_u, err_m))
+        errors.append((grid.n, err_u, err_m))
 
     rows = []
     rates_u, rates_m = [], []

@@ -153,13 +153,13 @@ def test_criterion_06_newton_quadratic_tail(suite_solutions):
 
 
 def test_criterion_07_identity_refinement(refined_solutions):
-    from mfgtorus import cancellation_check, moment_identity_check
+    from mfgtorus import NewtonOptions, cancellation_check, moment_identity_check
 
     cancel, ident = [], []
     for n in (64, 128, 256):
         spec, s = refined_solutions[n]
         cancel.append(abs(cancellation_check(spec, s, 2.0)))
-        ident.append(moment_identity_check(spec, s, 2.0)[2])
+        ident.append(moment_identity_check(spec, s, 2.0, NewtonOptions().tol_residual)[2])
     orders_c = [np.log2(a / b) for a, b in zip(cancel, cancel[1:])]
     orders_i = [np.log2(a / b) for a, b in zip(ident, ident[1:])]
     check(

@@ -200,6 +200,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out), "--dump-matrix"]) == 0
         assert (out / "jacobian_final.mtx").exists()
 
+    def test_majorant_overflow_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
+        doc = base_config()
+        doc["problem"].update(n=16, potential={"form": "separable", "kappa": 1e40, "a_cos": [0.5]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("run failed: the moment majorant overflows at r = ")
+
 
 class TestVerifyCommand:
     def test_solution_fields_pass(self, tmp_path):
@@ -323,6 +332,21 @@ class TestVerifyCommand:
         # defects shrink at second order under grid doubling
         assert series[64][0] / series[128][0] >= 3.5
         assert series[64][1] / series[128][1] >= 3.5
+
+    def test_majorant_overflow_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
+        from mfgtorus import GridSpec, constant_field
+
+        doc = base_config(diagnostics={"r_values": [400]})
+        doc["problem"]["n"] = 16
+        cfg = write_config(tmp_path, doc)
+        save_field(constant_field(GridSpec(1, 16), np.pi / 4), tmp_path / "u.csv")
+        save_field(constant_field(GridSpec(1, 16), 1.0), tmp_path / "m.csv")
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"),
+                     "--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("run failed: the moment majorant overflows at r = 400, alpha = 0.5")
 
 
 class TestMmsCommand:
@@ -449,10 +473,14 @@ class TestConfigHardening:
              "mms.grids: each grid must double the previous one"),
             ("sweep", {"alphas": [0.5], "kappas": [1.0], "drift_scales": []},
              "sweep: drift_scales must be a non-empty list"),
+            ("mms", {"grids": [16, 32, 64], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
+                     "m": {"const": 0.2, "cos": [0.5], "sin": [0.0]}},
+             "mms.m: manufactured m must have constant term exceeding its harmonic amplitudes"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
              "fractional-max-iters", "fractional-grow-iters", "nan-scalar", "infinite-list-entry",
-             "integer-beyond-float-range", "grids-not-doubling", "empty-drift-scales"],
+             "integer-beyond-float-range", "grids-not-doubling", "empty-drift-scales",
+             "bad-mms-density"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

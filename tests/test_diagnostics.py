@@ -8,6 +8,8 @@ from mfgtorus import (
     DriftSpec,
     Field,
     GridSpec,
+    MFGError,
+    NewtonOptions,
     NonPositiveDensity,
     NotASolution,
     PotentialSpec,
@@ -24,11 +26,13 @@ from mfgtorus import (
     monotonicity_gap,
     sup_bound_check,
 )
+from mfgtorus.diagnostics import DiagnosticsConfig
 from mfgtorus.grid import mesh
 
 from conftest import suite_problem
 
 TWO_PI = 2 * np.pi
+NEWTON_TOL = NewtonOptions().tol_residual  # the tolerance the solutions below were solved to
 
 
 def simpson(fn, n=10**6):
@@ -118,6 +122,14 @@ class TestInverseMoment:
         with pytest.raises(BadExponent):
             inverse_moment(spec, s, 0.3)
 
+    def test_majorant_beyond_the_float_range_raises_one_error(self):
+        # here the closed form leaves the float range between r = 90 and r = 100
+        spec = suite_problem(0.5, n=32)
+        s = exact_initial(spec)
+        assert np.isfinite(inverse_moment(spec, s, 90.0)[1])
+        with pytest.raises(MFGError, match="overflows at r = 150, alpha = 0.5"):
+            inverse_moment(spec, s, 150.0)
+
     def test_refinement_stability_on_converged_solutions(self, refined_solutions):
         for r in (1.0, 2.0, 4.0):
             values = {}
@@ -171,7 +183,7 @@ class TestMomentIdentity:
         )
         s = State(constant_field(grid, c), constant_field(grid, 1.0))
         for r in (1.0, 2.0, 4.0):
-            lhs, rhs, defect = moment_identity_check(spec, s, r)
+            lhs, rhs, defect = moment_identity_check(spec, s, r, NEWTON_TOL)
             assert lhs == pytest.approx(1.0 / (r + 0.5), abs=1e-13)
             assert defect <= 1e-13
 
@@ -179,7 +191,7 @@ class TestMomentIdentity:
         defects = []
         for n in (64, 128, 256):
             spec, s = refined_solutions[n]
-            _, _, defect = moment_identity_check(spec, s, 2.0)
+            _, _, defect = moment_identity_check(spec, s, 2.0, NEWTON_TOL)
             defects.append(defect)
         ratios = [a / b for a, b in zip(defects, defects[1:])]
         assert all(r >= 3.5 for r in ratios), (defects, ratios)
@@ -188,12 +200,12 @@ class TestMomentIdentity:
         spec, s, _ = reference_solution
         bad = State(Field(spec.grid, s.u.values + 1e-3), s.m)
         with pytest.raises(NotASolution):
-            moment_identity_check(spec, bad, 2.0)
+            moment_identity_check(spec, bad, 2.0, NEWTON_TOL)
 
     def test_rejects_bad_exponent(self, reference_solution):
         spec, s, _ = reference_solution
         with pytest.raises(BadExponent):
-            moment_identity_check(spec, s, 0.25)
+            moment_identity_check(spec, s, 0.25, NEWTON_TOL)
 
 
 class TestMonotonicityGap:
@@ -323,7 +335,9 @@ class TestQuadratureDoubleEntry:
 class TestSnapshot:
     def test_contents_on_reference_solution(self, reference_solution):
         spec, s, _ = reference_solution
-        snap = make_snapshot(spec, s, lam=1.0)
+        snap = make_snapshot(
+            spec, s, lam=1.0, r_values=DiagnosticsConfig().r_values, newton_tol=NEWTON_TOL
+        )
         assert snap.min_m > 0
         assert snap.mass_defect <= 1e-9
         assert snap.sup_u <= snap.sup_bound_V + 1e-8
@@ -344,5 +358,7 @@ class TestSnapshot:
 
     def test_skips_r_values_at_or_below_alpha(self):
         spec = suite_problem(0.9, n=32)
-        snap = make_snapshot(spec, exact_initial(spec), lam=0.0, r_values=(0.5, 2.0))
+        snap = make_snapshot(
+            spec, exact_initial(spec), lam=0.0, r_values=(0.5, 2.0), newton_tol=NEWTON_TOL
+        )
         assert [r for r, _, _ in snap.inverse_moments] == [2.0]

@@ -440,7 +440,6 @@ class TestCoercivity:
             matrix=sparse.identity(2 * grid.size, format="csr"),
             rhs=np.zeros(2 * grid.size),
             base_state=bad,
-            lam=0.0,
         )
         with pytest.raises(NonPositiveDensity):
             coercivity_check(sys_, n_samples=2, seed=0)

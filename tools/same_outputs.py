@@ -4,10 +4,12 @@
 
 Each tree is the root of a checkout.  Every operation of the three workloads in
 `perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
-inputs the stored reference was made from (`build(w, None, dir)`), once per
-tree, each tree in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS
-thread.  Both trees read the same configs, written once from this checkout's
-`perfbench`.  The script then compares every output file, the stdout of every
+inputs the stored reference was made from (`build(w, None, dir)`), and so are
+two `jacobian-check --dump-matrix` operations on the workloads' reference
+problem (1-D n = 32 and 2-D n = 16), which no workload runs.  Each tree runs
+once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
+Both trees read the same configs, written once from this checkout's
+`perfbench` and this script.  The script then compares every output file, the stdout of every
 operation and its exit code, prints each difference, and exits 1 if there is
 any (0 when everything is byte-identical).
 """
@@ -26,6 +28,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 
 import workloads  # noqa: E402
+
+# (dim, n) of each jacobian-check operation
+JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16)}
 
 # Runs one tree: each workload in its own directory, where each operation
 # writes its outputs under its own directory and its stdout to <id>.stdout;
@@ -46,6 +51,17 @@ for workload, ops in json.loads(ops_file.read_text()).items():
             codes[op["id"]] = cli.main(op["argv"])
     Path("rc.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 """
+
+
+def jacobian_check_ops(config_dir: Path) -> list[dict]:
+    """Write the configs of the JACOBIAN_CHECKS into config_dir and return their operations."""
+    ops = []
+    for op_id, (dim, n) in JACOBIAN_CHECKS.items():
+        config = config_dir / f"{op_id}.json"
+        config.write_text(json.dumps({"problem": workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)}))
+        ops.append({"id": op_id, "argv": ["jacobian-check", "--config", str(config), "--out", op_id,
+                                          "--dump-matrix"]})
+    return ops
 
 
 def run_tree(tree: Path, ops_file: Path, work: Path) -> None:
@@ -88,6 +104,8 @@ def main(argv: list[str]) -> int:
             config_dir = tmp / "configs" / workload
             config_dir.mkdir(parents=True)
             ops[workload] = workloads.build(workload, None, config_dir)
+        (tmp / "configs" / "jacobian-check").mkdir()
+        ops["jacobian-check"] = jacobian_check_ops(tmp / "configs" / "jacobian-check")
         ops_file = tmp / "configs" / "ops.json"
         ops_file.write_text(json.dumps(ops))
         for label, tree in zip(("parent", "change"), trees):
