@@ -120,6 +120,13 @@ def inverse_moment(spec: ProblemSpec, s: State, r: float) -> tuple[float, float]
     return integral(spec.grid, m ** -(r + 1.0 - spec.alpha)), majorant
 
 
+def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[float, ...]:
+    """The values, unless a power of m left the float range and made one of them inf or NaN."""
+    if not all(math.isfinite(v) for v in values):
+        raise MFGError(f"the {check} check overflows at r = {r:g}, alpha = {spec.alpha:g}")
+    return values
+
+
 def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     """integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a))).
 
@@ -136,9 +143,10 @@ def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     lap_u = laplacian_array(s.u.reshaped(), grid)
     du = gradient_arrays(s.u)
     flux_div = divergence_arrays([m ** (1.0 - a) * d for d in du], grid)
-    term1 = integral(grid, lap_u / (r * m**r))
-    term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
-    return term1 - term2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        term1 = integral(grid, lap_u / (r * m**r))
+        term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
+    return _finite("cancellation", spec, r, term1 - term2)[0]
 
 
 def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> tuple[float, float, float]:
@@ -174,18 +182,19 @@ def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> 
     v_eff = effective_potential(spec, mesh(grid), m)
 
     p = r + 1.0 - a
-    lhs = (
-        integral(grid, m**-p) / p
-        + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
-        + integral(grid, dm_sq * m ** -(r + 2.0 - a))
-    )
-    rhs = (
-        integral(grid, (v_eff - u) * m**-r) / r
-        - integral(grid, b_dot_du * m**-r) / r
-        + integral(grid, m ** -(r - a)) / p
-        - integral(grid, div_b * m ** -(r - a)) / (r - a)
-    )
-    return lhs, rhs, abs(lhs - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (
+            integral(grid, m**-p) / p
+            + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
+            + integral(grid, dm_sq * m ** -(r + 2.0 - a))
+        )
+        rhs = (
+            integral(grid, (v_eff - u) * m**-r) / r
+            - integral(grid, b_dot_du * m**-r) / r
+            + integral(grid, m ** -(r - a)) / p
+            - integral(grid, div_b * m ** -(r - a)) / (r - a)
+        )
+    return _finite("identity", spec, r, lhs, rhs, abs(lhs - rhs))
 
 
 @dataclass(frozen=True)

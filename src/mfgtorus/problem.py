@@ -139,10 +139,6 @@ class PotentialSpec:
             return self.a.sup_bound() + self.kappa
         return self.a.sup_bound()
 
-    @property
-    def strictly_increasing(self) -> bool:
-        return self.form in ("separable", "saturating") and self.kappa > 0
-
 
 @dataclass(frozen=True)
 class DriftSpec:

@@ -7,7 +7,7 @@ import pytest
 from dataclasses import fields
 
 from mfgtorus import NewtonOptions, StepOptions, load_field, save_field
-from mfgtorus.cli import main
+from mfgtorus.cli import build_parser, main
 from mfgtorus.config import DiagnosticsConfig, load_config, parse_config
 from mfgtorus.errors import ConfigError
 
@@ -175,12 +175,16 @@ class TestSolveCommand:
             assert all(k > 0 for k in rep["krylov_iterations"])
 
     def test_resolved_config_round_trip(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
+        cfg = write_config(tmp_path, base_config(output={"dump_matrix": True}))
         main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])
         assert main([
             "solve", "--config", str(tmp_path / "a/resolved_config.json"), "--out", str(tmp_path / "b"),
         ]) == 0
-        assert (tmp_path / "a/trace.json").read_bytes() == (tmp_path / "b/trace.json").read_bytes()
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "jacobian_final.mtx" in names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_stall_exits_two_with_trace(self, tmp_path, capsys):
         doc = base_config(
@@ -195,9 +199,9 @@ class TestSolveCommand:
         assert len(trace["failures"]) >= 1
 
     def test_dump_matrix_flag(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
+        cfg = write_config(tmp_path, base_config(output={"dump_matrix": True}))
         out = tmp_path / "run"
-        assert main(["solve", "--config", cfg, "--out", str(out), "--dump-matrix"]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "jacobian_final.mtx").exists()
 
     def test_majorant_overflow_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
@@ -348,6 +352,21 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("run failed: the moment majorant overflows at r = 400, alpha = 0.5")
 
+    def test_overflowing_identities_exit_two_with_one_line(self, tmp_path, capsys):
+        # without the moment check no majorant bounds r, and m^r leaves the float range
+        doc = base_config()
+        doc["problem"].update(n=16, potential={"form": "separable", "kappa": 1.0, "a_cos": [0.5]})
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        doc["diagnostics"] = {"checks": ["cancellation", "identity"], "r_values": [100000]}
+        code = main(["verify", "--config", write_config(tmp_path, doc, "ver.json"), "--out", str(tmp_path / "ver"),
+                     "--state", str(tmp_path / "s/u.csv"), str(tmp_path / "s/m.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["run failed: the cancellation check overflows at r = 100000, alpha = 0.5"]
+        for path in tmp_path.rglob("*"):
+            assert not path.is_file() or b"NaN" not in path.read_bytes(), path
+
 
 class TestMmsCommand:
     def test_rates_in_second_order_window(self, tmp_path):
@@ -385,11 +404,11 @@ class TestJacobianCheckCommand:
                 assert s["coercivity"]["all_negative"] is True
 
     def test_dump_matrix_writes_all_states(self, tmp_path):
-        doc = base_config()
+        doc = base_config(output={"dump_matrix": True})
         doc["problem"]["n"] = 32
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "jac"
-        assert main(["jacobian-check", "--config", cfg, "--out", str(out), "--dump-matrix"]) == 0
+        assert main(["jacobian-check", "--config", cfg, "--out", str(out)]) == 0
         for tag in ("initial", "mid", "final"):
             assert (out / f"jacobian_{tag}.mtx").exists()
 
@@ -506,6 +525,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [["solve", "--dump-matrix"], ["jacobian-check", "--seed", "7"]])
+    def test_flags_the_config_owns_exit_one_with_usage(self, tmp_path, capsys, argv):
+        # output.dump_matrix and seed are config keys only, so resolved_config.json records them
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mfgtorus ")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+        commands = [line.split()[1:] for line in block.splitlines() if line.startswith("mfgtorus ")]
+        assert {argv[0] for argv in commands} == {"solve", "verify", "mms", "jacobian-check", "sweep"}
+        for argv in commands:
+            # an optional "[--flag value]" is parsed as if given; "..." marks a repeat
+            words = [w.strip("[]") for w in argv if w not in ("...]", "...")]
+            build_parser().parse_args(words)
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 1

@@ -172,6 +172,14 @@ class TestCancellation:
         with pytest.raises(BadExponent):
             cancellation_check(spec, exact_initial(spec), 0.9)
 
+    def test_overflowing_powers_raise_one_error(self):
+        # m^r leaves the float range both ways: inf where m > 1, 0 (then x / 0) where m < 1
+        spec = suite_problem(0.5, n=32)
+        s = wavy_state(spec.grid)
+        assert np.isfinite(cancellation_check(spec, s, 400.0))
+        with pytest.raises(MFGError, match="cancellation check overflows at r = 100000, alpha = 0.5"):
+            cancellation_check(spec, s, 1e5)
+
 
 class TestMomentIdentity:
     def test_constant_solution_has_zero_defect(self):
@@ -206,6 +214,12 @@ class TestMomentIdentity:
         spec, s, _ = reference_solution
         with pytest.raises(BadExponent):
             moment_identity_check(spec, s, 0.25, NEWTON_TOL)
+
+    def test_overflowing_powers_raise_one_error(self, reference_solution):
+        spec, s, _ = reference_solution
+        assert all(np.isfinite(moment_identity_check(spec, s, 4.0, NEWTON_TOL)))
+        with pytest.raises(MFGError, match="identity check overflows at r = 100000, alpha = 0.5"):
+            moment_identity_check(spec, s, 1e5, NEWTON_TOL)
 
 
 class TestMonotonicityGap:

@@ -134,12 +134,6 @@ class TestCatalog:
             vals = pot.value(xs, np.full(grid.shape, m0))
             assert np.max(np.abs(vals)) <= pot.sup_bound() + 1e-12
 
-    def test_strictly_increasing_flag(self):
-        a = TrigForm(0.0, (0.0,), (0.0,))
-        assert PotentialSpec("separable", a, 1.0).strictly_increasing
-        assert not PotentialSpec("separable", a, 0.0).strictly_increasing
-        assert not PotentialSpec("x_only", a).strictly_increasing
-
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             PotentialSpec("separable", TrigForm(0.0, (0.0,), (0.0,)), -1.0)

@@ -5,8 +5,8 @@
 Each tree is the root of a checkout.  Every operation of the three workloads in
 `perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
 inputs the stored reference was made from (`build(w, None, dir)`), and so are
-two `jacobian-check --dump-matrix` operations on the workloads' reference
-problem (1-D n = 32 and 2-D n = 16), which no workload runs.  Each tree runs
+two `jacobian-check` operations with `output.dump_matrix` on the workloads'
+reference problem (1-D n = 32 and 2-D n = 16), which no workload runs.  Each tree runs
 once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
 Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the stdout of every
@@ -58,9 +58,9 @@ def jacobian_check_ops(config_dir: Path) -> list[dict]:
     ops = []
     for op_id, (dim, n) in JACOBIAN_CHECKS.items():
         config = config_dir / f"{op_id}.json"
-        config.write_text(json.dumps({"problem": workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)}))
-        ops.append({"id": op_id, "argv": ["jacobian-check", "--config", str(config), "--out", op_id,
-                                          "--dump-matrix"]})
+        problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
+        config.write_text(json.dumps({"problem": problem, "output": {"dump_matrix": True}}))
+        ops.append({"id": op_id, "argv": ["jacobian-check", "--config", str(config), "--out", op_id]})
     return ops
 
 
