@@ -20,7 +20,6 @@ from .grid import (
     gradient_arrays,
     integral,
     laplacian_array,
-    mesh,
     sup_norm,
 )
 from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
@@ -117,7 +116,9 @@ def inverse_moment(spec: ProblemSpec, s: State, r: float) -> tuple[float, float]
     m = s.m.values
     if np.min(m) <= 0.0:
         raise NonPositiveDensity("inverse moment needs m > 0")
-    return integral(spec.grid, m ** -(r + 1.0 - spec.alpha)), majorant
+    with np.errstate(over="ignore"):
+        value = integral(spec.grid, m ** -(r + 1.0 - spec.alpha))
+    return _finite("moment", spec, r, value)[0], majorant
 
 
 def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[float, ...]:
@@ -179,7 +180,7 @@ def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> 
     bvals = _drift_arrays(spec.drift, grid)
     b_dot_du = sum(b * d for b, d in zip(bvals, du))
     div_b = divergence_arrays(list(bvals), grid)
-    v_eff = effective_potential(spec, mesh(grid), m)
+    v_eff = effective_potential(spec, grid, m)
 
     p = r + 1.0 - a
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +250,7 @@ def monotonicity_gap(
         grid,
         sum((m0 ** (1.0 - a) * g0 - m1 ** (1.0 - a) * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0,
     )
-    v0, v1 = (effective_potential(spec, mesh(grid), m) for m in (m0, m1))
+    v0, v1 = (effective_potential(spec, grid, m) for m in (m0, m1))
     rhs = integral(grid, (v1 - v0) * (m0 - m1))
 
     thetas = np.linspace(0.0, 1.0, n_theta)

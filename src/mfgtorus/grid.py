@@ -69,26 +69,39 @@ def constant_field(grid: GridSpec, value: float) -> Field:
     return Field(grid, np.full(grid.size, float(value)))
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, flagged read-only: a cached array is shared by every later caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=64)
 def mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Coordinate arrays (one per axis), each of full grid shape."""
     axis = np.arange(grid.n) * grid.h
-    if grid.dim == 1:
-        return (axis,)
-    return tuple(np.meshgrid(axis, axis, indexing="ij"))
+    return tuple(read_only(x) for x in np.meshgrid(*[axis] * grid.dim, indexing="ij"))
 
 
 # ---------------------------------------------------------------------------
-# difference operators (roll-based, periodic)
+# difference operators (periodic shifts by cached index arrays)
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the next and the previous point on a periodic axis of n points."""
+    idx = np.arange(n)
+    return read_only((idx + 1) % n), read_only((idx - 1) % n)
 
 
 def _diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+    nxt, prev = _neighbours(arr.shape[axis])
+    return (arr.take(nxt, axis) - arr.take(prev, axis)) / (2.0 * h)
 
 
 def _second_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / (h * h)
+    nxt, prev = _neighbours(arr.shape[axis])
+    return (arr.take(nxt, axis) - 2.0 * arr + arr.take(prev, axis)) / (h * h)
 
 
 def gradient_arrays(f: Field) -> list[np.ndarray]:
@@ -98,19 +111,12 @@ def gradient_arrays(f: Field) -> list[np.ndarray]:
 
 
 def divergence_arrays(comps: list[np.ndarray], grid: GridSpec) -> np.ndarray:
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for ax, c in enumerate(comps):
-        out += _diff(c.reshape(grid.shape), ax, h)
-    return out
+    return sum(_diff(c.reshape(grid.shape), ax, grid.h) for ax, c in enumerate(comps))
 
 
 def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     arr = arr.reshape(grid.shape)
-    out = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        out += _second_diff(arr, ax, grid.h)
-    return out
+    return sum(_second_diff(arr, ax, grid.h) for ax in range(grid.dim))
 
 
 def integral(grid: GridSpec, values: np.ndarray) -> float:
@@ -131,7 +137,7 @@ def sup_norm(*fields: Field) -> float:
 def _stencil_matrix(stencil, grid: GridSpec) -> sparse.csr_matrix:
     """The 1-D periodic matrix of `stencil`: column j is the stencil applied to unit vector j.
 
-    The stencil is translation invariant, so column j is column 0 rolled by j.
+    The stencil is translation invariant, so column j is column 0 shifted by j.
     """
     n = grid.n
     unit = np.zeros(n)

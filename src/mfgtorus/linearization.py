@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import NonPositiveDensity
-from .grid import Field, GridSpec, diff_matrix, gradient_arrays, laplacian_matrix
+from .grid import Field, GridSpec, diff_matrix, gradient_arrays, laplacian_matrix, read_only
 from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
 
 
@@ -103,12 +103,9 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
 
     eye_minus_lap = [(node, node), (_coo_rows(lap), lap.indices)]
     terms = eye_minus_lap + vv + [(node, node + n)] + fv + [(r + n, c + n) for r, c in eye_minus_lap] + ff
-    # every matrix the fill returns shares these two arrays
-    structure.indptr.flags.writeable = False
-    structure.indices.flags.writeable = False
-    return _JacobianPattern(
-        indptr=structure.indptr,
-        indices=structure.indices,
+    return _JacobianPattern(  # every matrix the fill returns shares indptr and indices
+        indptr=read_only(structure.indptr),
+        indices=read_only(structure.indices),
         slots=np.concatenate([_slots(structure, r, c) for r, c in terms]),
         rows=tuple(rows),
         first=tuple(first),

@@ -33,6 +33,7 @@ from .grid import (
     gradient_arrays,
     laplacian_array,
     mesh,
+    read_only,
 )
 
 
@@ -116,7 +117,10 @@ class PotentialSpec:
             raise ValueError("x_only potential takes no kappa")
 
     def value(self, xs, m):
-        ax = self.a.value(xs)
+        return self.value_given_a(self.a.value(xs), m)
+
+    def value_given_a(self, ax, m):
+        """V from the values `ax` of a(x) at the points where m is sampled."""
         if self.form == "separable":
             return ax + self.kappa * np.arctan(m)
         if self.form == "saturating":
@@ -217,18 +221,24 @@ class State:
 
 
 @lru_cache(maxsize=64)
+def _on_grid(form: TrigForm, grid: GridSpec) -> np.ndarray:
+    """`form` evaluated at the grid points, once per grid."""
+    return read_only(form.value(mesh(grid)))
+
+
 def _drift_arrays(drift: DriftSpec, grid: GridSpec) -> tuple[np.ndarray, ...]:
-    return tuple(c.value(mesh(grid)) for c in drift.components)
+    return tuple(_on_grid(c, grid) for c in drift.components)
 
 
-def effective_potential(spec: ProblemSpec, xs, m):
-    """V_eff = V + epsilon_monotone * arctan(m) at the points xs: the coupling of the lam = 1 system."""
-    return spec.potential.value(xs, m) + spec.epsilon_monotone * np.arctan(m)
+def effective_potential(spec: ProblemSpec, grid: GridSpec, m):
+    """V_eff = V + epsilon_monotone * arctan(m) on the grid: the coupling of the lam = 1 system."""
+    v = spec.potential.value_given_a(_on_grid(spec.potential.a, grid), m)
+    return v + spec.epsilon_monotone * np.arctan(m)
 
 
 def potential_term(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:
     """lam * V_eff + (1 - lam) * arctan(m), evaluated on the grid."""
-    return lam * effective_potential(spec, mesh(spec.grid), m) + (1.0 - lam) * np.arctan(m)
+    return lam * effective_potential(spec, spec.grid, m) + (1.0 - lam) * np.arctan(m)
 
 
 def potential_term_dm(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:

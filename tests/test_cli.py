@@ -367,6 +367,28 @@ class TestVerifyCommand:
         for path in tmp_path.rglob("*"):
             assert not path.is_file() or b"NaN" not in path.read_bytes(), path
 
+    def test_overflowing_inverse_moment_exits_two_with_one_line(self, tmp_path, capsys):
+        # one tiny value of a stored m sends m^-(r+1-alpha) past the float range below a finite majorant
+        from mfgtorus import Field
+
+        doc = base_config()
+        doc["problem"].update(n=16, potential={"form": "separable", "kappa": 1.0, "a_cos": [0.5]})
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        m = load_field(tmp_path / "s/m.csv")
+        values = m.values.copy()
+        values[5] = 1e-6
+        save_field(Field(m.grid, values), tmp_path / "s/m.csv")
+        doc["diagnostics"] = {"checks": ["moment"], "r_values": [80]}
+        code = main(["verify", "--config", write_config(tmp_path, doc, "ver.json"), "--out", str(tmp_path / "ver"),
+                     "--state", str(tmp_path / "s/u.csv"), str(tmp_path / "s/m.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["run failed: the moment check overflows at r = 80, alpha = 0.5"]
+        for path in tmp_path.rglob("*"):
+            data = path.read_bytes() if path.is_file() else b""
+            assert b"Infinity" not in data and b"NaN" not in data, path
+
 
 class TestMmsCommand:
     def test_rates_in_second_order_window(self, tmp_path):
@@ -569,3 +591,23 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert "solve finished" in proc.stderr
+
+    def test_cli_import_loads_no_heavy_modules(self):
+        # the command line needs none of these, and each would add import time to every start
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mfgtorus
+
+        pkg_root = str(Path(mfgtorus.__file__).resolve().parents[1])
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.stats", "sympy")
+        code = f"import sys, mfgtorus.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

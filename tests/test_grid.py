@@ -3,6 +3,8 @@ import pytest
 
 from mfgtorus import Field, GridSpec, constant_field, integral, load_field, save_field
 from mfgtorus.grid import (
+    _diff,
+    _second_diff,
     diff_matrix,
     divergence_arrays,
     gradient_arrays,
@@ -203,6 +205,39 @@ class TestConsistencyOrders:
             errs.append(np.max(np.abs(divergence_arrays(F, grid) - exact)))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(p >= 1.9 for p in orders)
+
+
+def roll_diff(arr, axis, h):
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+
+
+def roll_second_diff(arr, axis, h):
+    return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / (h * h)
+
+
+class TestStencilsMatchRollDefinition:
+    """The index-array shifts give the same bits as the np.roll form of each stencil."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 9, 48])
+    def test_bit_identical(self, dim, n):
+        grid = GridSpec(dim, n)
+        rng = np.random.default_rng(n + dim)
+        arr, other = rng.standard_normal((2,) + grid.shape)
+        h = grid.h
+        for ax in range(dim):
+            assert np.array_equal(_diff(arr, ax, h), roll_diff(arr, ax, h))
+            assert np.array_equal(_second_diff(arr, ax, h), roll_second_diff(arr, ax, h))
+        grads = gradient_arrays(Field(grid, arr))
+        assert all(np.array_equal(g, roll_diff(arr, ax, h)) for ax, g in enumerate(grads))
+        comps = [arr, other][:dim]
+        div = np.zeros(grid.shape)
+        lap = np.zeros(grid.shape)
+        for ax in range(dim):
+            div += roll_diff(comps[ax], ax, h)
+            lap += roll_second_diff(arr, ax, h)
+        assert np.array_equal(divergence_arrays(comps, grid), div)
+        assert np.array_equal(laplacian_array(arr, grid), lap)
 
 
 class TestOperatorMatrices:

@@ -16,7 +16,8 @@ from mfgtorus import (
     residual,
     sup_norm,
 )
-from mfgtorus.grid import mesh
+from mfgtorus.grid import _neighbours, mesh
+from mfgtorus.problem import _drift_arrays, _on_grid, effective_potential
 
 from conftest import suite_problem
 
@@ -144,6 +145,28 @@ class TestCatalog:
         grid = GridSpec(1, 64)
         b = drift.components[0].value(mesh(grid))
         assert np.max(np.abs(b)) <= drift.sup_bound() + 1e-12
+
+
+class TestPerGridArrays:
+    @pytest.mark.parametrize("spec", catalog_battery())
+    def test_effective_potential_equals_pointwise_value(self, spec):
+        m = 1.0 + 0.5 * np.cos(2 * np.pi * mesh(spec.grid)[0])
+        expected = spec.potential.value(mesh(spec.grid), m) + spec.epsilon_monotone * np.arctan(m)
+        assert np.array_equal(effective_potential(spec, spec.grid, m), expected)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_arrays_are_read_only(self, dim):
+        # they are shared by every later call on the grid, so an in-place write must fail
+        spec = next(s for s in catalog_battery() if s.grid.dim == dim)
+        cached = [
+            *mesh(spec.grid),
+            *_drift_arrays(spec.drift, spec.grid),
+            _on_grid(spec.potential.a, spec.grid),
+            *_neighbours(spec.grid.n),
+        ]
+        for arr in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1
 
 
 class TestProblemSpecValidation:
