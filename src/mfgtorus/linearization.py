@@ -55,8 +55,8 @@ class _JacobianPattern:
     n_partial: int
 
 
-def _coo_rows(mat: sparse.csr_matrix) -> np.ndarray:
-    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+def _coo_rows(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def _slots(structure: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
     rows, first, second, partial, vv, fv, ff = [], [], [], [], [], [], []
     offset = 0
     for d, w in zip(diffs, wide):
-        d_rows = _coo_rows(d)
+        d_rows = _coo_rows(d.indptr)
         rows.append(d_rows.astype(np.int32))
         vv.append((d_rows, d.indices))
         ff += [(d_rows + n, d.indices + n)] * 2  # (1-a) D diag(w) and lam D diag(b)
@@ -99,9 +99,9 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
         second.append(kk.astype(np.int32))
         partial.append(_slots(w, d_rows[jj], d.indices[kk]) + offset)
         offset += w.nnz
-        fv.append((_coo_rows(w) + n, w.indices))
+        fv.append((_coo_rows(w.indptr) + n, w.indices))
 
-    eye_minus_lap = [(node, node), (_coo_rows(lap), lap.indices)]
+    eye_minus_lap = [(node, node), (_coo_rows(lap.indptr), lap.indices)]
     terms = eye_minus_lap + vv + [(node, node + n)] + fv + [(r + n, c + n) for r, c in eye_minus_lap] + ff
     return _JacobianPattern(  # every matrix the fill returns shares indptr and indices
         indptr=read_only(structure.indptr),
@@ -113,6 +113,31 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
         partial=np.concatenate(partial),
         n_partial=offset,
     )
+
+
+def _band_slots(inverse: np.ndarray, kl: int, ku: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Flat index of each CSR slot in the Fortran-ordered (2 kl + ku + 1, 2n) band storage of `gbsv`."""
+    rows, cols = inverse[_coo_rows(indptr)], inverse[indices]
+    return kl + ku + rows - cols + cols * (2 * kl + ku + 1)
+
+
+@lru_cache(maxsize=64)
+def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
+    """(order, inverse, kl, ku, slots): the 1-D Jacobian as a band with no periodic corner entries.
+
+    The ring of nodes is folded as 0, n-1, 1, n-2, ..., with v_i and f_i of each node
+    adjacent: unknown k of the band is unknown `order[k]` of the stacked (v, f), and
+    `inverse` maps back.  kl/ku are the widths the pattern needs, `slots` its `_band_slots`.
+    """
+    n = grid.n
+    node = np.arange(n)
+    order = (np.column_stack([node, n - 1 - node]).ravel()[:n, None] + [0, n]).ravel()
+    inverse = np.argsort(order)
+    pattern = _jacobian_pattern(grid)
+    offsets = inverse[_coo_rows(pattern.indptr)] - inverse[pattern.indices]
+    kl, ku = int(offsets.max()), -int(offsets.min())
+    slots = _band_slots(inverse, kl, ku, pattern.indptr, pattern.indices)
+    return read_only(order), read_only(inverse), kl, ku, read_only(slots)
 
 
 def assemble_jacobian(

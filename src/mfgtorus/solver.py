@@ -7,8 +7,9 @@ Positivity is handled entirely by the line search; the equations themselves
 are never floored or regularized.
 
 Each Newton step solves one 2N x 2N linear system.  In 2-D that is GMRES with a
-block preconditioner diagonal in the discrete Fourier basis; in 1-D, and
-whenever the Krylov answer is not accepted, it is the sparse direct solve.
+block preconditioner diagonal in the discrete Fourier basis; in 1-D it is a
+banded LU with the periodic ring folded into a plain band.  Whenever either
+answer is not accepted, it is the sparse direct solve.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, lsqr, spsolve
 
 from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
@@ -30,7 +32,7 @@ from .errors import (
     SolverFailure,
 )
 from .grid import diff_matrix, laplacian_matrix, sup_norm
-from .linearization import LinearizedSystem, assemble_jacobian
+from .linearization import LinearizedSystem, _band_layout, _band_slots, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
 log = logging.getLogger("mfgtorus")
@@ -88,7 +90,7 @@ class StepOptions:
 class NewtonReport:
     """One Newton solve.
 
-    `linear_paths` ("krylov", "direct" or "pinned") and `krylov_iterations`
+    `linear_paths` ("krylov", "band", "direct" or "pinned") and `krylov_iterations`
     (0 off the Krylov path) hold one entry per linear solve: one per accepted
     iteration, plus the rejected last one when damping gave out.
     """
@@ -176,17 +178,34 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
     return delta, iterations
 
 
+def _solve_band(sys: LinearizedSystem) -> np.ndarray | None:
+    """1-D banded LU (LAPACK gbsv) in the `_band_layout` order; None on a zero pivot or non-finite answer."""
+    order, inverse, kl, ku, slots = _band_layout(sys.grid)
+    mat = sys.matrix
+    if mat.nnz != slots.size:  # assemble_jacobian dropped exact zeros from the pattern
+        slots = _band_slots(inverse, kl, ku, mat.indptr, mat.indices)
+    band = np.zeros((mat.shape[0], 2 * kl + ku + 1))
+    band.ravel()[slots] = mat.data
+    _, _, x, info = dgbsv(kl, ku, band.T, sys.rhs[order, None], overwrite_ab=True, overwrite_b=True)
+    return x[inverse, 0] if info == 0 and np.all(np.isfinite(x)) else None
+
+
 def _solve_linear(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray, str, int]:
     """Solve the Newton system; returns (delta, path, Krylov iterations).
 
-    2-D tries `_solve_krylov` first.  The direct sparse solve is the 1-D path
-    and the fallback; on a (near-)singular factorization it retries with a
-    mean-value constraint appended on the v block, least squares ("pinned").
+    2-D tries `_solve_krylov` first, 1-D `_solve_band` ("band").  The direct
+    sparse solve is the fallback of both; on a (near-)singular factorization it
+    retries with a mean-value constraint appended on the v block, least squares
+    ("pinned").
     """
     if sys.grid.dim == 2:
         delta, iterations = _solve_krylov(sys, alpha)
         if delta is not None:
             return delta, "krylov", iterations
+    else:
+        delta = _solve_band(sys)
+        if delta is not None:
+            return delta, "band", 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:

@@ -278,8 +278,98 @@ class TestKrylovSolve:
         s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
         _, rep = newton_solve(spec, 1.0, s0)
         assert rep.iterations > 0
-        assert rep.linear_paths == ["direct"] * rep.iterations
+        assert rep.linear_paths == ["band"] * rep.iterations
         assert rep.krylov_iterations == [0] * rep.iterations
+
+
+def one_d_problem(n: int, a_amp: float, b_amp: float, alpha: float = 0.5, kappa: float = 1.0) -> ProblemSpec:
+    """a = a_amp cos(2 pi x), b = b_amp sin(2 pi x) on a 1-D grid of n points."""
+    pot = PotentialSpec("separable", TrigForm(0.0, (a_amp,), (0.0,)), kappa)
+    return ProblemSpec(GridSpec(1, n), alpha, pot, DriftSpec((TrigForm(0.0, (0.0,), (b_amp,)),)))
+
+
+def smooth_state(grid: GridSpec) -> State:
+    x = mesh(grid)[0].ravel()
+    u = 0.1 * np.sin(TWO_PI * x) + 0.05 * np.cos(2 * TWO_PI * x)
+    return State(Field(grid, u), Field(grid, 1.0 + 0.25 * np.cos(TWO_PI * x)))
+
+
+class TestBandSolve:
+    """1-D Newton systems go through LAPACK gbsv in the folded order of `_band_layout`."""
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 256])
+    @pytest.mark.parametrize(
+        "case, lam",
+        [("reference", 0.0), ("reference", 1.0), ("strong", 0.0), ("strong", 1.0), ("no-coupling", 1.0)],
+    )
+    def test_agrees_with_sparse_direct_solve(self, n, case, lam):
+        from scipy.sparse.linalg import spsolve
+
+        from mfgtorus.linearization import _band_layout
+
+        spec = {
+            "reference": one_d_problem(n, 0.5, 0.3),
+            "strong": one_d_problem(n, 4.0, 4.0),
+            # alpha = kappa = 0 and no drift: the A_vf diagonal is exactly zero at lam = 1
+            "no-coupling": one_d_problem(n, 0.5, 0.0, alpha=0.0, kappa=0.0),
+        }[case]
+        sys = assemble_jacobian(spec, lam, smooth_state(spec.grid))
+        pattern_size = _band_layout(spec.grid)[4].size
+        assert (sys.matrix.nnz < pattern_size) == (case == "no-coupling")
+        delta, path, iterations = _solve_linear(sys, spec.alpha)
+        direct = spsolve(sys.matrix, sys.rhs)
+        assert (path, iterations) == ("band", 0)
+        assert np.linalg.norm(delta - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("n", [8, 9, 256])
+    def test_band_widths_come_from_the_pattern(self, n):
+        from mfgtorus.linearization import _band_layout, _jacobian_pattern
+
+        order, inverse, kl, ku, _ = _band_layout(GridSpec(1, n))
+        pattern = _jacobian_pattern(GridSpec(1, n))
+        dense = np.zeros((2 * n, 2 * n))
+        dense[np.repeat(np.arange(2 * n), np.diff(pattern.indptr)), pattern.indices] = 1.0
+        folded = dense[np.ix_(order, order)]
+        assert (kl, ku) == (9, 7)
+        assert not np.tril(folded, -kl - 1).any() and np.tril(folded, -kl).any()
+        assert not np.triu(folded, ku + 1).any() and np.triu(folded, ku).any()
+        np.testing.assert_array_equal(np.sort(order), np.arange(2 * n))
+        np.testing.assert_array_equal(order[inverse], np.arange(2 * n))
+
+    @pytest.mark.parametrize("failure", ["info", "nonfinite"])
+    def test_failed_band_solve_falls_back_to_direct(self, monkeypatch, failure):
+        from scipy.sparse.linalg import spsolve
+
+        import mfgtorus.solver as solver_mod
+
+        spec = one_d_problem(64, 4.0, 4.0)
+        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+
+        def broken_dgbsv(kl, ku, ab, b, **kwargs):
+            if failure == "info":
+                return ab, np.zeros(b.shape[0], dtype=np.int32), b, 1
+            return ab, np.zeros(b.shape[0], dtype=np.int32), np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(solver_mod, "dgbsv", broken_dgbsv)
+        delta, path, iterations = _solve_linear(sys, spec.alpha)
+        assert (path, iterations) == ("direct", 0)
+        np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
+
+    def test_singular_system_ends_in_the_pinned_solve(self):
+        from dataclasses import replace
+
+        from mfgtorus.solver import _solve_band
+
+        spec = one_d_problem(16, 0.5, 0.3)
+        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+        matrix = sys.matrix.copy()
+        matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row
+        matrix.eliminate_zeros()
+        singular = replace(sys, matrix=matrix)
+        assert _solve_band(singular) is None
+        delta, path, _ = _solve_linear(singular, spec.alpha)
+        assert path == "pinned"
+        np.testing.assert_array_equal(delta, _solve_pinned(matrix, sys.rhs, spec.grid.size))
 
 
 class TestContinuation:

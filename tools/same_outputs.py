@@ -11,12 +11,16 @@ once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
 Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the stdout of every
 operation and its exit code, prints each difference, and exits 1 if there is
-any (0 when everything is byte-identical).
+any (0 when everything is byte-identical).  For a differing `.csv` file it also
+prints the largest absolute difference of its values, and for a differing
+`trace.json` whether the Newton iteration counts of its steps agree.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +77,36 @@ def run_tree(tree: Path, ops_file: Path, work: Path) -> None:
         raise SystemExit(f"{tree} failed\n{proc.stderr}")
 
 
+def csv_difference(a: Path, b: Path) -> str:
+    """The largest absolute difference of the values of two CSV tables of one layout."""
+    tables = []
+    for path in (a, b):
+        with open(path, newline="") as fh:
+            tables.append([row for row in csv.reader(fh) if row and not row[0].startswith("#")])
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return "tables differ in shape"
+    largest = 0.0
+    for row_a, row_b in zip(*tables):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                diff = abs(float(x) - float(y))
+            except ValueError:
+                return f"text differs: {x!r} against {y!r}"
+            largest = max(largest, diff if not math.isnan(diff) else math.inf)
+    return f"largest absolute difference {largest:.3e}"
+
+
+def newton_counts(a: Path, b: Path) -> str:
+    """Whether two trace.json files took the same Newton iterations at each step."""
+    counts = [[step["newton"]["iterations"] for step in json.loads(p.read_text())["steps"]] for p in (a, b)]
+    if counts[0] == counts[1]:
+        return f"same Newton iterations at each of {len(counts[0])} steps ({sum(counts[0])} in total)"
+    return "Newton iterations differ: " + " against ".join(
+        f"{len(c)} steps, {sum(c)} in total, {c}" for c in counts)
+
+
 def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
     """(the files identical in both trees, one line per difference)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -83,6 +117,10 @@ def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
     for p in sorted(files_a & files_b):
         if (a / p).read_bytes() == (b / p).read_bytes():
             same.append(p)
+        elif p.suffix == ".csv":
+            diffs.append(f"differs: {p}: {csv_difference(a / p, b / p)}")
+        elif p.name == "trace.json":
+            diffs.append(f"differs: {p}: {newton_counts(a / p, b / p)}")
         else:
             diffs.append(f"differs: {p}")
     return same, diffs
