@@ -17,9 +17,9 @@ import numpy as np
 from .errors import BadExponent, MFGError, NonPositiveDensity, NotASolution
 from .grid import (
     divergence_arrays,
+    gradient_and_laplacian,
     gradient_arrays,
     integral,
-    laplacian_array,
     sup_norm,
 )
 from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
@@ -114,7 +114,7 @@ def inverse_moment(spec: ProblemSpec, s: State, r: float) -> tuple[float, float]
     """(integral(m^-(r+1-alpha)), certified majorant); finite value quantifies m staying away from 0."""
     majorant = moment_majorant(spec, r)  # raises BadExponent unless r > alpha
     m = s.m.values
-    if np.min(m) <= 0.0:
+    if m.min() <= 0.0:
         raise NonPositiveDensity("inverse moment needs m > 0")
     with np.errstate(over="ignore"):
         value = integral(spec.grid, m ** -(r + 1.0 - spec.alpha))
@@ -128,6 +128,26 @@ def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[fl
     return values
 
 
+def _cancellation_at(spec: ProblemSpec, s: State):
+    """`cancellation_check` on s as a function of r; the arrays that do not depend on r are built once."""
+    grid = spec.grid
+    a = spec.alpha
+    m = s.m.reshaped()
+    if m.min() <= 0.0:
+        raise NonPositiveDensity("cancellation check needs m > 0")
+    du, lap_u = gradient_and_laplacian(s.u.reshaped(), grid)
+    m_flux = m ** (1.0 - a)
+    flux_div = divergence_arrays([m_flux * d for d in du], grid)
+
+    def at(r: float) -> float:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            term1 = integral(grid, lap_u / (r * m**r))
+            term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
+        return _finite("cancellation", spec, r, term1 - term2)[0]
+
+    return at
+
+
 def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     """integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a))).
 
@@ -136,18 +156,47 @@ def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     """
     if r <= spec.alpha:
         raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
+    return _cancellation_at(spec, s)(r)
+
+
+def _identity_at(spec: ProblemSpec, s: State, tol: float):
+    """`moment_identity_check` on s as a function of r; the residual test and the r-free arrays run once."""
     grid = spec.grid
-    m = s.m.reshaped()
-    if np.min(m) <= 0.0:
-        raise NonPositiveDensity("cancellation check needs m > 0")
     a = spec.alpha
-    lap_u = laplacian_array(s.u.reshaped(), grid)
+    m = s.m.reshaped()
+    if m.min() <= 0.0:
+        raise NonPositiveDensity("identity check needs m > 0")
+    res = sup_norm(*residual(spec, 1.0, s))
+    if res > 100.0 * tol:
+        raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
+
+    u = s.u.reshaped()
     du = gradient_arrays(s.u)
-    flux_div = divergence_arrays([m ** (1.0 - a) * d for d in du], grid)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        term1 = integral(grid, lap_u / (r * m**r))
-        term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
-    return _finite("cancellation", spec, r, term1 - term2)[0]
+    dm = gradient_arrays(s.m)
+    du_sq = sum(d * d for d in du)
+    dm_sq = sum(d * d for d in dm)
+    bvals = _drift_arrays(spec.drift, grid)
+    b_dot_du = sum(b * d for b, d in zip(bvals, du))
+    div_b = divergence_arrays(list(bvals), grid)
+    v_eff = effective_potential(spec, grid, m)
+
+    def at(r: float) -> tuple[float, float, float]:
+        p = r + 1.0 - a
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = (
+                integral(grid, m**-p) / p
+                + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
+                + integral(grid, dm_sq * m ** -(r + 2.0 - a))
+            )
+            rhs = (
+                integral(grid, (v_eff - u) * m**-r) / r
+                - integral(grid, b_dot_du * m**-r) / r
+                + integral(grid, m ** -(r - a)) / p
+                - integral(grid, div_b * m ** -(r - a)) / (r - a)
+            )
+        return _finite("identity", spec, r, lhs, rhs, abs(lhs - rhs))
+
+    return at
 
 
 def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> tuple[float, float, float]:
@@ -163,39 +212,7 @@ def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> 
     """
     if r <= spec.alpha:
         raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
-    grid = spec.grid
-    m = s.m.reshaped()
-    if np.min(m) <= 0.0:
-        raise NonPositiveDensity("identity check needs m > 0")
-    res = sup_norm(*residual(spec, 1.0, s))
-    if res > 100.0 * tol:
-        raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
-
-    a = spec.alpha
-    u = s.u.reshaped()
-    du = gradient_arrays(s.u)
-    dm = gradient_arrays(s.m)
-    du_sq = sum(d * d for d in du)
-    dm_sq = sum(d * d for d in dm)
-    bvals = _drift_arrays(spec.drift, grid)
-    b_dot_du = sum(b * d for b, d in zip(bvals, du))
-    div_b = divergence_arrays(list(bvals), grid)
-    v_eff = effective_potential(spec, grid, m)
-
-    p = r + 1.0 - a
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (
-            integral(grid, m**-p) / p
-            + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
-            + integral(grid, dm_sq * m ** -(r + 2.0 - a))
-        )
-        rhs = (
-            integral(grid, (v_eff - u) * m**-r) / r
-            - integral(grid, b_dot_du * m**-r) / r
-            + integral(grid, m ** -(r - a)) / p
-            - integral(grid, div_b * m ** -(r - a)) / (r - a)
-        )
-    return _finite("identity", spec, r, lhs, rhs, abs(lhs - rhs))
+    return _identity_at(spec, s, tol)(r)
 
 
 @dataclass(frozen=True)
@@ -235,7 +252,7 @@ def monotonicity_gap(
     a = spec.alpha
     m0 = s0.m.reshaped()
     m1 = s1.m.reshaped()
-    if min(np.min(m0), np.min(m1)) <= 0.0:
+    if min(m0.min(), m1.min()) <= 0.0:
         raise NonPositiveDensity("both states need m > 0")
     du0 = gradient_arrays(s0.u)
     du1 = gradient_arrays(s1.u)
@@ -259,7 +276,7 @@ def monotonicity_gap(
     bounds = []
     for t in thetas:
         m_t = m0 + t * dmi
-        if np.min(m_t) <= 0.0:
+        if m_t.min() <= 0.0:
             raise NonPositiveDensity(f"m_theta touches zero at theta = {t:g}")
         du_t = [(1.0 - t) * g0 + t * g1 for g0, g1 in zip(du0, du1)]
         du_t_dot = sum(g * d for g, d in zip(du_t, ddiff))
@@ -297,23 +314,25 @@ class DiagnosticsSnapshot:
 def make_snapshot(
     spec: ProblemSpec, s: State, lam: float, r_values: tuple[float, ...], newton_tol: float
 ) -> DiagnosticsSnapshot:
+    """The checks' values on one state at each r > alpha; what does not depend on r is computed once."""
     sup_u, bound, _ = sup_bound_check(spec, s, lam)
     mass_defect, min_m = mass_positivity_check(s)
     moments = []
     cancels = []
     identities = []
+    cancellation = _cancellation_at(spec, s)
+    try:
+        identity = _identity_at(spec, s, newton_tol) if lam == 1.0 else None
+    except NotASolution:
+        identity = None
     for r in r_values:
         if r <= spec.alpha:
             continue
         value, majorant = inverse_moment(spec, s, r)
         moments.append((float(r), value, majorant))
-        cancels.append((float(r), cancellation_check(spec, s, r)))
-        if lam == 1.0:
-            try:
-                _, _, defect = moment_identity_check(spec, s, r, newton_tol)
-                identities.append((float(r), defect))
-            except NotASolution:
-                pass
+        cancels.append((float(r), cancellation(r)))
+        if identity is not None:
+            identities.append((float(r), identity(r)[2]))
     return DiagnosticsSnapshot(
         sup_u=sup_u,
         sup_bound_V=bound,

@@ -57,7 +57,7 @@ class Field:
         vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         if vals.size != self.grid.size:
             raise ValueError(f"expected {self.grid.size} values, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
 
@@ -94,20 +94,33 @@ def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only((idx + 1) % n), read_only((idx - 1) % n)
 
 
-def _diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _shifted(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """`arr` at the next and at the previous point along `axis`."""
     nxt, prev = _neighbours(arr.shape[axis])
-    return (arr.take(nxt, axis) - arr.take(prev, axis)) / (2.0 * h)
+    return arr.take(nxt, axis), arr.take(prev, axis)
 
 
-def _second_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    nxt, prev = _neighbours(arr.shape[axis])
-    return (arr.take(nxt, axis) - 2.0 * arr + arr.take(prev, axis)) / (h * h)
+def _diff(arr: np.ndarray, axis: int, h: float, shifted=None) -> np.ndarray:
+    nxt, prev = shifted or _shifted(arr, axis)
+    return (nxt - prev) / (2.0 * h)
+
+
+def _second_diff(arr: np.ndarray, axis: int, h: float, shifted=None) -> np.ndarray:
+    nxt, prev = shifted or _shifted(arr, axis)
+    return (nxt - 2.0 * arr + prev) / (h * h)
 
 
 def gradient_arrays(f: Field) -> list[np.ndarray]:
     arr = f.reshaped()
     h = f.grid.h
     return [_diff(arr, ax, h) for ax in range(f.grid.dim)]
+
+
+def gradient_and_laplacian(arr: np.ndarray, grid: GridSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """`gradient_arrays` and `laplacian_array` of `arr`, from one pair of `_shifted` copies per axis."""
+    shifts = [_shifted(arr, ax) for ax in range(grid.dim)]
+    grads = [_diff(arr, ax, grid.h, sh) for ax, sh in enumerate(shifts)]
+    return grads, sum(_second_diff(arr, ax, grid.h, sh) for ax, sh in enumerate(shifts))
 
 
 def divergence_arrays(comps: list[np.ndarray], grid: GridSpec) -> np.ndarray:
@@ -121,12 +134,12 @@ def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def integral(grid: GridSpec, values: np.ndarray) -> float:
     """Trapezoid rule on the uniform periodic grid: h^dim times the plain sum."""
-    return grid.h**grid.dim * float(np.sum(values))
+    return grid.h**grid.dim * float(values.sum())
 
 
 def sup_norm(*fields: Field) -> float:
     """Largest absolute value over all the given fields."""
-    return max(float(np.max(np.abs(f.values))) for f in fields)
+    return max(float(np.abs(f.values).max()) for f in fields)
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,14 @@ class LinearizedSystem:
 
 @dataclass(frozen=True)
 class _JacobianPattern:
-    """The Jacobian's CSR structure on one grid, and the CSR slot of each term.
+    """The Jacobian's CSR structure on one grid, the CSR slot of each term, and the grid's constant terms.
 
     Per axis, `rows` gathers the A_vv coefficient for each nonzero of the
-    difference matrix D, and `first`/`second` pick the nonzeros of D in each
-    product d_ij m_j d_jk of D diag(m^(1-a)) D; `partial` sums the products
-    per axis before the axes are added, as the matrix products did.
+    difference matrix D, and in each product d_ij m_j d_jk of D diag(m^(1-a)) D
+    `first` picks the nonzero d_ij and `second_values` holds d_jk; `partial`
+    sums the products per axis before the axes are added, as the matrix products
+    did.  `eye_minus_lap` holds the values of I and of -L, the terms of both
+    diagonal blocks that depend on the grid alone.
     """
 
     indptr: np.ndarray
@@ -50,9 +52,10 @@ class _JacobianPattern:
     slots: np.ndarray
     rows: tuple[np.ndarray, ...]
     first: tuple[np.ndarray, ...]
-    second: tuple[np.ndarray, ...]
+    second_values: tuple[np.ndarray, ...]
     partial: np.ndarray
     n_partial: int
+    eye_minus_lap: tuple[np.ndarray, np.ndarray]
 
 
 def _coo_rows(indptr: np.ndarray) -> np.ndarray:
@@ -84,7 +87,7 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
     structure = sparse.bmat([[local, eye], [sum(wide[1:], wide[0]), local]], format="csr")
     structure.sort_indices()
 
-    rows, first, second, partial, vv, fv, ff = [], [], [], [], [], [], []
+    rows, first, second_values, partial, vv, fv, ff = [], [], [], [], [], [], []
     offset = 0
     for d, w in zip(diffs, wide):
         d_rows = _coo_rows(d.indptr)
@@ -96,7 +99,7 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
         jj = np.repeat(np.arange(d.nnz), per_row)
         kk = np.repeat(d.indptr[d.indices] - np.cumsum(per_row) + per_row, per_row) + np.arange(jj.size)
         first.append(jj.astype(np.int32))
-        second.append(kk.astype(np.int32))
+        second_values.append(read_only(d.data[kk]))
         partial.append(_slots(w, d_rows[jj], d.indices[kk]) + offset)
         offset += w.nnz
         fv.append((_coo_rows(w.indptr) + n, w.indices))
@@ -109,9 +112,10 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
         slots=np.concatenate([_slots(structure, r, c) for r, c in terms]),
         rows=tuple(rows),
         first=tuple(first),
-        second=tuple(second),
+        second_values=tuple(second_values),
         partial=np.concatenate(partial),
         n_partial=offset,
+        eye_minus_lap=(read_only(np.ones(n)), read_only(-lap.data)),
     )
 
 
@@ -150,7 +154,7 @@ def assemble_jacobian(
     """Assemble the linearization of `residual` at (lam, s).
 
     Row block 1:  v - lap(v) + (Du.Dv)/m^a - a |Du|^2 f/(2 m^(a+1)) + lam b.Dv
-                  - d/dm[potential_term] f
+                  - d/dm[lam V_eff + (1-lam) arctan(m)] f
     Row block 2:  f - lap(f) - div(m^(1-a) Dv) - (1-a) div(m^(-a) f Du) - lam div(b f)
 
     Every differential term reuses the stencils of `residual` exactly.  The
@@ -161,7 +165,7 @@ def assemble_jacobian(
     """
     grid = spec.grid
     m = s.m.values
-    if np.min(m) <= 0.0:
+    if m.min() <= 0.0:
         raise NonPositiveDensity("assemble_jacobian needs m > 0")
     alpha = spec.alpha
     pattern = _jacobian_pattern(grid)
@@ -171,7 +175,6 @@ def assemble_jacobian(
     bvals = [b.ravel() for b in _drift_arrays(spec.drift, grid)]
     m_alpha, m_neg_alpha, m_flux = m**alpha, m**-alpha, m ** (1.0 - alpha)
     pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
-    eye_minus_lap = [np.ones(grid.size), -laplacian_matrix(grid).data]
 
     # A_vv: I - L + sum_i diag(c_i) D_i;  A_ff: I - L - sum_i ((1-a) D_i diag(w_i) + lam D_i diag(b_i))
     vv, ff, products = [], [], []
@@ -181,12 +184,12 @@ def assemble_jacobian(
         vv.append(coef[pattern.rows[ax]] * d.data)
         ff.append(-(((1.0 - alpha) * d.data) * (m_neg_alpha * du[ax])[d.indices]))
         ff.append(-((lam * d.data) * bvals[ax][d.indices]))
-        products.append((d.data * m_flux[d.indices])[pattern.first[ax]] * d.data[pattern.second[ax]])
+        products.append((d.data * m_flux[d.indices])[pattern.first[ax]] * pattern.second_values[ax])
     # A_fv: -sum_i D_i diag(m^(1-a)) D_i;  A_vf: diagonal
     fv = np.bincount(pattern.partial, np.concatenate(products), minlength=pattern.n_partial)
     vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm
 
-    weights = np.concatenate(eye_minus_lap + vv + [vf, -fv] + eye_minus_lap + ff)
+    weights = np.concatenate([*pattern.eye_minus_lap, *vv, vf, -fv, *pattern.eye_minus_lap, *ff])
     data = np.bincount(pattern.slots, weights, minlength=pattern.indices.size)
     shape = (2 * grid.size, 2 * grid.size)
     if data.all():

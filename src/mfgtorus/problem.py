@@ -30,7 +30,7 @@ from .grid import (
     GridSpec,
     constant_field,
     divergence_arrays,
-    gradient_arrays,
+    gradient_and_laplacian,
     laplacian_array,
     mesh,
     read_only,
@@ -117,12 +117,12 @@ class PotentialSpec:
             raise ValueError("x_only potential takes no kappa")
 
     def value(self, xs, m):
-        return self.value_given_a(self.a.value(xs), m)
+        return self.value_given_a(self.a.value(xs), m, np.arctan(m))
 
-    def value_given_a(self, ax, m):
-        """V from the values `ax` of a(x) at the points where m is sampled."""
+    def value_given_a(self, ax, m, arctan_m):
+        """V from the values `ax` of a(x) at the points where m is sampled, and arctan(m) there."""
         if self.form == "separable":
-            return ax + self.kappa * np.arctan(m)
+            return ax + self.kappa * arctan_m
         if self.form == "saturating":
             return ax + self.kappa * m / (1.0 + m)
         return ax * np.ones_like(m)
@@ -217,7 +217,7 @@ class State:
         return State(Field(grid, vec[:n].copy()), Field(grid, vec[n:].copy()))
 
     def min_m(self) -> float:
-        return float(np.min(self.m.values))
+        return float(self.m.values.min())
 
 
 @lru_cache(maxsize=64)
@@ -230,22 +230,51 @@ def _drift_arrays(drift: DriftSpec, grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(_on_grid(c, grid) for c in drift.components)
 
 
-def effective_potential(spec: ProblemSpec, grid: GridSpec, m):
-    """V_eff = V + epsilon_monotone * arctan(m) on the grid: the coupling of the lam = 1 system."""
-    v = spec.potential.value_given_a(_on_grid(spec.potential.a, grid), m)
-    return v + spec.epsilon_monotone * np.arctan(m)
-
-
-def potential_term(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:
-    """lam * V_eff + (1 - lam) * arctan(m), evaluated on the grid."""
-    return lam * effective_potential(spec, spec.grid, m) + (1.0 - lam) * np.arctan(m)
+def effective_potential(spec: ProblemSpec, grid: GridSpec, m, arctan_m=None):
+    """V_eff = V + epsilon_monotone * arctan(m) on the grid, the lam = 1 coupling; arctan_m is arctan(m)."""
+    if arctan_m is None:
+        arctan_m = np.arctan(m)
+    v = spec.potential.value_given_a(_on_grid(spec.potential.a, grid), m, arctan_m)
+    return v + spec.epsilon_monotone * arctan_m
 
 
 def potential_term_dm(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarray:
-    """m-derivative of `potential_term` (feeds the linearization)."""
+    """m-derivative of the potential term lam * V_eff + (1 - lam) * arctan(m) of `residual`."""
     arctan_dm = 1.0 / (1.0 + m * m)
     v_eff_dm = spec.potential.dm(m) + spec.epsilon_monotone * arctan_dm
     return lam * v_eff_dm + (1.0 - lam) * arctan_dm
+
+
+def _residual_arrays(spec: ProblemSpec, lam: float, u: np.ndarray, m: np.ndarray):
+    """Both components of F(lam, u, m) on arrays of grid shape, of any float or complex dtype.
+
+    The body of `residual`, with no checks and no `Field`: the shifted copies of u
+    feed both its gradient and its Laplacian, and arctan(m) is evaluated once.
+    """
+    grid = spec.grid
+    alpha = spec.alpha
+    du, lap_u = gradient_and_laplacian(u, grid)
+    du_sq = sum(d * d for d in du)
+    bvals = _drift_arrays(spec.drift, grid)
+    arctan_m = np.arctan(m)
+
+    r1 = (
+        u
+        - lap_u
+        + du_sq / (2.0 * m**alpha)
+        + lam * sum(b * d for b, d in zip(bvals, du))
+        - (lam * effective_potential(spec, grid, m, arctan_m) + (1.0 - lam) * arctan_m)
+    )
+
+    m_flux = m ** (1.0 - alpha)
+    r2 = (
+        m
+        - laplacian_array(m, grid)
+        - divergence_arrays([m_flux * d for d in du], grid)
+        - lam * divergence_arrays([b * m for b in bvals], grid)
+        - 1.0
+    )
+    return r1, r2
 
 
 def residual(
@@ -261,38 +290,14 @@ def residual(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    grid = spec.grid
     m = s.m.reshaped()
-    if np.min(m) <= 0.0:
-        raise NonPositiveDensity(f"min(m) = {np.min(m):g} <= 0 in residual")
-    u = s.u.reshaped()
-    alpha = spec.alpha
-
-    du = gradient_arrays(s.u)
-    du_sq = sum(d * d for d in du)
-    bvals = _drift_arrays(spec.drift, grid)
-
-    r1 = (
-        u
-        - laplacian_array(u, grid)
-        + du_sq / (2.0 * m**alpha)
-        + lam * sum(b * d for b, d in zip(bvals, du))
-        - potential_term(spec, lam, m)
-    )
-
-    flux = [m ** (1.0 - alpha) * d for d in du]
-    r2 = (
-        m
-        - laplacian_array(m, grid)
-        - divergence_arrays(flux, grid)
-        - lam * divergence_arrays([b * m for b in bvals], grid)
-        - 1.0
-    )
-
+    if m.min() <= 0.0:
+        raise NonPositiveDensity(f"min(m) = {m.min():g} <= 0 in residual")
+    r1, r2 = _residual_arrays(spec, lam, s.u.reshaped(), m)
     if sources is not None:
         r1 = r1 - sources[0].reshaped()
         r2 = r2 - sources[1].reshaped()
-    return Field(grid, r1), Field(grid, r2)
+    return Field(spec.grid, r1), Field(spec.grid, r2)
 
 
 def exact_initial(spec: ProblemSpec) -> State:

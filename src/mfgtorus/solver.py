@@ -82,6 +82,8 @@ class StepOptions:
             raise ValueError("growth must be >= 1")
         if self.min_step > self.max_step:
             raise ValueError("min_step must not exceed max_step")
+        if self.initial_step > self.max_step:
+            raise ValueError("initial_step must not exceed max_step")
         if self.grow_iters < 0:
             raise ValueError("grow_iters must be >= 0")
 

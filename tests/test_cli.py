@@ -500,6 +500,8 @@ class TestConfigHardening:
         [
             ("continuation", {"shrink": 2}, "shrink must lie in (0, 1)"),
             ("continuation", {"min_step": 5}, "min_step must not exceed max_step"),
+            ("continuation", {"initial_step": 0.9, "max_step": 0.25},
+             "initial_step must not exceed max_step"),
             ("continuation", {"grow_iters": -1}, "grow_iters must be >= 0"),
             ("solver", {"max_iters": 2.5}, "solver.max_iters: expected an integer"),
             ("continuation", {"grow_iters": 1.5}, "continuation.grow_iters: expected an integer"),
@@ -518,10 +520,10 @@ class TestConfigHardening:
                      "m": {"const": 0.2, "cos": [0.5], "sin": [0.0]}},
              "mms.m: manufactured m must have constant term exceeding its harmonic amplitudes"),
         ],
-        ids=["shrink-out-of-range", "min-step-above-max-step", "negative-grow-iters",
-             "fractional-max-iters", "fractional-grow-iters", "nan-scalar", "infinite-list-entry",
-             "integer-beyond-float-range", "grids-not-doubling", "empty-drift-scales",
-             "bad-mms-density"],
+        ids=["shrink-out-of-range", "min-step-above-max-step", "initial-step-above-max-step",
+             "negative-grow-iters", "fractional-max-iters", "fractional-grow-iters", "nan-scalar",
+             "infinite-list-entry", "integer-beyond-float-range", "grids-not-doubling",
+             "empty-drift-scales", "bad-mms-density"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

@@ -18,6 +18,7 @@ from mfgtorus import (
     TrigForm,
     cancellation_check,
     constant_field,
+    continuation_solve,
     exact_initial,
     inverse_moment,
     make_snapshot,
@@ -26,10 +27,11 @@ from mfgtorus import (
     monotonicity_gap,
     sup_bound_check,
 )
-from mfgtorus.diagnostics import DiagnosticsConfig
+from mfgtorus import diagnostics
+from mfgtorus.diagnostics import DiagnosticsConfig, DiagnosticsSnapshot
 from mfgtorus.grid import mesh
 
-from conftest import suite_problem
+from conftest import problem_2d, suite_problem
 
 TWO_PI = 2 * np.pi
 NEWTON_TOL = NewtonOptions().tol_residual  # the tolerance the solutions below were solved to
@@ -376,3 +378,62 @@ class TestSnapshot:
             spec, exact_initial(spec), lam=0.0, r_values=(0.5, 2.0), newton_tol=NEWTON_TOL
         )
         assert [r for r, _, _ in snap.inverse_moments] == [2.0]
+
+
+def snapshot_from_checks(spec, s, lam, r_values, tol):
+    """The snapshot assembled from the public per-r checks, one call per r."""
+    rs = [r for r in r_values if r > spec.alpha]
+    sup_u, bound, _ = sup_bound_check(spec, s, lam)
+    mass_defect, min_m = mass_positivity_check(s)
+    identities = ()
+    if lam == 1.0:
+        try:
+            identities = tuple((r, moment_identity_check(spec, s, r, tol)[2]) for r in rs)
+        except NotASolution:
+            pass
+    return DiagnosticsSnapshot(
+        sup_u, bound, min_m, mass_defect,
+        tuple((r, *inverse_moment(spec, s, r)) for r in rs),
+        tuple((r, cancellation_check(spec, s, r)) for r in rs),
+        identities,
+    )
+
+
+@pytest.fixture(scope="module")
+def snapshot_solutions():
+    """lam = 1 solutions: 1-D n = 64 at alpha 0.5 and 0.9, 2-D n = 16 at alpha 0.5."""
+    specs = {"1d": suite_problem(0.5, n=64), "1d-alpha-0.9": suite_problem(0.9, n=64),
+             "2d": problem_2d(n=16)}
+    return {key: (spec, continuation_solve(spec)[0]) for key, spec in specs.items()}
+
+
+class TestSnapshotEqualsChecks:
+    R_VALUES = (0.5, 1.0, 2.0, 4.0)  # 0.5 is skipped at both alphas
+
+    @pytest.mark.parametrize("key", ["1d", "1d-alpha-0.9", "2d"])
+    @pytest.mark.parametrize("case", ["lam-0.5", "solution", "off-solution"])
+    def test_bitwise_equal(self, snapshot_solutions, key, case):
+        spec, s = snapshot_solutions[key]
+        lam = 0.5 if case == "lam-0.5" else 1.0
+        if case == "off-solution":  # residual far above 100x the tolerance
+            s = State(Field(spec.grid, s.u.values + 1e-3), s.m)
+        snap = make_snapshot(spec, s, lam, self.R_VALUES, NEWTON_TOL)
+        assert snap == snapshot_from_checks(spec, s, lam, self.R_VALUES, NEWTON_TOL)
+        assert len(snap.inverse_moments) == 3
+        assert bool(snap.moment_identity_defects) == (case == "solution")
+
+    @pytest.mark.parametrize("lam, calls", [(0.5, 0), (1.0, 1)])
+    def test_one_residual_per_snapshot_at_lambda_one(self, snapshot_solutions, monkeypatch, lam, calls):
+        spec, s = snapshot_solutions["1d"]
+        original = diagnostics.residual
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "residual", counting)
+        snap = make_snapshot(spec, s, lam, self.R_VALUES, NEWTON_TOL)
+        assert len(snap.moment_identity_defects) == (3 if lam == 1.0 else 0)
+        assert seen == [1.0] * calls
+

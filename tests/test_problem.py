@@ -16,8 +16,8 @@ from mfgtorus import (
     residual,
     sup_norm,
 )
-from mfgtorus.grid import _neighbours, mesh
-from mfgtorus.problem import _drift_arrays, _on_grid, effective_potential
+from mfgtorus.grid import _neighbours, divergence_arrays, gradient_arrays, laplacian_array, mesh
+from mfgtorus.problem import _drift_arrays, _on_grid, _residual_arrays, effective_potential
 
 from conftest import suite_problem
 
@@ -87,11 +87,16 @@ class TestResidual:
         bad = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 0.0))
         with pytest.raises(NonPositiveDensity):
             residual(spec, 0.0, bad)
+        m = np.ones(spec.grid.size)
+        m[5] = -1e-3  # one negative entry among positive ones
+        with pytest.raises(NonPositiveDensity):
+            residual(spec, 0.0, State(constant_field(spec.grid, 0.0), Field(spec.grid, m)))
 
     def test_rejects_lambda_outside_unit_interval(self):
         spec = suite_problem(0.5, n=16)
-        with pytest.raises(ValueError):
-            residual(spec, 1.5, exact_initial(spec))
+        for lam in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                residual(spec, lam, exact_initial(spec))
 
     def test_monotonization_scales_with_homotopy(self):
         # at lam=0 the perturbation is off (the explicit start stays exact);
@@ -106,6 +111,87 @@ class TestResidual:
         assert np.max(np.abs(r_plain.values - r_eps.values)) == pytest.approx(
             expected_shift, abs=1e-14
         )
+
+
+def residual_reference(spec, lam, u, m, sources):
+    """The residual expression as written before the array kernel, term by term in the same order."""
+    grid = spec.grid
+    alpha = spec.alpha
+    pot = spec.potential
+    ax = pot.a.value(mesh(grid))
+    bvals = [c.value(mesh(grid)) for c in spec.drift.components]
+    if pot.form == "separable":
+        v = ax + pot.kappa * np.arctan(m)
+    elif pot.form == "saturating":
+        v = ax + pot.kappa * m / (1.0 + m)
+    else:
+        v = ax * np.ones_like(m)
+    v_eff = v + spec.epsilon_monotone * np.arctan(m)
+    du = gradient_arrays(Field(grid, u))
+    du_sq = sum(d * d for d in du)
+    r1 = (
+        u
+        - laplacian_array(u, grid)
+        + du_sq / (2.0 * m**alpha)
+        + lam * sum(b * d for b, d in zip(bvals, du))
+        - (lam * v_eff + (1.0 - lam) * np.arctan(m))
+    )
+    flux = [m ** (1.0 - alpha) * d for d in du]
+    r2 = (
+        m
+        - laplacian_array(m, grid)
+        - divergence_arrays(flux, grid)
+        - lam * divergence_arrays([b * m for b in bvals], grid)
+        - 1.0
+    )
+    if sources is not None:
+        r1 = r1 - sources[0].reshaped()
+        r2 = r2 - sources[1].reshaped()
+    return r1, r2
+
+
+class TestResidualKernel:
+    """The kernel and `residual` reproduce the reference expression bit for bit."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 256), (2, 8), (2, 9), (2, 48)])
+    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("x_only", 0.0)])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_bitwise_equal_to_reference(self, dim, n, form, kappa, eps):
+        grid = GridSpec(dim, n)
+        a = TrigForm(0.2, (0.4,) * dim, (-0.3,) * dim)
+        drift = DriftSpec(tuple(TrigForm(0.1, (0.2,) * dim, (0.5,) * dim) for _ in range(dim)))
+        spec = ProblemSpec(grid, 0.6, PotentialSpec(form, a, kappa), drift, eps)
+        rng = np.random.default_rng(n + 10 * dim)
+        s = State(Field(grid, 0.3 * rng.standard_normal(grid.size)),
+                  Field(grid, 1.0 + 0.5 * rng.uniform(-1, 1, grid.size)))
+        sources = (Field(grid, rng.standard_normal(grid.size)), Field(grid, rng.standard_normal(grid.size)))
+        for lam in (0.0, 0.37, 1.0):
+            kernel = _residual_arrays(spec, lam, s.u.reshaped(), s.m.reshaped())
+            for got, want in zip(kernel, residual_reference(spec, lam, s.u.reshaped(), s.m.reshaped(), None)):
+                assert np.array_equal(got, want)
+            for src in (None, sources):
+                got = residual(spec, lam, s, src)
+                want = residual_reference(spec, lam, s.u.reshaped(), s.m.reshaped(), src)
+                for field, arr in zip(got, want):
+                    assert np.array_equal(field.values, arr.ravel())
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_complex_step_through_kernel_matches_jacobian(self, dim, n):
+        # the kernel takes complex arrays: Im F(x + i t w) / t is J w with no cancellation
+        from mfgtorus.linearization import assemble_jacobian
+
+        spec = next(s for s in catalog_battery() if s.grid.dim == dim and s.alpha == 0.5)
+        spec = ProblemSpec(GridSpec(dim, n), spec.alpha, spec.potential, spec.drift, 0.05)
+        rng = np.random.default_rng(4)
+        x = np.concatenate([0.3 * rng.standard_normal(spec.grid.size),
+                            1.0 + 0.4 * rng.uniform(-1, 1, spec.grid.size)])
+        w = rng.standard_normal(x.size)
+        t = 1e-30
+        z = (x + 1j * t * w).reshape((2, *spec.grid.shape))
+        for lam in (0.37, 1.0):
+            jw = np.concatenate([r.imag.ravel() for r in _residual_arrays(spec, lam, z[0], z[1])]) / t
+            exact = assemble_jacobian(spec, lam, State.from_stacked(spec.grid, x)).matrix @ w
+            assert np.max(np.abs(jw - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestExactInitial:

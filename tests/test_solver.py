@@ -405,6 +405,10 @@ class TestContinuation:
             StepOptions(growth=0.5)
         with pytest.raises(ValueError):
             StepOptions(initial_step=-0.1)
+        # a first step above the cap would skip past it: lambda = 0 -> 0.9 -> 1.0
+        with pytest.raises(ValueError, match="initial_step must not exceed max_step"):
+            StepOptions(initial_step=0.9, max_step=0.25)
+        assert StepOptions(initial_step=0.25, max_step=0.25).initial_step == 0.25
 
     def test_accepted_states_satisfy_mass_and_positivity(self, reference_solution):
         _, _, trace = reference_solution

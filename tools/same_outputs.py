@@ -5,8 +5,12 @@
 Each tree is the root of a checkout.  Every operation of the three workloads in
 `perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
 inputs the stored reference was made from (`build(w, None, dir)`), and so are
-two `jacobian-check` operations with `output.dump_matrix` on the workloads'
-reference problem (1-D n = 32 and 2-D n = 16), which no workload runs.  Each tree runs
+operations that no workload runs: two `jacobian-check` operations with
+`output.dump_matrix` on the workloads' reference problem (1-D n = 32 and 2-D
+n = 16), and the branches of the residual and of the certificates that every
+workload's `separable` potential with epsilon_monotone = 0 skips: a 1-D n = 64
+solve with a `saturating` potential and epsilon_monotone = 0.2, a 2-D n = 16
+solve with an `x_only` potential, and a `verify` of the written 1-D state.  Each tree runs
 once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
 Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the stdout of every
@@ -35,6 +39,9 @@ import workloads  # noqa: E402
 
 # (dim, n) of each jacobian-check operation
 JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16)}
+# (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch
+BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
+                 "solve-x-only-2d": (2, 16, "x_only", 0.0, 0.0)}
 
 # Runs one tree: each workload in its own directory, where each operation
 # writes its outputs under its own directory and its stdout to <id>.stdout;
@@ -65,6 +72,23 @@ def jacobian_check_ops(config_dir: Path) -> list[dict]:
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
         config.write_text(json.dumps({"problem": problem, "output": {"dump_matrix": True}}))
         ops.append({"id": op_id, "argv": ["jacobian-check", "--config", str(config), "--out", op_id]})
+    return ops
+
+
+def branch_ops(config_dir: Path) -> list[dict]:
+    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations and a verify."""
+    ops = []
+    for op_id, (dim, n, form, kappa, eps) in BRANCH_SOLVES.items():
+        config = config_dir / f"{op_id}.json"
+        problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
+        problem["potential"].update(form=form, kappa=kappa)
+        problem["epsilon_monotone"] = eps
+        config.write_text(json.dumps({"problem": problem}))
+        ops.append({"id": op_id, "argv": ["solve", "--config", str(config), "--out", op_id]})
+    config = config_dir / "solve-saturating-1d.json"
+    state = ["solve-saturating-1d/u.csv", "solve-saturating-1d/m.csv"]
+    argv = ["verify", "--config", str(config), "--out", "verify-saturating-1d", "--state", *state]
+    ops.append({"id": "verify-saturating-1d", "argv": argv})
     return ops
 
 
@@ -144,6 +168,8 @@ def main(argv: list[str]) -> int:
             ops[workload] = workloads.build(workload, None, config_dir)
         (tmp / "configs" / "jacobian-check").mkdir()
         ops["jacobian-check"] = jacobian_check_ops(tmp / "configs" / "jacobian-check")
+        (tmp / "configs" / "branches").mkdir()
+        ops["branches"] = branch_ops(tmp / "configs" / "branches")
         ops_file = tmp / "configs" / "ops.json"
         ops_file.write_text(json.dumps(ops))
         for label, tree in zip(("parent", "change"), trees):
