@@ -29,6 +29,7 @@ from .errors import (
     MaxItersExceeded,
     MFGError,
     NoDescent,
+    NonFiniteResidual,
     NonPositiveDensity,
     NotASolution,
     SolverFailure,

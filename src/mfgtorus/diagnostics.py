@@ -29,7 +29,10 @@ SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    """Which certificates run and at which moment exponents; `checks` defaults to every known check."""
+    """Which certificates run and at which moment exponents; `checks` defaults to every known check.
+
+    `identity_budget_factor` times h^2 budgets both the `cancellation` and the `identity` check.
+    """
 
     r_values: tuple[float, ...] = (1.0, 2.0, 4.0)
     checks: tuple[str, ...] = ("mass", "positivity", "sup", "moment", "cancellation", "identity")
@@ -39,6 +42,8 @@ class DiagnosticsConfig:
         known = DiagnosticsConfig.checks
         if any(c not in known for c in self.checks):
             raise ValueError(f"checks must be among {known}")
+        if self.identity_budget_factor <= 0:
+            raise ValueError("identity_budget_factor must be positive")
 
 
 def certified_u_bound(spec: ProblemSpec, lam: float = 1.0) -> float:

@@ -37,6 +37,10 @@ class NoDescent(SolverFailure):
     """Damping underflowed without finding a residual-decreasing, positivity-preserving step."""
 
 
+class NonFiniteResidual(SolverFailure):
+    """The residual, or a manufactured source (the continuum residual of its pair), overflowed to inf or NaN."""
+
+
 class MaxItersExceeded(SolverFailure):
     """Newton hit the iteration cap before reaching the residual tolerance."""
 

@@ -119,19 +119,13 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
     )
 
 
-def _band_slots(inverse: np.ndarray, kl: int, ku: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Flat index of each CSR slot in the Fortran-ordered (2 kl + ku + 1, 2n) band storage of `gbsv`."""
-    rows, cols = inverse[_coo_rows(indptr)], inverse[indices]
-    return kl + ku + rows - cols + cols * (2 * kl + ku + 1)
-
-
 @lru_cache(maxsize=64)
 def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
     """(order, inverse, kl, ku, slots): the 1-D Jacobian as a band with no periodic corner entries.
 
     The ring of nodes is folded as 0, n-1, 1, n-2, ..., with v_i and f_i of each node
     adjacent: unknown k of the band is unknown `order[k]` of the stacked (v, f), and
-    `inverse` maps back.  kl/ku are the widths the pattern needs, `slots` its `_band_slots`.
+    `inverse` maps back.  kl/ku are the widths the pattern needs, `slots` the `gbsv` band index of each CSR slot.
     """
     n = grid.n
     node = np.arange(n)
@@ -140,7 +134,7 @@ def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.n
     pattern = _jacobian_pattern(grid)
     offsets = inverse[_coo_rows(pattern.indptr)] - inverse[pattern.indices]
     kl, ku = int(offsets.max()), -int(offsets.min())
-    slots = _band_slots(inverse, kl, ku, pattern.indptr, pattern.indices)
+    slots = kl + ku + offsets + inverse[pattern.indices] * (2 * kl + ku + 1)
     return read_only(order), read_only(inverse), kl, ku, read_only(slots)
 
 
@@ -159,9 +153,9 @@ def assemble_jacobian(
 
     Every differential term reuses the stencils of `residual` exactly.  The
     values are summed with `np.bincount` into the structure `_jacobian_pattern`
-    builds once per grid, term by term in the order of the expression, and
-    entries that come out exactly zero are dropped.  `res`, the residual at
-    (lam, s) when the caller has it, gives the right-hand side; else it is evaluated.
+    builds once per grid, term by term in the order of the expression.  Exact
+    zeros stay in it, so every matrix on a grid has that one structure.  `res`, the
+    residual at (lam, s) when the caller has it, gives the right-hand side; else it is evaluated.
     """
     grid = spec.grid
     m = s.m.values
@@ -191,12 +185,7 @@ def assemble_jacobian(
 
     weights = np.concatenate([*pattern.eye_minus_lap, *vv, vf, -fv, *pattern.eye_minus_lap, *ff])
     data = np.bincount(pattern.slots, weights, minlength=pattern.indices.size)
-    shape = (2 * grid.size, 2 * grid.size)
-    if data.all():
-        mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape)
-    else:
-        mat = sparse.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=shape)
-        mat.eliminate_zeros()
+    mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(2 * grid.size, 2 * grid.size))
 
     r1, r2 = res if res is not None else residual(spec, lam, s, sources)
     rhs = -np.concatenate([r1.values, r2.values])

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveDensity
+from .errors import NonFiniteResidual, NonPositiveDensity
 from .grid import (
     Field,
     GridSpec,
@@ -286,18 +286,28 @@ def residual(
     """Both components of F(lam, u, m); zero at lam=1, eps=0 certifies a discrete solution.
 
     `sources` subtracts manufactured right-hand sides (verification harness).
-    Raises NonPositiveDensity when min(m) <= 0: the caller must damp its step.
+    Raises NonPositiveDensity when min(m) <= 0: the caller must damp its step;
+    NonFiniteResidual when a term overflows.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity(f"min(m) = {m.min():g} <= 0 in residual")
-    r1, r2 = _residual_arrays(spec, lam, s.u.reshaped(), m)
+    with np.errstate(all="ignore"):  # an overflow is reported by _finite_pair, not warned about
+        r1, r2 = _residual_arrays(spec, lam, s.u.reshaped(), m)
     if sources is not None:
         r1 = r1 - sources[0].reshaped()
         r2 = r2 - sources[1].reshaped()
-    return Field(spec.grid, r1), Field(spec.grid, r2)
+    return _finite_pair(spec.grid, r1, r2, "the residual at lambda = %g", lam)
+
+
+def _finite_pair(grid: GridSpec, r1: np.ndarray, r2: np.ndarray, what: str, *args) -> tuple[Field, Field]:
+    """(Field(grid, r1), Field(grid, r2)); NonFiniteResidual names `what % args` if either holds inf or NaN."""
+    try:
+        return Field(grid, r1), Field(grid, r2)
+    except ValueError as err:  # of the grid's size, a Field rejects only non-finite values
+        raise NonFiniteResidual(f"{what % args} is not finite") from err
 
 
 def exact_initial(spec: ProblemSpec) -> State:

@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
 )
 from .grid import diff_matrix, laplacian_matrix, sup_norm
-from .linearization import LinearizedSystem, _band_layout, _band_slots, assemble_jacobian
+from .linearization import LinearizedSystem, _band_layout, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
 log = logging.getLogger("mfgtorus")
@@ -181,13 +181,12 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
 
 
 def _solve_band(sys: LinearizedSystem) -> np.ndarray | None:
-    """1-D banded LU (LAPACK gbsv) in the `_band_layout` order; None on a zero pivot or non-finite answer."""
+    """Banded LU (LAPACK gbsv) in `_band_layout` order; None off its structure, on a zero pivot or non-finite x."""
     order, inverse, kl, ku, slots = _band_layout(sys.grid)
-    mat = sys.matrix
-    if mat.nnz != slots.size:  # assemble_jacobian dropped exact zeros from the pattern
-        slots = _band_slots(inverse, kl, ku, mat.indptr, mat.indices)
-    band = np.zeros((mat.shape[0], 2 * kl + ku + 1))
-    band.ravel()[slots] = mat.data
+    if sys.matrix.nnz != slots.size:
+        return None
+    band = np.zeros((order.size, 2 * kl + ku + 1))
+    band.ravel()[slots] = sys.matrix.data
     _, _, x, info = dgbsv(kl, ku, band.T, sys.rhs[order, None], overwrite_ab=True, overwrite_b=True)
     return x[inverse, 0] if info == 0 and np.all(np.isfinite(x)) else None
 

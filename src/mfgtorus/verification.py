@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, mesh
-from .problem import ProblemSpec, State, TrigForm, _drift_arrays, effective_potential, exact_initial
+from .problem import ProblemSpec, State, TrigForm, _drift_arrays, _finite_pair, effective_potential, exact_initial
 from .solver import NewtonOptions, newton_solve
 
 
@@ -53,37 +53,38 @@ def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
     """Evaluate the continuum lam=1 operators on the closed forms, restricted to the grid.
 
     The returned pair (S1, S2) makes (u*, m*) an exact continuum solution of the
-    augmented system F(1, u, m) = (S1, S2).
+    augmented system F(1, u, m) = (S1, S2).  Raises NonFiniteResidual if a term overflows.
     """
     spec = case.spec
     a = spec.alpha
     xs = mesh(grid)
     dim = grid.dim
 
-    u = case.u_exact.value(xs)
-    m = case.m_exact.value(xs)
-    du = [case.u_exact.deriv(xs, ax) for ax in range(dim)]
-    ddu = [case.u_exact.second_deriv(xs, ax) for ax in range(dim)]
-    dm = [case.m_exact.deriv(xs, ax) for ax in range(dim)]
-    ddm = [case.m_exact.second_deriv(xs, ax) for ax in range(dim)]
-    lap_u = sum(ddu)
-    lap_m = sum(ddm)
-    du_sq = sum(d * d for d in du)
+    with np.errstate(all="ignore"):  # an overflow is reported by _finite_pair, not warned about
+        u = case.u_exact.value(xs)
+        m = case.m_exact.value(xs)
+        du = [case.u_exact.deriv(xs, ax) for ax in range(dim)]
+        ddu = [case.u_exact.second_deriv(xs, ax) for ax in range(dim)]
+        dm = [case.m_exact.deriv(xs, ax) for ax in range(dim)]
+        ddm = [case.m_exact.second_deriv(xs, ax) for ax in range(dim)]
+        lap_u = sum(ddu)
+        lap_m = sum(ddm)
+        du_sq = sum(d * d for d in du)
 
-    bvals = _drift_arrays(spec.drift, grid)
-    db = [spec.drift.components[ax].deriv(xs, ax) for ax in range(dim)]
+        bvals = _drift_arrays(spec.drift, grid)
+        db = [spec.drift.components[ax].deriv(xs, ax) for ax in range(dim)]
 
-    v_eff = effective_potential(spec, grid, m)
-    s1 = u - lap_u + du_sq / (2.0 * m**a) + sum(b * d for b, d in zip(bvals, du)) - v_eff
+        v_eff = effective_potential(spec, grid, m)
+        s1 = u - lap_u + du_sq / (2.0 * m**a) + sum(b * d for b, d in zip(bvals, du)) - v_eff
 
-    # div(m^(1-a) Du) by the chain rule, then div(b m) likewise
-    flux_div = sum(
-        (1.0 - a) * m**-a * dmi * dui + m ** (1.0 - a) * ddui
-        for dmi, dui, ddui in zip(dm, du, ddu)
-    )
-    drift_div = sum(dbi * m + bi * dmi for dbi, bi, dmi in zip(db, bvals, dm))
-    s2 = m - lap_m - flux_div - drift_div - 1.0
-    return Field(grid, s1), Field(grid, s2)
+        # div(m^(1-a) Du) by the chain rule, then div(b m) likewise
+        flux_div = sum(
+            (1.0 - a) * m**-a * dmi * dui + m ** (1.0 - a) * ddui
+            for dmi, dui, ddui in zip(dm, du, ddu)
+        )
+        drift_div = sum(dbi * m + bi * dmi for dbi, bi, dmi in zip(db, bvals, dm))
+        s2 = m - lap_m - flux_div - drift_div - 1.0
+    return _finite_pair(grid, s1, s2, "the manufactured source on n = %d", grid.n)
 
 
 @dataclass(frozen=True)

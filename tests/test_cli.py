@@ -204,6 +204,18 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "jacobian_final.mtx").exists()
 
+    def test_overflowing_residual_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
+        # every trial state's residual overflows; each is a step failure until the step underflows
+        doc = base_config(diagnostics={"r_values": []})
+        doc["problem"].update(n=32, epsilon_monotone=1e308)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("continuation stalled: ")
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["failures"] and {f["error"] for f in trace["failures"]} == {"NonFiniteResidual"}
+
     def test_majorant_overflow_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
         doc = base_config()
         doc["problem"].update(n=16, potential={"form": "separable", "kappa": 1e40, "a_cos": [0.5]})
@@ -352,6 +364,20 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("run failed: the moment majorant overflows at r = 400, alpha = 0.5")
 
+    def test_overflowing_residual_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
+        from mfgtorus import Field, GridSpec, constant_field
+
+        grid = GridSpec(1, 32)
+        doc = base_config()
+        doc["problem"]["n"] = 32
+        x = np.arange(32) / 32
+        save_field(Field(grid, 1e200 * np.sin(2 * np.pi * x)), tmp_path / "u.csv")
+        save_field(constant_field(grid, 1.0), tmp_path / "m.csv")
+        code = main(["verify", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "ver"),
+                     "--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["run failed: the residual at lambda = 1 is not finite"]
+
     def test_overflowing_identities_exit_two_with_one_line(self, tmp_path, capsys):
         # without the moment check no majorant bounds r, and m^r leaves the float range
         doc = base_config()
@@ -411,6 +437,14 @@ class TestMmsCommand:
     def test_missing_section_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         assert main(["mms", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    def test_overflowing_source_exits_two_with_one_line(self, tmp_path, capsys):
+        doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [1e200]}, "m": {"const": 1.0, "cos": [0.25]}})
+        doc["problem"]["n"] = 32
+        assert main(["mms", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["mms solve failed: the manufactured source on n = 16 is not finite"]
+        assert not (tmp_path / "x" / "rates.csv").exists()
 
 
 class TestJacobianCheckCommand:
@@ -519,11 +553,15 @@ class TestConfigHardening:
             ("mms", {"grids": [16, 32, 64], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
                      "m": {"const": 0.2, "cos": [0.5], "sin": [0.0]}},
              "mms.m: manufactured m must have constant term exceeding its harmonic amplitudes"),
+            ("diagnostics", {"identity_budget_factor": -1},
+             "diagnostics: identity_budget_factor must be positive"),
+            ("diagnostics", {"identity_budget_factor": 0},
+             "diagnostics: identity_budget_factor must be positive"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "initial-step-above-max-step",
              "negative-grow-iters", "fractional-max-iters", "fractional-grow-iters", "nan-scalar",
              "infinite-list-entry", "integer-beyond-float-range", "grids-not-doubling",
-             "empty-drift-scales", "bad-mms-density"],
+             "empty-drift-scales", "bad-mms-density", "negative-budget-factor", "zero-budget-factor"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

@@ -148,20 +148,28 @@ class TestPatternFill:
                 for lam in (0.0, 0.5, 1.0):
                     got = assemble_jacobian(spec, lam, s, sources)
                     want = reference_jacobian(spec, lam, s)
+                    # the reference stores no exact zeros; the pattern fill keeps them
+                    stored = got.matrix.copy()
+                    stored.eliminate_zeros()
                     for attr in ("indptr", "indices", "data"):
-                        a, b = getattr(got.matrix, attr), getattr(want, attr)
+                        a, b = getattr(stored, attr), getattr(want, attr)
                         assert a.dtype == b.dtype and np.array_equal(a, b), (attr, alpha, lam)
                     r1, r2 = residual(spec, lam, s, sources)
                     assert np.array_equal(got.rhs, -np.concatenate([r1.values, r2.values]))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_exact_zeros_are_dropped(self, dim):
-        # alpha = 0, kappa = 0, lam = 1: the whole v-f coupling is zero and stores nothing
+    def test_exact_zeros_stay_in_the_pattern(self, dim):
+        # alpha = 0, kappa = 0, lam = 1: the whole v-f coupling is zero, and stored
+        from mfgtorus.linearization import _jacobian_pattern
+
         spec, _ = coefficient_case(dim, 9, "flat", 0.0)
         mat = assemble_jacobian(spec, 1.0, random_positive_state(spec.grid, seed=1)).matrix
+        pattern = _jacobian_pattern(spec.grid)
         n = spec.grid.size
-        assert mat[:n, n:].nnz == 0
-        assert np.all(mat.data != 0.0)
+        assert mat.nnz == pattern.indices.size
+        assert np.shares_memory(mat.indices, pattern.indices)
+        assert np.shares_memory(mat.indptr, pattern.indptr)
+        assert mat[:n, n:].count_nonzero() == 0
 
     def test_given_residual_becomes_the_right_hand_side(self):
         spec = suite_problem(0.5, n=16)

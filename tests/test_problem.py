@@ -5,6 +5,7 @@ from mfgtorus import (
     DriftSpec,
     Field,
     GridSpec,
+    NonFiniteResidual,
     NonPositiveDensity,
     PotentialSpec,
     ProblemSpec,
@@ -91,6 +92,18 @@ class TestResidual:
         m[5] = -1e-3  # one negative entry among positive ones
         with pytest.raises(NonPositiveDensity):
             residual(spec, 0.0, State(constant_field(spec.grid, 0.0), Field(spec.grid, m)))
+
+    def test_overflow_raises_a_solver_failure(self):
+        # |Du|^2 overflows; a SolverFailure lets the continuation shrink its step
+        from mfgtorus import SolverFailure
+
+        spec = suite_problem(0.5, n=16)
+        x = mesh(spec.grid)[0].ravel()
+        big = State(Field(spec.grid, 1e200 * np.sin(2 * np.pi * x)), constant_field(spec.grid, 1.0))
+        for lam in (0.0, 1.0):
+            with pytest.raises(NonFiniteResidual, match="the residual at lambda = .* is not finite"):
+                residual(spec, lam, big)
+        assert issubclass(NonFiniteResidual, SolverFailure)
 
     def test_rejects_lambda_outside_unit_interval(self):
         spec = suite_problem(0.5, n=16)

@@ -310,12 +310,12 @@ class TestBandSolve:
         spec = {
             "reference": one_d_problem(n, 0.5, 0.3),
             "strong": one_d_problem(n, 4.0, 4.0),
-            # alpha = kappa = 0 and no drift: the A_vf diagonal is exactly zero at lam = 1
+            # alpha = kappa = 0 and no drift: the A_vf diagonal is exactly zero at lam = 1, and stored
             "no-coupling": one_d_problem(n, 0.5, 0.0, alpha=0.0, kappa=0.0),
         }[case]
         sys = assemble_jacobian(spec, lam, smooth_state(spec.grid))
-        pattern_size = _band_layout(spec.grid)[4].size
-        assert (sys.matrix.nnz < pattern_size) == (case == "no-coupling")
+        assert sys.matrix.nnz == _band_layout(spec.grid)[4].size
+        assert (sys.matrix.count_nonzero() < sys.matrix.nnz) == (case == "no-coupling")
         delta, path, iterations = _solve_linear(sys, spec.alpha)
         direct = spsolve(sys.matrix, sys.rhs)
         assert (path, iterations) == ("band", 0)
@@ -355,6 +355,23 @@ class TestBandSolve:
         assert (path, iterations) == ("direct", 0)
         np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
 
+    def test_matrix_off_the_pattern_goes_to_the_direct_solve(self):
+        from dataclasses import replace
+
+        from scipy.sparse.linalg import spsolve
+
+        from mfgtorus.solver import _solve_band
+
+        spec = one_d_problem(16, 0.5, 0.0, alpha=0.0, kappa=0.0)
+        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+        matrix = sys.matrix.copy()
+        matrix.eliminate_zeros()  # the zero A_vf diagonal leaves the structure
+        dropped = replace(sys, matrix=matrix)
+        assert _solve_band(dropped) is None
+        delta, path, _ = _solve_linear(dropped, spec.alpha)
+        assert path == "direct"
+        np.testing.assert_array_equal(delta, spsolve(matrix, sys.rhs))
+
     def test_singular_system_ends_in_the_pinned_solve(self):
         from dataclasses import replace
 
@@ -363,10 +380,9 @@ class TestBandSolve:
         spec = one_d_problem(16, 0.5, 0.3)
         sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
         matrix = sys.matrix.copy()
-        matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row
-        matrix.eliminate_zeros()
+        matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
         singular = replace(sys, matrix=matrix)
-        assert _solve_band(singular) is None
+        assert _solve_band(singular) is None  # gbsv meets the zero pivot
         delta, path, _ = _solve_linear(singular, spec.alpha)
         assert path == "pinned"
         np.testing.assert_array_equal(delta, _solve_pinned(matrix, sys.rhs, spec.grid.size))

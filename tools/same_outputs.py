@@ -10,7 +10,10 @@ operations that no workload runs: two `jacobian-check` operations with
 n = 16), and the branches of the residual and of the certificates that every
 workload's `separable` potential with epsilon_monotone = 0 skips: a 1-D n = 64
 solve with a `saturating` potential and epsilon_monotone = 0.2, a 2-D n = 16
-solve with an `x_only` potential, and a `verify` of the written 1-D state.  Each tree runs
+solve with an `x_only` potential, and a `verify` of the written 1-D state; and two
+solves of the reference problem with kappa = 0 (1-D n = 64 and 2-D n = 16), whose
+Jacobians at lambda = 1 hold exact zeros, so that the band solve and GMRES on
+explicitly stored zeros are compared through full fields and traces.  Each tree runs
 once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
 Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the stdout of every
@@ -39,9 +42,12 @@ import workloads  # noqa: E402
 
 # (dim, n) of each jacobian-check operation
 JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16)}
-# (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch
+# (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch,
+# the last two with exact zeros in the lambda = 1 Jacobian
 BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
-                 "solve-x-only-2d": (2, 16, "x_only", 0.0, 0.0)}
+                 "solve-x-only-2d": (2, 16, "x_only", 0.0, 0.0),
+                 "solve-kappa0-1d": (1, 64, "separable", 0.0, 0.0),
+                 "solve-kappa0-2d": (2, 16, "separable", 0.0, 0.0)}
 
 # Runs one tree: each workload in its own directory, where each operation
 # writes its outputs under its own directory and its stdout to <id>.stdout;
