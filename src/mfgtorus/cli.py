@@ -19,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics as diag
-from .config import ConfigError, RunConfig, load_config
-from .errors import ContinuationStalled, MFGError, NotASolution, SolverFailure
+from .config import ConfigError, load_config
+from .errors import ContinuationStalled, MFGError, SolverFailure
 from .grid import load_field, save_field, sup_norm
 from .linearization import assemble_jacobian, coercivity_check
 from .problem import State, exact_initial, residual
@@ -117,52 +117,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _diagnostic_rows(cfg: RunConfig, s: State) -> list[dict]:
-    spec = cfg.problem
-    dcfg = cfg.diagnostics
-    h2 = spec.grid.h ** 2
-    rows = []
-
-    def add(check, r, value, threshold, passed, note=""):
-        rows.append(
-            {
-                "check": check,
-                "r": r,
-                "value": float(value),
-                "threshold": float(threshold),
-                "passed": bool(passed),
-                "note": note,
-            }
-        )
-
-    if "mass" in dcfg.checks or "positivity" in dcfg.checks:
-        mass_defect, min_m = diag.mass_positivity_check(s)
-        if "mass" in dcfg.checks:
-            add("mass", None, mass_defect, 10.0 * cfg.solver.tol_residual,
-                mass_defect <= 10.0 * cfg.solver.tol_residual)
-        if "positivity" in dcfg.checks:
-            add("positivity", None, min_m, 0.0, min_m > 0.0)
-    if "sup" in dcfg.checks:
-        sup_u, bound, ok = diag.sup_bound_check(spec, s)
-        add("sup", None, sup_u, bound + diag.SUP_TOL, ok)
-    for r in dcfg.r_values:
-        if "moment" in dcfg.checks:
-            value, majorant = diag.inverse_moment(spec, s, r)
-            add("moment", r, value, majorant, value <= majorant)
-        if "cancellation" in dcfg.checks:
-            value = diag.cancellation_check(spec, s, r)
-            budget = dcfg.identity_budget_factor * h2
-            add("cancellation", r, abs(value), budget, abs(value) <= budget)
-        if "identity" in dcfg.checks:
-            try:
-                lhs, _, defect = diag.moment_identity_check(spec, s, r, cfg.solver.tol_residual)
-                budget = dcfg.identity_budget_factor * h2 * max(1.0, abs(lhs))
-                add("identity", r, defect, budget, defect <= budget)
-            except NotASolution as err:
-                add("identity", r, float("inf"), 0.0, False, str(err))
-    return rows
-
-
 def _read_field(path):
     try:
         return load_field(path)
@@ -182,8 +136,8 @@ def cmd_verify(args) -> int:
         if u.grid.dim != cfg.problem.grid.dim:
             raise ConfigError(f"{u_path}: dimension {u.grid.dim} does not match the configured problem")
         # same problem family re-gridded: refined states give a refinement series
-        cfg_n = replace(cfg, problem=replace(cfg.problem, grid=u.grid))
-        rows = _diagnostic_rows(cfg_n, State(u, m))
+        spec = replace(cfg.problem, grid=u.grid)
+        _, rows = diag.make_snapshot(spec, State(u, m), 1.0, cfg.diagnostics, cfg.solver.tol_residual)
         entries.append({"n": u.grid.n, "checks": rows})
 
     all_passed = True

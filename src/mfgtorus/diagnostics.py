@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,8 @@ SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
 class DiagnosticsConfig:
     """Which certificates run and at which moment exponents; `checks` defaults to every known check.
 
+    `checks` means the same in every command: the per-r checks it leaves out are
+    neither recorded in the continuation's snapshots nor printed by `verify`.
     `identity_budget_factor` times h^2 budgets both the `cancellation` and the `identity` check.
     """
 
@@ -87,6 +90,7 @@ def _generic_constant(spec: ProblemSpec, r: float) -> float:
     )
 
 
+@lru_cache(maxsize=64)
 def moment_majorant(spec: ProblemSpec, r: float) -> float:
     """Closed-form bound on integral(m^-(r+1-alpha)) via two Young splittings:
 
@@ -94,7 +98,7 @@ def moment_majorant(spec: ProblemSpec, r: float) -> float:
         C2 = 4^(r-a) C^(r+1-a) (r-a)^(r-a-1) / (r+1-a)^(r+1-a)
         bound = 2 (r+1-a) (C1 + C2)
 
-    Raises MFGError when the bound does not fit in a float.
+    Raises MFGError when the bound does not fit in a float.  Cached: it depends on (spec, r) alone.
     """
     a = spec.alpha
     if a >= 1.0:
@@ -133,14 +137,13 @@ def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[fl
     return values
 
 
-def _cancellation_at(spec: ProblemSpec, s: State):
-    """`cancellation_check` on s as a function of r; the arrays that do not depend on r are built once."""
+def _cancellation_at(spec: ProblemSpec, s: State, du: list[np.ndarray], lap_u: np.ndarray):
+    """`cancellation_check` on s as a function of r, given Du and lap(u); the r-free arrays are built once."""
     grid = spec.grid
     a = spec.alpha
     m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity("cancellation check needs m > 0")
-    du, lap_u = gradient_and_laplacian(s.u.reshaped(), grid)
     m_flux = m ** (1.0 - a)
     flux_div = divergence_arrays([m_flux * d for d in du], grid)
 
@@ -161,11 +164,11 @@ def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
     """
     if r <= spec.alpha:
         raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
-    return _cancellation_at(spec, s)(r)
+    return _cancellation_at(spec, s, *gradient_and_laplacian(s.u.reshaped(), spec.grid))(r)
 
 
-def _identity_at(spec: ProblemSpec, s: State, tol: float):
-    """`moment_identity_check` on s as a function of r; the residual test and the r-free arrays run once."""
+def _identity_at(spec: ProblemSpec, s: State, tol: float, du: list[np.ndarray]):
+    """`moment_identity_check` on s as a function of r, given Du; the residual test and the r-free arrays run once."""
     grid = spec.grid
     a = spec.alpha
     m = s.m.reshaped()
@@ -176,7 +179,6 @@ def _identity_at(spec: ProblemSpec, s: State, tol: float):
         raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
 
     u = s.u.reshaped()
-    du = gradient_arrays(s.u)
     dm = gradient_arrays(s.m)
     du_sq = sum(d * d for d in du)
     dm_sq = sum(d * d for d in dm)
@@ -217,7 +219,7 @@ def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> 
     """
     if r <= spec.alpha:
         raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
-    return _identity_at(spec, s, tol)(r)
+    return _identity_at(spec, s, tol, gradient_arrays(s.u))(r)
 
 
 @dataclass(frozen=True)
@@ -317,33 +319,63 @@ class DiagnosticsSnapshot:
 
 
 def make_snapshot(
-    spec: ProblemSpec, s: State, lam: float, r_values: tuple[float, ...], newton_tol: float
-) -> DiagnosticsSnapshot:
-    """The checks' values on one state at each r > alpha; what does not depend on r is computed once."""
-    sup_u, bound, _ = sup_bound_check(spec, s, lam)
+    spec: ProblemSpec, s: State, lam: float, config: DiagnosticsConfig, newton_tol: float
+) -> tuple[DiagnosticsSnapshot, list[dict]]:
+    """The checks of `config` on one state: the snapshot the continuation records and the rows `verify` prints.
+
+    A row is one verdict {check, r, value, threshold, passed, note}, with r None for
+    the scalar checks.  The snapshot's scalar fields are always recorded; the per-r
+    checks run at each r > alpha.  What does not depend on r (Du, the r-free arrays,
+    the identity's residual test) is computed once.  Off a lam = 1 solution (to 100x
+    `newton_tol`) no identity defect is recorded and each identity row fails with the reason.
+    """
+    checks = config.checks
+    budget = config.identity_budget_factor * spec.grid.h**2
+    sup_u, bound, sup_ok = sup_bound_check(spec, s, lam)
     mass_defect, min_m = mass_positivity_check(s)
-    moments = []
-    cancels = []
-    identities = []
-    cancellation = _cancellation_at(spec, s)
-    try:
-        identity = _identity_at(spec, s, newton_tol) if lam == 1.0 else None
-    except NotASolution:
-        identity = None
+    rows = []
+
+    def row(check, r, value, threshold, passed, note=""):
+        rows.append({"check": check, "r": r, "value": float(value), "threshold": float(threshold),
+                     "passed": bool(passed), "note": note})
+
+    if "mass" in checks:
+        row("mass", None, mass_defect, 10.0 * newton_tol, mass_defect <= 10.0 * newton_tol)
+    if "positivity" in checks:
+        row("positivity", None, min_m, 0.0, min_m > 0.0)
+    if "sup" in checks:
+        row("sup", None, sup_u, bound + SUP_TOL, sup_ok)
+
+    r_values = [float(r) for r in config.r_values if r > spec.alpha]
+    cancellation = identity = None
+    not_a_solution = ""
+    if r_values and ("cancellation" in checks or "identity" in checks):
+        du, lap_u = gradient_and_laplacian(s.u.reshaped(), spec.grid)
+        if "cancellation" in checks:
+            cancellation = _cancellation_at(spec, s, du, lap_u)
+        if "identity" in checks and lam == 1.0:
+            try:
+                identity = _identity_at(spec, s, newton_tol, du)
+            except NotASolution as err:
+                not_a_solution = str(err)
+    moments, cancels, identities = [], [], []
     for r in r_values:
-        if r <= spec.alpha:
-            continue
-        value, majorant = inverse_moment(spec, s, r)
-        moments.append((float(r), value, majorant))
-        cancels.append((float(r), cancellation(r)))
+        if "moment" in checks:
+            value, majorant = inverse_moment(spec, s, r)
+            moments.append((r, value, majorant))
+            row("moment", r, value, majorant, value <= majorant)
+        if cancellation is not None:
+            value = cancellation(r)
+            cancels.append((r, value))
+            row("cancellation", r, abs(value), budget, abs(value) <= budget)
         if identity is not None:
-            identities.append((float(r), identity(r)[2]))
-    return DiagnosticsSnapshot(
-        sup_u=sup_u,
-        sup_bound_V=bound,
-        min_m=min_m,
-        mass_defect=mass_defect,
-        inverse_moments=tuple(moments),
-        cancellation_residuals=tuple(cancels),
-        moment_identity_defects=tuple(identities),
+            lhs, _, defect = identity(r)
+            identities.append((r, defect))
+            scaled = budget * max(1.0, abs(lhs))
+            row("identity", r, defect, scaled, defect <= scaled)
+        elif not_a_solution:
+            row("identity", r, math.inf, 0.0, False, not_a_solution)
+    snapshot = DiagnosticsSnapshot(
+        sup_u, bound, min_m, mass_defect, tuple(moments), tuple(cancels), tuple(identities)
     )
+    return snapshot, rows

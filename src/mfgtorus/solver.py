@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -31,7 +32,7 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
-from .grid import diff_matrix, laplacian_matrix, sup_norm
+from .grid import GridSpec, diff_matrix, laplacian_matrix, read_only, sup_norm
 from .linearization import LinearizedSystem, _band_layout, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -136,6 +137,19 @@ class ContinuationTrace:
         return asdict(self, dict_factory=lambda items: {_JSON_KEYS.get(k, k): v for k, v in items})
 
 
+@lru_cache(maxsize=64)
+def _krylov_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols of I - L and of W in `_solve_krylov`'s preconditioner, once per grid."""
+    unit = np.eye(1, grid.size).ravel()  # e_0, so op @ unit is column 0 of op
+
+    def symbol(op: sparse.csr_matrix) -> np.ndarray:
+        return np.fft.rfft2((op @ unit).reshape(grid.shape))
+
+    eye_minus_lap = 1.0 - symbol(laplacian_matrix(grid)).real
+    wide = sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(grid.dim)).real
+    return read_only(eye_minus_lap), read_only(wide)
+
+
 def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
     """2-D GMRES, preconditioned with P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
 
@@ -147,13 +161,7 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
     residual is at most KRYLOV_ACCEPT.
     """
     grid = sys.grid
-    unit = np.eye(1, grid.size).ravel()  # e_0, so op @ unit is column 0 of op
-
-    def symbol(op: sparse.csr_matrix) -> np.ndarray:
-        return np.fft.rfft2((op @ unit).reshape(grid.shape))
-
-    eye_minus_lap = 1.0 - symbol(laplacian_matrix(grid)).real
-    wide = sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(grid.dim)).real
+    eye_minus_lap, wide = _krylov_symbols(grid)
     c = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
@@ -307,8 +315,8 @@ def continuation_solve(
 
     Warm-starts every step from the last accepted state, halves the step on any
     Newton failure, grows it after fast steps, and clamps the final step to
-    land on lam=1 exactly.  Each accepted state gets a snapshot at the
-    moment exponents `diagnostics.r_values`.
+    land on lam=1 exactly.  Each accepted state gets a snapshot of the checks
+    `diagnostics.checks` at the moment exponents `diagnostics.r_values`.
     """
     if not spec.solvable:
         raise ValueError(f"the solver requires alpha < 1, got alpha = {spec.alpha}")
@@ -317,7 +325,7 @@ def continuation_solve(
     trace = ContinuationTrace()
 
     s, report = newton_solve(spec, 0.0, exact_initial(spec), opts)
-    snapshot = make_snapshot(spec, s, 0.0, diagnostics.r_values, opts.tol_residual)
+    snapshot = make_snapshot(spec, s, 0.0, diagnostics, opts.tol_residual)[0]
     trace.steps.append(ContinuationStep(0.0, report, snapshot))
     lam = 0.0
     dlam = step_opts.initial_step
@@ -337,7 +345,7 @@ def continuation_solve(
                 ) from err
             continue
         lam, s = lam_try, s_new
-        snapshot = make_snapshot(spec, s, lam, diagnostics.r_values, opts.tol_residual)
+        snapshot = make_snapshot(spec, s, lam, diagnostics, opts.tol_residual)[0]
         trace.steps.append(ContinuationStep(lam, report, snapshot))
         log.debug("accepted lambda=%.6f in %d iterations", lam, report.iterations)
         if report.iterations <= step_opts.grow_iters:

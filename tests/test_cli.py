@@ -126,6 +126,22 @@ class TestSolveCommand:
         assert float(np.min(m.values)) > 0.0
         assert (out / "resolved_config.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "jacobian-check", "sweep"])
+    def test_checks_select_the_recorded_certificates(self, tmp_path, capsys, command):
+        # with no per-r check selected no power of m is taken, so r = 100000 overflows nothing
+        doc = base_config(diagnostics={"checks": ["mass", "positivity", "sup"], "r_values": [100000]},
+                          sweep={"alphas": [0.5], "kappas": [1.0]})
+        doc["problem"]["n"] = 16
+        out = tmp_path / "run"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + (["--jobs", "1"] if command == "sweep" else [])) == 0
+        assert capsys.readouterr().err == ""
+        if command == "solve":
+            for step in json.loads((out / "trace.json").read_text())["steps"]:
+                snap = step["diagnostics"]
+                assert snap["inverse_moments"] == snap["cancellation_residuals"] == []
+                assert snap["moment_identity_defects"] == [] and snap["min_m"] > 0
+
     def test_trivial_problem_lands_on_explicit_solution(self, tmp_path):
         doc = base_config()
         doc["problem"]["potential"] = {"form": "separable", "kappa": 1.0, "a_cos": [0.0], "a_sin": [0.0]}
@@ -348,6 +364,24 @@ class TestVerifyCommand:
         # defects shrink at second order under grid doubling
         assert series[64][0] / series[128][0] >= 3.5
         assert series[64][1] / series[128][1] >= 3.5
+
+    def test_one_residual_per_verified_state(self, tmp_path, monkeypatch):
+        from mfgtorus import diagnostics
+
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        original = diagnostics.residual
+        lams = []
+
+        def counting(*args, **kwargs):
+            lams.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "residual", counting)
+        state = ["--state", str(out / "u.csv"), str(out / "m.csv")]
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"), *state, *state]) == 0
+        assert lams == [1.0, 1.0]  # one per state, whatever the number of r_values
 
     def test_majorant_overflow_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
         from mfgtorus import GridSpec, constant_field

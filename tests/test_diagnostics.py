@@ -29,7 +29,7 @@ from mfgtorus import (
 )
 from mfgtorus import diagnostics
 from mfgtorus.diagnostics import DiagnosticsConfig, DiagnosticsSnapshot
-from mfgtorus.grid import mesh
+from mfgtorus.grid import mesh, sup_norm
 
 from conftest import problem_2d, suite_problem
 
@@ -351,9 +351,7 @@ class TestQuadratureDoubleEntry:
 class TestSnapshot:
     def test_contents_on_reference_solution(self, reference_solution):
         spec, s, _ = reference_solution
-        snap = make_snapshot(
-            spec, s, lam=1.0, r_values=DiagnosticsConfig().r_values, newton_tol=NEWTON_TOL
-        )
+        snap, _ = make_snapshot(spec, s, 1.0, DiagnosticsConfig(), NEWTON_TOL)
         assert snap.min_m > 0
         assert snap.mass_defect <= 1e-9
         assert snap.sup_u <= snap.sup_bound_V + 1e-8
@@ -374,9 +372,7 @@ class TestSnapshot:
 
     def test_skips_r_values_at_or_below_alpha(self):
         spec = suite_problem(0.9, n=32)
-        snap = make_snapshot(
-            spec, exact_initial(spec), lam=0.0, r_values=(0.5, 2.0), newton_tol=NEWTON_TOL
-        )
+        snap, _ = make_snapshot(spec, exact_initial(spec), 0.0, DiagnosticsConfig((0.5, 2.0)), NEWTON_TOL)
         assert [r for r, _, _ in snap.inverse_moments] == [2.0]
 
 
@@ -417,7 +413,7 @@ class TestSnapshotEqualsChecks:
         lam = 0.5 if case == "lam-0.5" else 1.0
         if case == "off-solution":  # residual far above 100x the tolerance
             s = State(Field(spec.grid, s.u.values + 1e-3), s.m)
-        snap = make_snapshot(spec, s, lam, self.R_VALUES, NEWTON_TOL)
+        snap, _ = make_snapshot(spec, s, lam, DiagnosticsConfig(self.R_VALUES), NEWTON_TOL)
         assert snap == snapshot_from_checks(spec, s, lam, self.R_VALUES, NEWTON_TOL)
         assert len(snap.inverse_moments) == 3
         assert bool(snap.moment_identity_defects) == (case == "solution")
@@ -433,7 +429,69 @@ class TestSnapshotEqualsChecks:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "residual", counting)
-        snap = make_snapshot(spec, s, lam, self.R_VALUES, NEWTON_TOL)
+        snap, _ = make_snapshot(spec, s, lam, DiagnosticsConfig(self.R_VALUES), NEWTON_TOL)
         assert len(snap.moment_identity_defects) == (3 if lam == 1.0 else 0)
         assert seen == [1.0] * calls
 
+
+def rows_from_checks(spec, s, dcfg, tol):
+    """The rows `verify` printed when it called the public checks once per r, thresholds worked out here."""
+    h2 = spec.grid.h ** 2
+    rows = []
+
+    def add(check, r, value, threshold, passed, note=""):
+        rows.append({"check": check, "r": r, "value": float(value), "threshold": float(threshold),
+                     "passed": bool(passed), "note": note})
+
+    mass_defect, min_m = mass_positivity_check(s)
+    if "mass" in dcfg.checks:
+        add("mass", None, mass_defect, 10.0 * tol, mass_defect <= 10.0 * tol)
+    if "positivity" in dcfg.checks:
+        add("positivity", None, min_m, 0.0, min_m > 0.0)
+    if "sup" in dcfg.checks:
+        sup_u, bound, ok = sup_bound_check(spec, s)
+        add("sup", None, sup_u, bound + diagnostics.SUP_TOL, ok)
+    for r in dcfg.r_values:
+        if "moment" in dcfg.checks:
+            value, majorant = inverse_moment(spec, s, r)
+            add("moment", r, value, majorant, value <= majorant)
+        if "cancellation" in dcfg.checks:
+            value = cancellation_check(spec, s, r)
+            budget = dcfg.identity_budget_factor * h2
+            add("cancellation", r, abs(value), budget, abs(value) <= budget)
+        if "identity" in dcfg.checks:
+            try:
+                lhs, _, defect = moment_identity_check(spec, s, r, tol)
+                budget = dcfg.identity_budget_factor * h2 * max(1.0, abs(lhs))
+                add("identity", r, defect, budget, defect <= budget)
+            except NotASolution as err:
+                add("identity", r, float("inf"), 0.0, False, str(err))
+    return rows
+
+
+class TestVerifyRowsEqualChecks:
+    CONFIGS = {
+        "default": DiagnosticsConfig(),
+        "subset": DiagnosticsConfig((1.5, 3.0), ("positivity", "sup", "identity"), 25.0),
+        "per-r-only": DiagnosticsConfig((2.0,), ("cancellation", "moment")),
+    }
+
+    @pytest.mark.parametrize("key", ["1d", "1d-alpha-0.9", "2d"])
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("solution", [True, False], ids=["solution", "off-solution"])
+    def test_rows_equal(self, snapshot_solutions, key, config, solution):
+        spec, s = snapshot_solutions[key]
+        if not solution:  # residual far above 100x the tolerance: failed identity rows with a note
+            s = State(Field(spec.grid, s.u.values + 1e-3), s.m)
+        dcfg = self.CONFIGS[config]
+        snap, rows = make_snapshot(spec, s, 1.0, dcfg, NEWTON_TOL)
+        assert rows == rows_from_checks(spec, s, dcfg, NEWTON_TOL)
+        assert [row["check"] for row in rows if row["r"] is None] == [
+            c for c in ("mass", "positivity", "sup") if c in dcfg.checks]
+        notes = {row["note"] for row in rows if row["check"] == "identity"}
+        assert bool(notes - {""}) == ("identity" in dcfg.checks and not solution)
+        # the scalar fields are recorded whichever checks run; the per-r ones only for their check
+        assert (snap.sup_u, snap.min_m) == (sup_norm(s.u), s.min_m())
+        assert bool(snap.inverse_moments) == ("moment" in dcfg.checks)
+        assert bool(snap.cancellation_residuals) == ("cancellation" in dcfg.checks)
+        assert bool(snap.moment_identity_defects) == ("identity" in dcfg.checks and solution)

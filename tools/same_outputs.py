@@ -9,12 +9,17 @@ operations that no workload runs: two `jacobian-check` operations with
 `output.dump_matrix` on the workloads' reference problem (1-D n = 32 and 2-D
 n = 16), and the branches of the residual and of the certificates that every
 workload's `separable` potential with epsilon_monotone = 0 skips: a 1-D n = 64
-solve with a `saturating` potential and epsilon_monotone = 0.2, a 2-D n = 16
-solve with an `x_only` potential, and a `verify` of the written 1-D state; and two
-solves of the reference problem with kappa = 0 (1-D n = 64 and 2-D n = 16), whose
-Jacobians at lambda = 1 hold exact zeros, so that the band solve and GMRES on
-explicitly stored zeros are compared through full fields and traces.  Each tree runs
-once, in its own subprocess with `PYTHONPATH=<tree>/src` and one BLAS thread.
+solve with a `saturating` potential and epsilon_monotone = 0.2 and a 2-D n = 16
+solve with an `x_only` potential; two solves of the reference problem with
+kappa = 0 (1-D n = 64 and 2-D n = 16), whose Jacobians at lambda = 1 hold exact
+zeros, so that the band solve and GMRES on explicitly stored zeros are compared
+through full fields and traces, and a third at 1-D n = 128; and four `verify`
+operations on the written 1-D states: the saturating state, the two 1-D
+kappa = 0 states as a refinement series (which writes `refinement.csv`), the
+n = 64 kappa = 0 state with a subset of the checks at other exponents and
+budget, and the saturating state against the kappa = 0 problem it does not
+solve (failed identity rows).  Each tree runs once, in its own subprocess with
+`PYTHONPATH=<tree>/src` and one BLAS thread.
 Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the stdout of every
 operation and its exit code, prints each difference, and exits 1 if there is
@@ -43,11 +48,21 @@ import workloads  # noqa: E402
 # (dim, n) of each jacobian-check operation
 JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16)}
 # (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch,
-# the last two with exact zeros in the lambda = 1 Jacobian
+# the kappa = 0 ones at n = 64 and 16 with exact zeros in the lambda = 1 Jacobian
 BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
                  "solve-x-only-2d": (2, 16, "x_only", 0.0, 0.0),
                  "solve-kappa0-1d": (1, 64, "separable", 0.0, 0.0),
+                 "solve-kappa0-1d-128": (1, 128, "separable", 0.0, 0.0),
                  "solve-kappa0-2d": (2, 16, "separable", 0.0, 0.0)}
+# (config, solves whose states it reads) of each verify operation: a solution, a two-state
+# refinement series (refinement.csv), a subset of the checks at other exponents and budget,
+# and a state that does not solve the configured problem (failed identity rows with their note)
+VERIFIES = {"verify-saturating-1d": ("solve-saturating-1d", ["solve-saturating-1d"]),
+            "verify-series-1d": ("solve-kappa0-1d", ["solve-kappa0-1d-128", "solve-kappa0-1d"]),
+            "verify-subset-1d": ("verify-subset-1d", ["solve-kappa0-1d"]),
+            "verify-off-solution-1d": ("solve-kappa0-1d", ["solve-saturating-1d"])}
+SUBSET_DIAGNOSTICS = {"checks": ["positivity", "moment", "identity"], "r_values": [1.5, 3.0],
+                      "identity_budget_factor": 25.0}
 
 # Runs one tree: each workload in its own directory, where each operation
 # writes its outputs under its own directory and its stdout to <id>.stdout;
@@ -82,19 +97,21 @@ def jacobian_check_ops(config_dir: Path) -> list[dict]:
 
 
 def branch_ops(config_dir: Path) -> list[dict]:
-    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations and a verify."""
+    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations and the VERIFIES."""
     ops = []
     for op_id, (dim, n, form, kappa, eps) in BRANCH_SOLVES.items():
-        config = config_dir / f"{op_id}.json"
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
         problem["potential"].update(form=form, kappa=kappa)
         problem["epsilon_monotone"] = eps
-        config.write_text(json.dumps({"problem": problem}))
-        ops.append({"id": op_id, "argv": ["solve", "--config", str(config), "--out", op_id]})
-    config = config_dir / "solve-saturating-1d.json"
-    state = ["solve-saturating-1d/u.csv", "solve-saturating-1d/m.csv"]
-    argv = ["verify", "--config", str(config), "--out", "verify-saturating-1d", "--state", *state]
-    ops.append({"id": "verify-saturating-1d", "argv": argv})
+        (config_dir / f"{op_id}.json").write_text(json.dumps({"problem": problem}))
+        ops.append({"id": op_id, "argv": ["solve", "--config", str(config_dir / f"{op_id}.json"), "--out", op_id]})
+    subset = json.loads((config_dir / "solve-kappa0-1d.json").read_text())
+    (config_dir / "verify-subset-1d.json").write_text(json.dumps({**subset, "diagnostics": SUBSET_DIAGNOSTICS}))
+    for op_id, (config, states) in VERIFIES.items():
+        argv = ["verify", "--config", str(config_dir / f"{config}.json"), "--out", op_id]
+        for state in states:
+            argv += ["--state", f"{state}/u.csv", f"{state}/m.csv"]
+        ops.append({"id": op_id, "argv": argv})
     return ops
 
 
