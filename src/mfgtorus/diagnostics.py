@@ -327,7 +327,8 @@ def make_snapshot(
     the scalar checks.  The snapshot's scalar fields are always recorded; the per-r
     checks run at each r > alpha.  What does not depend on r (Du, the r-free arrays,
     the identity's residual test) is computed once.  Off a lam = 1 solution (to 100x
-    `newton_tol`) no identity defect is recorded and each identity row fails with the reason.
+    `newton_tol`) no identity defect is recorded and each identity row fails with the reason;
+    where m > 0 fails, so does every per-r row, and no per-r value is recorded.
     """
     checks = config.checks
     budget = config.identity_budget_factor * spec.grid.h**2
@@ -347,6 +348,12 @@ def make_snapshot(
         row("sup", None, sup_u, bound + SUP_TOL, sup_ok)
 
     r_values = [float(r) for r in config.r_values if r > spec.alpha]
+    if min_m <= 0.0:  # the per-r checks are undefined: each fails with the reason
+        for r in r_values:
+            for check in ("moment", "cancellation", "identity"):
+                if check in checks:
+                    row(check, r, math.inf, 0.0, False, "needs m > 0")
+        return DiagnosticsSnapshot(sup_u, bound, min_m, mass_defect, (), (), ()), rows
     cancellation = identity = None
     not_a_solution = ""
     if r_values and ("cancellation" in checks or "identity" in checks):

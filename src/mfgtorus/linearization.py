@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import NonPositiveDensity
-from .grid import Field, GridSpec, diff_matrix, gradient_arrays, laplacian_matrix, read_only
+from .grid import Field, GridSpec, _diff, _second_diff, _shifted, gradient_arrays, read_only
 from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
 
 
@@ -37,85 +37,40 @@ class LinearizedSystem:
 
 @dataclass(frozen=True)
 class _JacobianPattern:
-    """The Jacobian's CSR structure on one grid, the CSR slot of each term, and the grid's constant terms.
+    """The Jacobian's CSR structure on one grid and where the fill's values go in it.
 
-    Per axis, `rows` gathers the A_vv coefficient for each nonzero of the
-    difference matrix D, and in each product d_ij m_j d_jk of D diag(m^(1-a)) D
-    `first` picks the nonzero d_ij and `second_values` holds d_jk; `partial`
-    sums the products per axis before the axes are added, as the matrix products
-    did.  `eye_minus_lap` holds the values of I and of -L, the terms of both
-    diagonal blocks that depend on the grid alone.
+    The fill lists its values block by block, one length-N array per stencil
+    offset, in the order `_jacobian_pattern` lists the (row, column) pairs;
+    `order` puts that list into CSR order.  `shifts` holds, per axis, the flat
+    index of each node's neighbours at offsets +1, -1, +2 and -2.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
-    rows: tuple[np.ndarray, ...]
-    first: tuple[np.ndarray, ...]
-    second_values: tuple[np.ndarray, ...]
-    partial: np.ndarray
-    n_partial: int
-    eye_minus_lap: tuple[np.ndarray, np.ndarray]
-
-
-def _coo_rows(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-
-
-def _slots(structure: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Index into the CSR arrays of `structure` of each (row, col) entry."""
-    positions = sparse.csr_matrix(
-        (np.arange(structure.nnz, dtype=np.float64), structure.indices, structure.indptr),
-        shape=structure.shape,
-    )
-    return np.asarray(positions[rows, cols], dtype=np.int32).ravel()
+    order: np.ndarray
+    shifts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=64)
 def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
-    """Term positions of `assemble_jacobian`, from the stencil matrices of the grid."""
+    """The positions `assemble_jacobian` fills: 2d + 2 in each v row, 4d + 2 in each f row."""
     n = grid.size
     node = np.arange(n)
-    eye = sparse.identity(n, format="csr")
-    lap = laplacian_matrix(grid)
-    diffs = [diff_matrix(grid, ax) for ax in range(grid.dim)]
-    # absolute values, so that no position cancels out of the structure
-    wide = [abs(d) @ abs(d) for d in diffs]
-    for w in wide:
-        w.sort_indices()
-    local = sum((abs(d) for d in diffs), abs(eye) + abs(lap))
-    structure = sparse.bmat([[local, eye], [sum(wide[1:], wide[0]), local]], format="csr")
-    structure.sort_indices()
-
-    rows, first, second_values, partial, vv, fv, ff = [], [], [], [], [], [], []
-    offset = 0
-    for d, w in zip(diffs, wide):
-        d_rows = _coo_rows(d.indptr)
-        rows.append(d_rows.astype(np.int32))
-        vv.append((d_rows, d.indices))
-        ff += [(d_rows + n, d.indices + n)] * 2  # (1-a) D diag(w) and lam D diag(b)
-        # nonzero jj = (i, j) of D meets each nonzero kk of row j
-        per_row = np.diff(d.indptr)[d.indices]
-        jj = np.repeat(np.arange(d.nnz), per_row)
-        kk = np.repeat(d.indptr[d.indices] - np.cumsum(per_row) + per_row, per_row) + np.arange(jj.size)
-        first.append(jj.astype(np.int32))
-        second_values.append(read_only(d.data[kk]))
-        partial.append(_slots(w, d_rows[jj], d.indices[kk]) + offset)
-        offset += w.nnz
-        fv.append((_coo_rows(w.indptr) + n, w.indices))
-
-    eye_minus_lap = [(node, node), (_coo_rows(lap.indptr), lap.indices)]
-    terms = eye_minus_lap + vv + [(node, node + n)] + fv + [(r + n, c + n) for r, c in eye_minus_lap] + ff
-    return _JacobianPattern(  # every matrix the fill returns shares indptr and indices
-        indptr=read_only(structure.indptr),
-        indices=read_only(structure.indices),
-        slots=np.concatenate([_slots(structure, r, c) for r, c in terms]),
-        rows=tuple(rows),
-        first=tuple(first),
-        second_values=tuple(second_values),
-        partial=np.concatenate(partial),
-        n_partial=offset,
-        eye_minus_lap=(read_only(np.ones(n)), read_only(-lap.data)),
+    shifts = []
+    for ax in range(grid.dim):
+        nxt, prev = (read_only(a.ravel()) for a in _shifted(node.reshape(grid.shape), ax))
+        shifts.append((nxt, prev, read_only(nxt[nxt]), read_only(prev[prev])))
+    # v rows: A_vv at 0 and +-1, A_vf on the diagonal; f rows: A_fv at 0 and +-2, A_ff at 0 and +-1
+    v_cols = [node, *(c for sh in shifts for c in sh[:2]), node + n]
+    f_cols = [node, *(c for sh in shifts for c in sh[2:]), node + n, *(c + n for sh in shifts for c in sh[:2])]
+    rows = np.concatenate([np.tile(node, len(v_cols)), np.tile(node + n, len(f_cols))])
+    cols = np.concatenate(v_cols + f_cols)
+    order = np.lexsort((cols, rows))
+    return _JacobianPattern(
+        indptr=read_only(np.searchsorted(rows[order], np.arange(2 * n + 1)).astype(np.int32)),
+        indices=read_only(cols[order].astype(np.int32)),
+        order=read_only(order),
+        shifts=tuple(shifts),
     )
 
 
@@ -132,7 +87,7 @@ def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.n
     order = (np.column_stack([node, n - 1 - node]).ravel()[:n, None] + [0, n]).ravel()
     inverse = np.argsort(order)
     pattern = _jacobian_pattern(grid)
-    offsets = inverse[_coo_rows(pattern.indptr)] - inverse[pattern.indices]
+    offsets = inverse[np.repeat(np.arange(2 * n), np.diff(pattern.indptr))] - inverse[pattern.indices]
     kl, ku = int(offsets.max()), -int(offsets.min())
     slots = kl + ku + offsets + inverse[pattern.indices] * (2 * kl + ku + 1)
     return read_only(order), read_only(inverse), kl, ku, read_only(slots)
@@ -151,11 +106,13 @@ def assemble_jacobian(
                   - d/dm[lam V_eff + (1-lam) arctan(m)] f
     Row block 2:  f - lap(f) - div(m^(1-a) Dv) - (1-a) div(m^(-a) f Du) - lam div(b f)
 
-    Every differential term reuses the stencils of `residual` exactly.  The
-    values are summed with `np.bincount` into the structure `_jacobian_pattern`
-    builds once per grid, term by term in the order of the expression.  Exact
-    zeros stay in it, so every matrix on a grid has that one structure.  `res`, the
-    residual at (lam, s) when the caller has it, gives the right-hand side; else it is evaluated.
+    Every differential term reuses the stencils of `residual` exactly.  Each
+    block is one length-N array per stencil offset, a pointwise product of
+    shifted state arrays; the cached `_jacobian_pattern` permutes their
+    concatenation into CSR order.  A slot with several terms adds them in the
+    order of the expression.  Exact zeros stay in the structure, so every
+    matrix on a grid has that one structure.  `res`, the residual at (lam, s)
+    when the caller has it, gives the right-hand side; else it is evaluated.
     """
     grid = spec.grid
     m = s.m.values
@@ -163,6 +120,7 @@ def assemble_jacobian(
         raise NonPositiveDensity("assemble_jacobian needs m > 0")
     alpha = spec.alpha
     pattern = _jacobian_pattern(grid)
+    n = grid.size
 
     du = [g.ravel() for g in gradient_arrays(s.u)]
     du_sq = sum(d * d for d in du)
@@ -170,22 +128,30 @@ def assemble_jacobian(
     m_alpha, m_neg_alpha, m_flux = m**alpha, m**-alpha, m ** (1.0 - alpha)
     pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
 
-    # A_vv: I - L + sum_i diag(c_i) D_i;  A_ff: I - L - sum_i ((1-a) D_i diag(w_i) + lam D_i diag(b_i))
-    vv, ff, products = [], [], []
-    for ax in range(grid.dim):
-        d = diff_matrix(grid, ax)
-        coef = du[ax] / m_alpha + lam * bvals[ax]
-        vv.append(coef[pattern.rows[ax]] * d.data)
-        ff.append(-(((1.0 - alpha) * d.data) * (m_neg_alpha * du[ax])[d.indices]))
-        ff.append(-((lam * d.data) * bvals[ax][d.indices]))
-        products.append((d.data * m_flux[d.indices])[pattern.first[ax]] * pattern.second_values[ax])
-    # A_fv: -sum_i D_i diag(m^(1-a)) D_i;  A_vf: diagonal
-    fv = np.bincount(pattern.partial, np.concatenate(products), minlength=pattern.n_partial)
-    vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm
+    # the stencils' weights, each the stencil of a unit value at one node: D's on the next node, L's on a
+    # neighbour and on the node itself
+    half = _diff(0.0, 0, grid.h, (1.0, 0.0))
+    lap_side = _second_diff(0.0, 0, grid.h, (1.0, 0.0))
+    diag = np.full(n, 1.0 - grid.dim * _second_diff(1.0, 0, grid.h, (0.0, 0.0)))
 
-    weights = np.concatenate([*pattern.eye_minus_lap, *vv, vf, -fv, *pattern.eye_minus_lap, *ff])
-    data = np.bincount(pattern.slots, weights, minlength=pattern.indices.size)
-    mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(2 * grid.size, 2 * grid.size))
+    # per axis, d = +-half is D's weight on the neighbour j at +-1:
+    # A_vv = I - L + sum_i diag(c_i) D_i;  A_ff = I - L - sum_i ((1-a) D_i diag(m^-a Du_i) + lam D_i diag(b_i));
+    # A_fv = -sum_i D_i diag(m^(1-a)) D_i: the path through j gives (half m_j) half at +-2 and minus that at 0
+    vv, fv, ff = [], [], []
+    fv_diag = 0.0
+    for ax, shifts in enumerate(pattern.shifts):
+        coef = du[ax] / m_alpha + lam * bvals[ax]
+        w = m_neg_alpha * du[ax]
+        flux = [(half * m_flux[j]) * half for j in shifts[:2]]
+        fv_diag = fv_diag + (flux[0] + flux[1])
+        fv += [-p for p in flux]
+        for j, d in zip(shifts[:2], (half, -half)):
+            vv.append(-lap_side + coef * d)
+            ff.append((-lap_side - ((1.0 - alpha) * d) * w[j]) - (lam * d) * bvals[ax][j])
+    vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm + 0.0  # an exact zero stored as +0.0
+
+    data = np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff])[pattern.order]
+    mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(2 * n, 2 * n))
 
     r1, r2 = res if res is not None else residual(spec, lam, s, sources)
     rhs = -np.concatenate([r1.values, r2.values])

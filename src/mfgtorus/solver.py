@@ -32,7 +32,7 @@ from .errors import (
     NoDescent,
     SolverFailure,
 )
-from .grid import GridSpec, diff_matrix, laplacian_matrix, read_only, sup_norm
+from .grid import GridSpec, gradient_and_laplacian, read_only, sup_norm
 from .linearization import LinearizedSystem, _band_layout, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -140,13 +140,10 @@ class ContinuationTrace:
 @lru_cache(maxsize=64)
 def _krylov_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The symbols of I - L and of W in `_solve_krylov`'s preconditioner, once per grid."""
-    unit = np.eye(1, grid.size).ravel()  # e_0, so op @ unit is column 0 of op
-
-    def symbol(op: sparse.csr_matrix) -> np.ndarray:
-        return np.fft.rfft2((op @ unit).reshape(grid.shape))
-
-    eye_minus_lap = 1.0 - symbol(laplacian_matrix(grid)).real
-    wide = sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(grid.dim)).real
+    unit = np.eye(1, grid.size).reshape(grid.shape)  # e_0: each stencil of it is its operator's column 0
+    grads, lap = gradient_and_laplacian(unit, grid)
+    eye_minus_lap = 1.0 - np.fft.rfft2(lap).real
+    wide = sum(np.fft.rfft2(g) ** 2 for g in grads).real
     return read_only(eye_minus_lap), read_only(wide)
 
 
@@ -155,7 +152,7 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
 
     P is the Jacobian at constant m and u, without the drift and the potential's
     m-derivative.  Its blocks are circulant, so each symbol is the DFT of column 0
-    of laplacian_matrix or of diff_matrix D_i, squared in W = sum_i D_i D_i.
+    of L or of the centered difference D_i, squared in W = sum_i D_i D_i.
     Applying P^-1 takes one rfft2 and one irfft2 of the two stacked components.
     Returns (None, 0) unless the answer is finite and its true relative
     residual is at most KRYLOV_ACCEPT.

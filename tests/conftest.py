@@ -1,7 +1,10 @@
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
+import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from mfgtorus import (
     DriftSpec,
@@ -11,6 +14,48 @@ from mfgtorus import (
     TrigForm,
     continuation_solve,
 )
+from mfgtorus.grid import _diff, _second_diff
+
+# The stencils as sparse matrices on flat fields (row-major, axis 0 slowest): the
+# reference that the stencil arrays, the Jacobian and the preconditioner are tested against.
+
+
+def _stencil_matrix(stencil, grid: GridSpec) -> sparse.csr_matrix:
+    """The 1-D periodic matrix of `stencil`: column j is the stencil applied to unit vector j.
+
+    The stencil is translation invariant, so column j is column 0 shifted by j.
+    """
+    n = grid.n
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    column = stencil(unit, 0, grid.h)
+    offsets = np.flatnonzero(column)
+    cols = np.tile(np.arange(n), offsets.size)
+    rows = (np.repeat(offsets, n) + cols) % n
+    return sparse.csr_matrix((np.repeat(column[offsets], n), (rows, cols)), shape=(n, n))
+
+
+@lru_cache(maxsize=64)
+def diff_matrix(grid: GridSpec, axis: int) -> sparse.csr_matrix:
+    """Centered difference along `axis` as a sparse matrix on flat fields."""
+    d1 = _stencil_matrix(_diff, grid)
+    if grid.dim == 1:
+        return d1
+    eye = sparse.identity(grid.n, format="csr")
+    if axis == 0:
+        return sparse.kron(d1, eye, format="csr")
+    return sparse.kron(eye, d1, format="csr")
+
+
+@lru_cache(maxsize=64)
+def laplacian_matrix(grid: GridSpec) -> sparse.csr_matrix:
+    """Compact Laplacian as a sparse matrix on flat fields."""
+    l1 = _stencil_matrix(_second_diff, grid)
+    if grid.dim == 1:
+        return l1
+    eye = sparse.identity(grid.n, format="csr")
+    return (sparse.kron(l1, eye) + sparse.kron(eye, l1)).tocsr()
+
 
 SUITE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.9)
 SUITE_KAPPAS = (0.5, 1.0)

@@ -383,6 +383,31 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"), *state, *state]) == 0
         assert lams == [1.0, 1.0]  # one per state, whatever the number of r_values
 
+    def test_state_with_zero_density_prints_its_failing_table(self, tmp_path, capsys):
+        from mfgtorus import Field, GridSpec, constant_field
+
+        doc = base_config()
+        doc["problem"]["n"] = 16
+        grid = GridSpec(1, 16)
+        m = np.ones(16)
+        m[3] = 0.0
+        save_field(constant_field(grid, np.pi / 4), tmp_path / "u.csv")
+        save_field(Field(grid, m), tmp_path / "m.csv")
+        code = main(["verify", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "ver"),
+                     "--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "positivity           FAIL" in out
+        (entry,) = json.loads((tmp_path / "ver/diagnostics.json").read_text())["states"]
+        rows = {(row["check"], row["r"]): row for row in entry["checks"]}
+        assert not rows[("positivity", None)]["passed"]
+        per_r = [row for row in entry["checks"] if row["r"] is not None]
+        assert {(row["check"], row["r"]) for row in per_r} == {
+            (check, r) for check in ("moment", "cancellation", "identity") for r in (1.0, 2.0, 4.0)
+        }
+        assert all(not row["passed"] and row["note"] == "needs m > 0" for row in per_r)
+
     def test_majorant_overflow_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
         from mfgtorus import GridSpec, constant_field
 

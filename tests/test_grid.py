@@ -5,13 +5,13 @@ from mfgtorus import Field, GridSpec, constant_field, integral, load_field, save
 from mfgtorus.grid import (
     _diff,
     _second_diff,
-    diff_matrix,
     divergence_arrays,
     gradient_arrays,
     laplacian_array,
-    laplacian_matrix,
     mesh,
 )
+
+from conftest import diff_matrix, laplacian_matrix
 
 TWO_PI = 2 * np.pi
 

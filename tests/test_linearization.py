@@ -15,11 +15,11 @@ from mfgtorus import (
     residual,
     rotate_pair,
 )
-from mfgtorus.grid import diff_matrix, laplacian_matrix, mesh
+from mfgtorus.grid import mesh
 from mfgtorus.linearization import LinearizedSystem
 from mfgtorus.problem import potential_term_dm
 
-from conftest import suite_problem
+from conftest import diff_matrix, laplacian_matrix, suite_problem
 
 TWO_PI = 2 * np.pi
 
@@ -177,6 +177,31 @@ class TestPatternFill:
         res = (constant_field(spec.grid, 1.0), constant_field(spec.grid, -2.0))
         sys_ = assemble_jacobian(spec, 0.5, s, res=res)
         assert np.array_equal(sys_.rhs, np.repeat([-1.0, 2.0], spec.grid.size))
+
+
+class TestPatternStructure:
+    """The pattern built from stencil offsets: sorted, duplicate-free CSR with a fixed count per row."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_matrix_is_canonical_with_fixed_row_counts(self, dim, n):
+        # at n = 8 and 9 the offsets +-2 come closest to wrapping onto each other
+        for case in ("flat", "x_only", "sources"):
+            spec, sources = coefficient_case(dim, n, case, 0.5)
+            for lam in (0.0, 1.0):
+                mat = assemble_jacobian(spec, lam, random_positive_state(spec.grid, seed=n), sources).matrix
+                assert mat.has_canonical_format
+                counts = np.diff(mat.indptr)
+                size = spec.grid.size
+                assert np.all(counts[:size] == 2 * dim + 2) and np.all(counts[size:] == 4 * dim + 2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exact_zeros_are_stored_as_positive_zero(self, dim):
+        # alpha = 0, kappa = 0, lam = 1: A_vf is -0 * |Du|^2 - 0 before it is stored
+        spec, _ = coefficient_case(dim, 9, "flat", 0.0)
+        mat = assemble_jacobian(spec, 1.0, random_positive_state(spec.grid, seed=1)).matrix
+        zeros = mat.data[mat.data == 0.0]
+        assert zeros.size == spec.grid.size and not np.signbit(zeros).any()
 
 
 class TestBlockStructureAtExplicitStart:

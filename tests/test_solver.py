@@ -24,11 +24,11 @@ from mfgtorus import (
     residual,
     sup_norm,
 )
-from mfgtorus.grid import diff_matrix, laplacian_matrix, mesh
+from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
 from mfgtorus.solver import _solve_krylov, _solve_linear, _solve_pinned
 
-from conftest import problem_2d, suite_problem
+from conftest import diff_matrix, laplacian_matrix, problem_2d, suite_problem
 
 TWO_PI = 2 * np.pi
 
@@ -152,8 +152,6 @@ class TestLinearFallback:
         # block system with a constant null direction on the v block
         import scipy.sparse as sparse
 
-        from mfgtorus.grid import laplacian_matrix
-
         grid = GridSpec(1, 16)
         n = grid.size
         lap = laplacian_matrix(grid)
@@ -258,6 +256,20 @@ class TestKrylovSolve:
         assert len(preconditioners) == 1
         error = preconditioners[0].matvec(p @ x) - x
         assert np.linalg.norm(error) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [8, 9, 48])
+    def test_symbols_are_the_dft_of_the_operators_column_zero(self, n):
+        from mfgtorus.solver import _krylov_symbols
+
+        grid = GridSpec(2, n)
+        unit = np.eye(1, grid.size).ravel()
+
+        def symbol(op):
+            return np.fft.rfft2((op @ unit).reshape(grid.shape))
+
+        eye_minus_lap, wide = _krylov_symbols(grid)
+        assert np.array_equal(eye_minus_lap, 1.0 - symbol(laplacian_matrix(grid)).real)
+        assert np.array_equal(wide, sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(2)).real)
 
     def test_continuation_matches_direct_path(self, monkeypatch):
         import mfgtorus.solver as solver_mod
