@@ -6,23 +6,24 @@ Newton damping enforces two guards before accepting a step fraction t:
 Positivity is handled entirely by the line search; the equations themselves
 are never floored or regularized.
 
-Each Newton step solves one 2N x 2N linear system.  In 2-D that is GMRES with a
-block preconditioner diagonal in the discrete Fourier basis; in 1-D it is a
-banded LU with the periodic ring folded into a plain band.  Whenever either
-answer is not accepted, it is the sparse direct solve.
+Each Newton step solves one 2N x 2N linear system.  In 2-D that is an in-house
+GMRES loop with a block preconditioner diagonal in the discrete Fourier basis;
+in 1-D it is a banded LU with the periodic ring folded into a plain band.
+Whenever either answer is not accepted, it is the sparse direct solve.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, lsqr, spsolve
+from scipy.linalg.lapack import dgbsv, dlartg
+from scipy.sparse.linalg import MatrixRankWarning, lsqr, spsolve
 
 from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
 from .errors import (
@@ -38,12 +39,11 @@ from .problem import Field, ProblemSpec, State, exact_initial, residual
 
 log = logging.getLogger("mfgtorus")
 
-# GMRES stops at this relative residual; its answer is kept only if the true
-# relative residual is within KRYLOV_ACCEPT, else the direct solve runs.  The
-# preconditioned solves take at most about 15 iterations, so one cycle of 40
-# normally suffices and 3 cycles bound the work spent before a fallback.
+# GMRES stops, and its answer is kept, once the true relative residual is at most
+# KRYLOV_RTOL; else the direct solve runs.  The preconditioned solves take at
+# most about 15 iterations, so one cycle of 40 normally suffices and 3 cycles
+# bound the work spent before a fallback.
 KRYLOV_RTOL = 1e-10
-KRYLOV_ACCEPT = 1e-8
 KRYLOV_RESTART = 40
 KRYLOV_MAX_RESTARTS = 3
 
@@ -139,7 +139,7 @@ class ContinuationTrace:
 
 @lru_cache(maxsize=64)
 def _krylov_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The symbols of I - L and of W in `_solve_krylov`'s preconditioner, once per grid."""
+    """The symbols of I - L and of W in `_krylov_preconditioner`, once per grid."""
     unit = np.eye(1, grid.size).reshape(grid.shape)  # e_0: each stencil of it is its operator's column 0
     grads, lap = gradient_and_laplacian(unit, grid)
     eye_minus_lap = 1.0 - np.fft.rfft2(lap).real
@@ -147,42 +147,87 @@ def _krylov_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return read_only(eye_minus_lap), read_only(wide)
 
 
-def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
-    """2-D GMRES, preconditioned with P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
+def _krylov_preconditioner(sys: LinearizedSystem, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """P^-1 for P = [[I - L, 0], [-c W, I - L]], c = mean(m)^(1-alpha).
 
     P is the Jacobian at constant m and u, without the drift and the potential's
     m-derivative.  Its blocks are circulant, so each symbol is the DFT of column 0
     of L or of the centered difference D_i, squared in W = sum_i D_i D_i.
-    Applying P^-1 takes one rfft2 and one irfft2 of the two stacked components.
-    Returns (None, 0) unless the answer is finite and its true relative
-    residual is at most KRYLOV_ACCEPT.
+    P^-1 transforms the two stacked components with the 1-D passes that `rfft2`
+    and `irfft2` make: rfft on the last axis and fft on axis -2, then back.
     """
-    grid = sys.grid
-    eye_minus_lap, wide = _krylov_symbols(grid)
-    c = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha)
+    eye_minus_lap, wide = _krylov_symbols(sys.grid)
+    c_wide = float(np.mean(sys.base_state.m.values)) ** (1.0 - alpha) * wide
+    n = sys.grid.n
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        x = np.fft.rfft2(r.reshape((2, *grid.shape)))
+        x = np.fft.fft(np.fft.rfft(r.reshape(2, n, n)), axis=-2)
         x[0] /= eye_minus_lap
-        x[1] = (x[1] + c * wide * x[0]) / eye_minus_lap
-        return np.fft.irfft2(x, s=grid.shape).ravel()
+        x[1] = (x[1] + c_wide * x[0]) / eye_minus_lap
+        return np.fft.irfft(np.fft.ifft(x, axis=-2), n).ravel()
 
-    precond = LinearOperator(sys.matrix.shape, matvec=apply_inverse, dtype=np.float64)
-    iterations = 0
+    return apply_inverse
 
-    def count(_):
-        nonlocal iterations
-        iterations += 1
 
-    delta, info = gmres(
-        sys.matrix, sys.rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
-        maxiter=KRYLOV_MAX_RESTARTS, M=precond, callback=count, callback_type="pr_norm",
-    )
-    if info != 0 or not np.all(np.isfinite(delta)):
-        return None, 0
-    if np.linalg.norm(sys.matrix @ delta - sys.rhs) > KRYLOV_ACCEPT * np.linalg.norm(sys.rhs):
-        return None, 0
-    return delta, iterations
+def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
+    """2-D restarted GMRES from x = 0, left-preconditioned by `_krylov_preconditioner`.
+
+    Step for step it is SciPy's `gmres` (1.17): modified Gram-Schmidt, Givens
+    rotations from LAPACK lartg, its inner tolerance `ptol` across restarts and its
+    back substitution; but P^-1 b is applied once and b - A x once per cycle.
+    Returns (x, iterations), or (None, 0) unless x is finite and |b - A x| <= KRYLOV_RTOL |b|.
+    """
+    matrix, b, precond = sys.matrix, sys.rhs, _krylov_preconditioner(sys, alpha)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return np.zeros_like(b), 0
+    atol, eps = KRYLOV_RTOL * b_norm, np.finfo(float).eps
+    x, r, factor, iterations = np.zeros_like(b), b, 1.0, 0
+    v = np.empty((KRYLOV_RESTART + 1, b.size))
+    h = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART + 1))  # row j: column j of the rotated Hessenberg matrix
+    for cycle in range(KRYLOV_MAX_RESTARTS):
+        v[0] = precond(r)
+        g = [np.linalg.norm(v[0])]  # the rotated right-hand side
+        v[0] *= 1 / g[0]
+        if cycle == 0:
+            ptol = g[0] * min(factor, atol / b_norm)
+        rotations = []
+        for col in range(KRYLOV_RESTART):
+            w = precond(matrix @ v[col])
+            column, w_norm = [], np.linalg.norm(w)
+            for k in range(col + 1):
+                column.append(np.dot(v[k], w))
+                w -= column[k] * v[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * w_norm
+            v[col + 1] = w if breakdown else w * (1 / h1)
+            column.append(0.0 if breakdown else h1)
+            for k, (c, s) in enumerate(rotations):
+                column[k : k + 2] = c * column[k] + s * column[k + 1], -s * column[k] + c * column[k + 1]
+            c, s, column[col] = dlartg(column[col], column[col + 1])
+            column[col + 1] = 0.0
+            h[col, : col + 2] = column
+            rotations.append((c, s))
+            g[col:] = c * g[col], -s * g[col]
+            presid = abs(g[col + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            g[col] = 0.0
+        y = np.array(g[: col + 1])
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ v[: col + 1]
+        r = b - matrix @ x
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol or breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / r_norm)
+    return (x, iterations) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0)
 
 
 def _solve_band(sys: LinearizedSystem) -> np.ndarray | None:

@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from mfgtorus import (
     DriftSpec,
@@ -55,6 +56,25 @@ def laplacian_matrix(grid: GridSpec) -> sparse.csr_matrix:
         return l1
     eye = sparse.identity(grid.n, format="csr")
     return (sparse.kron(l1, eye) + sparse.kron(eye, l1)).tocsr()
+
+
+def reference_gmres(sys, alpha: float):
+    """SciPy's `gmres` on a 2-D Newton system with the solver's preconditioner and settings.
+
+    The reference the in-house Krylov loop is tested against.  Returns (x, info,
+    inner iterations, restart cycles): SciPy calls a "pr_norm" callback once per
+    inner iteration and an "x" callback once per cycle.
+    """
+    import mfgtorus.solver as solver
+
+    precond = LinearOperator(sys.matrix.shape, matvec=solver._krylov_preconditioner(sys, alpha))
+    settings = dict(
+        rtol=solver.KRYLOV_RTOL, restart=solver.KRYLOV_RESTART, maxiter=solver.KRYLOV_MAX_RESTARTS, M=precond
+    )
+    residuals, iterates = [], []
+    x, info = gmres(sys.matrix, sys.rhs, callback=residuals.append, callback_type="pr_norm", **settings)
+    gmres(sys.matrix, sys.rhs, callback=iterates.append, callback_type="x", **settings)
+    return x, info, len(residuals), len(iterates)
 
 
 SUITE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.9)

@@ -28,7 +28,7 @@ from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
 from mfgtorus.solver import _solve_krylov, _solve_linear, _solve_pinned
 
-from conftest import diff_matrix, laplacian_matrix, problem_2d, suite_problem
+from conftest import diff_matrix, laplacian_matrix, problem_2d, reference_gmres, suite_problem
 
 TWO_PI = 2 * np.pi
 
@@ -209,27 +209,91 @@ class TestKrylovSolve:
         assert 0 < iterations
         assert np.linalg.norm(delta - direct) <= 1e-12 * np.linalg.norm(direct)
 
+    @pytest.mark.parametrize("restart", [40, 6])
+    def test_matches_scipy_gmres(self, krylov_system, monkeypatch, restart):
+        """Same inner iterations as SciPy's `gmres`, and the same answer; restart 6 forces restarts."""
+        import mfgtorus.solver as solver_mod
+
+        spec, sys = krylov_system
+        monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
+        ref, info, ref_iterations, cycles = reference_gmres(sys, spec.alpha)
+        delta, iterations = _solve_krylov(sys, spec.alpha)
+        assert info == 0
+        assert restart == 40 or cycles > 1
+        assert iterations == ref_iterations
+        assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_unconverged_solve_returns_none(self, krylov_system, monkeypatch):
+        import mfgtorus.solver as solver_mod
+
+        spec, sys = krylov_system
+        monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
+        assert reference_gmres(sys, spec.alpha)[1] == solver_mod.KRYLOV_MAX_RESTARTS
+        assert _solve_krylov(sys, spec.alpha) == (None, 0)
+
+    @pytest.mark.parametrize("restart", [40, 6])
+    def test_each_cycle_applies_matrix_and_preconditioner_once_beyond_its_iterations(
+        self, krylov_system, monkeypatch, restart
+    ):
+        """P^-1 b doubles as the first basis vector, and the cycle's residual is the only extra product."""
+        from dataclasses import replace
+
+        import mfgtorus.solver as solver_mod
+
+        spec, sys = krylov_system
+        monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
+        _, _, ref_iterations, cycles = reference_gmres(sys, spec.alpha)
+        calls = {"matrix": 0, "preconditioner": 0}
+        forward = solver_mod._krylov_preconditioner
+
+        class CountingMatrix:
+            def __matmul__(self, x):
+                calls["matrix"] += 1
+                return sys.matrix @ x
+
+        def counting_preconditioner(sys, alpha):
+            apply_inverse = forward(sys, alpha)
+
+            def counted(r):
+                calls["preconditioner"] += 1
+                return apply_inverse(r)
+            return counted
+
+        monkeypatch.setattr(solver_mod, "_krylov_preconditioner", counting_preconditioner)
+        delta, iterations = _solve_krylov(replace(sys, matrix=CountingMatrix()), spec.alpha)
+        assert delta is not None and iterations == ref_iterations
+        assert calls == {"matrix": iterations + cycles, "preconditioner": iterations + cycles}
+
+    def test_zero_right_hand_side_returns_zeros(self, strong_system):
+        from dataclasses import replace
+
+        spec, sys = strong_system
+        delta, iterations = _solve_krylov(replace(sys, rhs=np.zeros_like(sys.rhs)), spec.alpha)
+        assert iterations == 0
+        assert np.array_equal(delta, np.zeros_like(sys.rhs))
+
     @pytest.mark.parametrize("failure", ["info", "nonfinite"])
     def test_failed_gmres_falls_back_to_direct(self, strong_system, monkeypatch, failure):
+        """An unconverged (3 iterations in all) or non-finite Krylov answer is replaced by `spsolve`'s."""
         from scipy.sparse.linalg import spsolve
 
         import mfgtorus.solver as solver_mod
 
         spec, sys = strong_system
-
-        def broken_gmres(matrix, rhs, **kwargs):
-            if failure == "info":
-                return np.zeros_like(rhs), 1
-            return np.full_like(rhs, np.nan), 0
-
-        monkeypatch.setattr(solver_mod, "gmres", broken_gmres)
+        if failure == "info":
+            monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
+            monkeypatch.setattr(solver_mod, "KRYLOV_MAX_RESTARTS", 1)
+        else:
+            monkeypatch.setattr(
+                solver_mod, "_krylov_preconditioner", lambda sys, alpha: lambda r: np.full_like(r, np.nan)
+            )
         delta, path, iterations = _solve_linear(sys, spec.alpha)
         assert (path, iterations) == ("direct", 0)
         np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
 
     @pytest.mark.parametrize("n", [8, 9, 48])
     def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
-        """M passed to GMRES is the inverse of [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""
+        """The preconditioner of one Krylov solve inverts [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""
         import scipy.sparse as sparse
 
         import mfgtorus.solver as solver_mod
@@ -239,13 +303,13 @@ class TestKrylovSolve:
         m = 2.0 + 0.25 * np.cos(TWO_PI * mesh(grid)[0]).ravel()
         sys = assemble_jacobian(spec, 1.0, State(constant_field(grid, 0.0), Field(grid, m)))
         preconditioners = []
-        forward = solver_mod.gmres
+        forward = solver_mod._krylov_preconditioner
 
-        def recording_gmres(*args, **kwargs):
-            preconditioners.append(kwargs["M"])
-            return forward(*args, **kwargs)
+        def recording_preconditioner(*args):
+            preconditioners.append(forward(*args))
+            return preconditioners[-1]
 
-        monkeypatch.setattr(solver_mod, "gmres", recording_gmres)
+        monkeypatch.setattr(solver_mod, "_krylov_preconditioner", recording_preconditioner)
         _solve_krylov(sys, spec.alpha)
 
         c = 2.0 ** (1.0 - spec.alpha)
@@ -254,7 +318,7 @@ class TestKrylovSolve:
         p = sparse.bmat([[eye_minus_lap, None], [-c * wide, eye_minus_lap]]).tocsr()
         x = np.random.default_rng(n).standard_normal(2 * grid.size)
         assert len(preconditioners) == 1
-        error = preconditioners[0].matvec(p @ x) - x
+        error = preconditioners[0](p @ x) - x
         assert np.linalg.norm(error) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", [8, 9, 48])
