@@ -22,8 +22,8 @@ from . import diagnostics as diag
 from .config import ConfigError, load_config
 from .errors import ContinuationStalled, MFGError, SolverFailure
 from .grid import load_field, save_field, sup_norm
-from .linearization import assemble_jacobian, coercivity_check
-from .problem import State, exact_initial, residual
+from .linearization import FD_TOLERANCE, assemble_jacobian, coercivity_check, fd_max_error
+from .problem import State, exact_initial
 from .solver import continuation_solve, newton_solve
 from .verification import ManufacturedCase, convergence_study
 
@@ -32,8 +32,6 @@ log = logging.getLogger("mfgtorus")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-
-FD_TOLERANCE = 1e-6  # largest relative J.w error `jacobian-check` accepts from central differences
 
 
 def _setup_logging() -> None:
@@ -91,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {args.out}: {err}") from err
     return args.out
 
 
@@ -191,22 +192,6 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
-def _fd_max_error(spec, lam, s, rng, n_dirs=20, fd_eps=1e-6):
-    sys_ = assemble_jacobian(spec, lam, s)
-    worst = 0.0
-    base = s.stacked()
-    for _ in range(n_dirs):
-        w = rng.standard_normal(2 * spec.grid.size)
-        sp = State.from_stacked(spec.grid, base + fd_eps * w)
-        sm = State.from_stacked(spec.grid, base - fd_eps * w)
-        rp = np.concatenate([f.values for f in residual(spec, lam, sp)])
-        rm = np.concatenate([f.values for f in residual(spec, lam, sm)])
-        fd = (rp - rm) / (2.0 * fd_eps)
-        jw = sys_.matrix @ w
-        worst = max(worst, float(np.max(np.abs(jw - fd)) / np.max(np.abs(jw))))
-    return worst, sys_
-
-
 def cmd_jacobian_check(args) -> int:
     cfg = load_config(args.config)
     out = _ensure_out(args)
@@ -225,7 +210,8 @@ def cmd_jacobian_check(args) -> int:
     report = {"fd_tolerance": FD_TOLERANCE, "states": []}
     ok = True
     for tag, lam, s in (("initial", 0.0, s0), ("mid", mid.lam, s_mid), ("final", 1.0, s_final)):
-        err, sys_ = _fd_max_error(spec, lam, s, rng)
+        sys_ = assemble_jacobian(spec, lam, s)
+        err = fd_max_error(spec, lam, sys_, rng)
         entry = {"state": tag, "lambda": lam, "fd_max_rel_error": err}
         if tag in ("initial", "final"):
             co = coercivity_check(sys_, seed=cfg.seed)

@@ -107,7 +107,7 @@ def _trig(obj: dict, dim: int, where: str, prefix: str = "", other: tuple[str, .
         if len(amp) != dim:
             raise ConfigError(f"{where}.{key}: expected {dim} entries, got {len(amp)}")
         amps.append(amp)
-    return TrigForm(_float(obj.get(prefix + "const", 0.0), f"{where}.{prefix}const"), *amps)
+    return TrigForm(_float(obj.get(prefix + "const", TrigForm.const), f"{where}.{prefix}const"), *amps)
 
 
 def _trig_dict(t: TrigForm, prefix: str = "") -> dict:
@@ -129,7 +129,7 @@ def parse_problem(obj: dict) -> ProblemSpec:
 
     pw = f"{where}.potential"
     a = _trig(obj["potential"], grid.dim, pw, "a_", other=("form", "kappa"))
-    kappa = _float(obj["potential"].get("kappa", 0.0), f"{pw}.kappa")
+    kappa = _float(obj["potential"].get("kappa", PotentialSpec.kappa), f"{pw}.kappa")
     potential = _build(pw, PotentialSpec, obj["potential"].get("form"), a, kappa)
 
     drift_obj = obj.get("drift", {"components": None})
@@ -145,7 +145,7 @@ def parse_problem(obj: dict) -> ProblemSpec:
             tuple(_trig(c, grid.dim, f"{dw}.components[{i}]") for i, c in enumerate(comp_list))
         )
 
-    eps = _float(obj.get("epsilon_monotone", 0.0), f"{where}.epsilon_monotone")
+    eps = _float(obj.get("epsilon_monotone", ProblemSpec.epsilon_monotone), f"{where}.epsilon_monotone")
     return _build(where, ProblemSpec, grid, alpha, potential, drift, eps)
 
 

@@ -1,4 +1,4 @@
-"""Discrete Jacobian of the homotopy map and its sign-definiteness probe.
+"""Discrete Jacobian of the homotopy map, its finite-difference check and its sign-definiteness probe.
 
 The Jacobian differentiates the *discrete* residual (all nonlinearity is
 pointwise, so differentiate-then-discretize and discretize-then-differentiate
@@ -18,16 +18,14 @@ from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, _diff, _second_diff, _shifted, gradient_arrays, read_only
 from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
 
+FD_TOLERANCE = 1e-6  # largest relative J.w error `fd_max_error` may report for a correct Jacobian
+
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Sparse 2N x 2N block operator [[A_vv, A_vf], [A_fv, A_ff]] on stacked (v, f).
-
-    `rhs` is the negated residual at the base state, i.e. the Newton right-hand side.
-    """
+    """Sparse 2N x 2N block operator [[A_vv, A_vf], [A_fv, A_ff]] on stacked (v, f)."""
 
     matrix: sparse.csr_matrix
-    rhs: np.ndarray
     base_state: State
 
     @property
@@ -93,13 +91,7 @@ def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.n
     return read_only(order), read_only(inverse), kl, ku, read_only(slots)
 
 
-def assemble_jacobian(
-    spec: ProblemSpec,
-    lam: float,
-    s: State,
-    sources: tuple[Field, Field] | None = None,
-    res: tuple[Field, Field] | None = None,
-) -> LinearizedSystem:
+def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSystem:
     """Assemble the linearization of `residual` at (lam, s).
 
     Row block 1:  v - lap(v) + (Du.Dv)/m^a - a |Du|^2 f/(2 m^(a+1)) + lam b.Dv
@@ -111,8 +103,8 @@ def assemble_jacobian(
     shifted state arrays; the cached `_jacobian_pattern` permutes their
     concatenation into CSR order.  A slot with several terms adds them in the
     order of the expression.  Exact zeros stay in the structure, so every
-    matrix on a grid has that one structure.  `res`, the residual at (lam, s)
-    when the caller has it, gives the right-hand side; else it is evaluated.
+    matrix on a grid has that one structure.  MMS sources are constant in the
+    unknowns, so they do not enter.
     """
     grid = spec.grid
     m = s.m.values
@@ -152,10 +144,23 @@ def assemble_jacobian(
 
     data = np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff])[pattern.order]
     mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(2 * n, 2 * n))
+    return LinearizedSystem(matrix=mat, base_state=s)
 
-    r1, r2 = res if res is not None else residual(spec, lam, s, sources)
-    rhs = -np.concatenate([r1.values, r2.values])
-    return LinearizedSystem(matrix=mat, rhs=rhs, base_state=s)
+
+def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_dirs=20, fd_eps=1e-6) -> float:
+    """Largest relative gap of J.w from the central difference of `residual` at sys's base state, n_dirs normal w."""
+    base = sys.base_state.stacked()
+    worst = 0.0
+    for _ in range(n_dirs):
+        w = rng.standard_normal(2 * spec.grid.size)
+        sp = State.from_stacked(spec.grid, base + fd_eps * w)
+        sm = State.from_stacked(spec.grid, base - fd_eps * w)
+        rp = np.concatenate([f.values for f in residual(spec, lam, sp)])
+        rm = np.concatenate([f.values for f in residual(spec, lam, sm)])
+        fd = (rp - rm) / (2.0 * fd_eps)
+        jw = sys.matrix @ w
+        worst = max(worst, float(np.max(np.abs(jw - fd)) / np.max(np.abs(jw))))
+    return worst
 
 
 def rotate_pair(w: tuple[Field, Field]) -> tuple[Field, Field]:

@@ -9,7 +9,8 @@ are never floored or regularized.
 Each Newton step solves one 2N x 2N linear system.  In 2-D that is an in-house
 GMRES loop with a block preconditioner diagonal in the discrete Fourier basis;
 in 1-D it is a banded LU with the periodic ring folded into a plain band.
-Whenever either answer is not accepted, it is the sparse direct solve.
+Whenever either answer is not accepted, it is the sparse direct solve, and a
+system that solve cannot factor fails the Newton step.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg.lapack import dgbsv, dlartg
+# lsqr is not called here: perfbench/tracer.py (line 144) wraps solver.lsqr by name until ROADMAP item 3
 from scipy.sparse.linalg import MatrixRankWarning, lsqr, spsolve
 
 from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
@@ -93,7 +94,7 @@ class StepOptions:
 class NewtonReport:
     """One Newton solve.
 
-    `linear_paths` ("krylov", "band", "direct" or "pinned") and `krylov_iterations`
+    `linear_paths` ("krylov", "band" or "direct") and `krylov_iterations`
     (0 off the Krylov path) hold one entry per linear solve: one per accepted
     iteration, plus the rejected last one when damping gave out.
     """
@@ -169,15 +170,15 @@ def _krylov_preconditioner(sys: LinearizedSystem, alpha: float) -> Callable[[np.
     return apply_inverse
 
 
-def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | None, int]:
-    """2-D restarted GMRES from x = 0, left-preconditioned by `_krylov_preconditioner`.
+def _solve_krylov(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[np.ndarray | None, int]:
+    """2-D restarted GMRES on A x = b from x = 0, left-preconditioned by `_krylov_preconditioner`.
 
     Step for step it is SciPy's `gmres` (1.17): modified Gram-Schmidt, Givens
     rotations from LAPACK lartg, its inner tolerance `ptol` across restarts and its
     back substitution; but P^-1 b is applied once and b - A x once per cycle.
     Returns (x, iterations), or (None, 0) unless x is finite and |b - A x| <= KRYLOV_RTOL |b|.
     """
-    matrix, b, precond = sys.matrix, sys.rhs, _krylov_preconditioner(sys, alpha)
+    matrix, precond = sys.matrix, _krylov_preconditioner(sys, alpha)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         return np.zeros_like(b), 0
@@ -230,65 +231,52 @@ def _solve_krylov(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray | Non
     return (x, iterations) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0)
 
 
-def _solve_band(sys: LinearizedSystem) -> np.ndarray | None:
+def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray | None:
     """Banded LU (LAPACK gbsv) in `_band_layout` order; None off its structure, on a zero pivot or non-finite x."""
     order, inverse, kl, ku, slots = _band_layout(sys.grid)
     if sys.matrix.nnz != slots.size:
         return None
     band = np.zeros((order.size, 2 * kl + ku + 1))
     band.ravel()[slots] = sys.matrix.data
-    _, _, x, info = dgbsv(kl, ku, band.T, sys.rhs[order, None], overwrite_ab=True, overwrite_b=True)
+    _, _, x, info = dgbsv(kl, ku, band.T, b[order, None], overwrite_ab=True, overwrite_b=True)
     return x[inverse, 0] if info == 0 and np.all(np.isfinite(x)) else None
 
 
-def _solve_linear(sys: LinearizedSystem, alpha: float) -> tuple[np.ndarray, str, int]:
-    """Solve the Newton system; returns (delta, path, Krylov iterations).
+def _solve_linear(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[np.ndarray, str, int]:
+    """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations).
 
-    2-D tries `_solve_krylov` first, 1-D `_solve_band` ("band").  The direct
-    sparse solve is the fallback of both; on a (near-)singular factorization it
-    retries with a mean-value constraint appended on the v block, least squares
-    ("pinned").
+    2-D tries `_solve_krylov` first ("krylov"), 1-D `_solve_band` ("band").  The
+    sparse direct solve ("direct") is the fallback of both; where it meets a
+    (near-)singular factorization or gives non-finite values, LinearSolveFailure
+    ends the Newton step, and the continuation shortens its step.
     """
     if sys.grid.dim == 2:
-        delta, iterations = _solve_krylov(sys, alpha)
+        delta, iterations = _solve_krylov(sys, b, alpha)
         if delta is not None:
             return delta, "krylov", iterations
     else:
-        delta = _solve_band(sys)
+        delta = _solve_band(sys, b)
         if delta is not None:
             return delta, "band", 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            delta = spsolve(sys.matrix, sys.rhs)
-        except (MatrixRankWarning, RuntimeError):
-            delta = None
-    if delta is not None and np.all(np.isfinite(delta)):
-        return delta, "direct", 0
-    return _solve_pinned(sys.matrix, sys.rhs, sys.grid.size), "pinned", 0
-
-
-def _solve_pinned(matrix: sparse.csr_matrix, rhs: np.ndarray, n: int) -> np.ndarray:
-    row = sparse.csr_matrix(
-        (np.full(n, 1.0 / n), (np.zeros(n, dtype=int), np.arange(n))), shape=(1, 2 * n)
-    )
-    aug = sparse.vstack([matrix, row]).tocsr()
-    aug_rhs = np.concatenate([rhs, [0.0]])
-    delta = lsqr(aug, aug_rhs, atol=1e-14, btol=1e-14, iter_lim=20 * n)[0]
+            delta = spsolve(sys.matrix, b)
+        except (MatrixRankWarning, RuntimeError) as err:
+            raise LinearSolveFailure(f"singular Newton system: {err}") from err
     if not np.all(np.isfinite(delta)):
         raise LinearSolveFailure("linear solve produced non-finite values")
-    return delta
+    return delta, "direct", 0
 
 
 def newton_solve(
     spec: ProblemSpec,
     lam: float,
     s0: State,
-    opts: NewtonOptions | None = None,
+    opts: NewtonOptions = NewtonOptions(),
     sources: tuple[Field, Field] | None = None,
 ) -> tuple[State, NewtonReport]:
     """Damped Newton on F(lam, .) from s0 (m > 0 required) down to the sup-norm tolerance."""
-    opts = opts or NewtonOptions()
     grid = spec.grid
     s = s0
     res = residual(spec, lam, s, sources)
@@ -311,9 +299,10 @@ def newton_solve(
                 report=report(False),
             )
 
-        sys = assemble_jacobian(spec, lam, s, sources, res)
+        sys = assemble_jacobian(spec, lam, s)
+        rhs = -np.concatenate([res[0].values, res[1].values])
         try:
-            delta, path, krylov_its = _solve_linear(sys, spec.alpha)
+            delta, path, krylov_its = _solve_linear(sys, rhs, spec.alpha)
         except LinearSolveFailure as err:
             err.report = report(False)
             raise
@@ -349,8 +338,8 @@ def newton_solve(
 
 def continuation_solve(
     spec: ProblemSpec,
-    opts: NewtonOptions | None = None,
-    step_opts: StepOptions | None = None,
+    opts: NewtonOptions = NewtonOptions(),
+    step_opts: StepOptions = StepOptions(),
     diagnostics: DiagnosticsConfig = DiagnosticsConfig(),
 ) -> tuple[State, ContinuationTrace]:
     """Track the solution branch from the explicit lam=0 state up to lam=1.
@@ -362,8 +351,6 @@ def continuation_solve(
     """
     if not spec.solvable:
         raise ValueError(f"the solver requires alpha < 1, got alpha = {spec.alpha}")
-    opts = opts or NewtonOptions()
-    step_opts = step_opts or StepOptions()
     trace = ContinuationTrace()
 
     s, report = newton_solve(spec, 0.0, exact_initial(spec), opts)
@@ -401,8 +388,8 @@ def continuation_solve(
 def perturbation_solve(
     spec: ProblemSpec,
     eps_sequence: list[float],
-    opts: NewtonOptions | None = None,
-    step_opts: StepOptions | None = None,
+    opts: NewtonOptions = NewtonOptions(),
+    step_opts: StepOptions = StepOptions(),
 ) -> list[tuple[float, State]]:
     """Solve the strictly-monotonized problems for a decreasing sequence of
     perturbation strengths, warm-starting each lam=1 solve from the previous one.

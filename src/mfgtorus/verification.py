@@ -132,13 +132,12 @@ def refinement_grids(dim: int, sizes) -> tuple[GridSpec, ...]:
 def convergence_study(
     case: ManufacturedCase,
     grids: list[int],
-    opts: NewtonOptions | None = None,
+    opts: NewtonOptions = NewtonOptions(),
 ) -> RateTable:
     """Solve the augmented lam=1 system on each of the `refinement_grids` and fit the observed order.
 
     The order is the mean of the successive log2 error ratios.
     """
-    opts = opts or NewtonOptions()
     errors = []
     for grid in refinement_grids(case.spec.grid.dim, grids):
         spec_n = replace(case.spec, grid=grid)

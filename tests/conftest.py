@@ -14,6 +14,7 @@ from mfgtorus import (
     ProblemSpec,
     TrigForm,
     continuation_solve,
+    residual,
 )
 from mfgtorus.grid import _diff, _second_diff
 
@@ -58,8 +59,14 @@ def laplacian_matrix(grid: GridSpec) -> sparse.csr_matrix:
     return (sparse.kron(l1, eye) + sparse.kron(eye, l1)).tocsr()
 
 
-def reference_gmres(sys, alpha: float):
-    """SciPy's `gmres` on a 2-D Newton system with the solver's preconditioner and settings.
+def newton_rhs(spec: ProblemSpec, lam: float, s, sources=None) -> np.ndarray:
+    """-F(lam, s) on stacked (v, f), with the MMS sources if given: the right-hand side of a Newton system at s."""
+    r1, r2 = residual(spec, lam, s, sources)
+    return -np.concatenate([r1.values, r2.values])
+
+
+def reference_gmres(sys, b: np.ndarray, alpha: float):
+    """SciPy's `gmres` on a 2-D Newton system A x = b with the solver's preconditioner and settings.
 
     The reference the in-house Krylov loop is tested against.  Returns (x, info,
     inner iterations, restart cycles): SciPy calls a "pr_norm" callback once per
@@ -72,8 +79,8 @@ def reference_gmres(sys, alpha: float):
         rtol=solver.KRYLOV_RTOL, restart=solver.KRYLOV_RESTART, maxiter=solver.KRYLOV_MAX_RESTARTS, M=precond
     )
     residuals, iterates = [], []
-    x, info = gmres(sys.matrix, sys.rhs, callback=residuals.append, callback_type="pr_norm", **settings)
-    gmres(sys.matrix, sys.rhs, callback=iterates.append, callback_type="x", **settings)
+    x, info = gmres(sys.matrix, b, callback=residuals.append, callback_type="pr_norm", **settings)
+    gmres(sys.matrix, b, callback=iterates.append, callback_type="x", **settings)
     return x, info, len(residuals), len(iterates)
 
 

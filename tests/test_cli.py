@@ -527,6 +527,34 @@ class TestJacobianCheckCommand:
         for tag in ("initial", "mid", "final"):
             assert (out / f"jacobian_{tag}.mtx").exists()
 
+    def test_wrong_jacobian_fails_the_fd_check(self, tmp_path, monkeypatch):
+        """An A_fv block off by a factor 1 + 1e-3 exceeds FD_TOLERANCE, and the command exits 2."""
+        from dataclasses import replace
+
+        import mfgtorus.cli as cli
+        from mfgtorus import exact_initial
+        from mfgtorus.linearization import FD_TOLERANCE, assemble_jacobian, fd_max_error
+
+        def wrong_jacobian(spec, lam, s):
+            sys_ = assemble_jacobian(spec, lam, s)
+            matrix, n = sys_.matrix.copy(), spec.grid.size
+            rows = np.repeat(np.arange(2 * n), np.diff(matrix.indptr))
+            matrix.data[(rows >= n) & (matrix.indices < n)] *= 1.0 + 1e-3
+            return replace(sys_, matrix=matrix)
+
+        doc = base_config()
+        doc["problem"]["n"] = 32
+        spec = parse_config(doc).problem
+        s0 = exact_initial(spec)
+        assert fd_max_error(spec, 0.0, wrong_jacobian(spec, 0.0, s0), np.random.default_rng(0)) > FD_TOLERANCE
+
+        # the solve inside the command assembles through `solver`, which stays unpatched
+        monkeypatch.setattr(cli, "assemble_jacobian", wrong_jacobian)
+        out = tmp_path / "jac"
+        assert main(["jacobian-check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        report = json.loads((out / "jacobian_check.json").read_text())
+        assert all(s["fd_max_rel_error"] > FD_TOLERANCE for s in report["states"])
+
 
 class TestSweepCommand:
     def test_small_sweep_serial_and_parallel_agree(self, tmp_path):
@@ -668,6 +696,20 @@ class TestUsageErrors:
             # an optional "[--flag value]" is parsed as if given; "..." marks a repeat
             words = [w.strip("[]") for w in argv if w not in ("...]", "...")]
             build_parser().parse_args(words)
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "mms", "jacobian-check", "sweep"])
+    def test_out_naming_a_file_exits_one_with_one_line(self, tmp_path, capsys, command):
+        doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [0.1]}, "m": {"const": 1.0, "cos": [0.25]}},
+                          sweep={"alphas": [0.5], "kappas": [1.0]})
+        cfg = write_config(tmp_path, doc)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        state = ["--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")] if command == "verify" else []
+        assert main([command, "--config", cfg, "--out", str(afile), *state]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: cannot create output directory {afile}: ")
+        assert afile.read_text() == "kept\n"
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 1

@@ -6,6 +6,7 @@ from mfgtorus import (
     DriftSpec,
     Field,
     GridSpec,
+    LinearSolveFailure,
     ManufacturedCase,
     MaxItersExceeded,
     NewtonOptions,
@@ -26,9 +27,9 @@ from mfgtorus import (
 )
 from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
-from mfgtorus.solver import _solve_krylov, _solve_linear, _solve_pinned
+from mfgtorus.solver import _solve_krylov, _solve_linear
 
-from conftest import diff_matrix, laplacian_matrix, problem_2d, reference_gmres, suite_problem
+from conftest import diff_matrix, laplacian_matrix, newton_rhs, problem_2d, reference_gmres, suite_problem
 
 TWO_PI = 2 * np.pi
 
@@ -147,24 +148,6 @@ class TestNewton:
             newton_solve(spec, 1.0, s0, NewtonOptions(tol_residual=1e-18, max_iters=200))
 
 
-class TestLinearFallback:
-    def test_pinned_solve_fixes_constant_kernel(self):
-        # block system with a constant null direction on the v block
-        import scipy.sparse as sparse
-
-        grid = GridSpec(1, 16)
-        n = grid.size
-        lap = laplacian_matrix(grid)
-        eye = sparse.identity(n, format="csr")
-        mat = sparse.bmat([[-lap, None], [None, eye - lap]], format="csr")  # singular: v-const kernel
-        rng = np.random.default_rng(0)
-        x_true = np.concatenate([np.sin(TWO_PI * mesh(grid)[0]), rng.standard_normal(n)])
-        x_true[:n] -= x_true[:n].mean()
-        rhs = mat @ x_true
-        sol = _solve_pinned(mat, rhs, n)
-        np.testing.assert_allclose(sol, x_true, atol=1e-8)
-
-
 def strong_problem() -> ProblemSpec:
     """a = 4 cos, b = 4 sin, alpha = 0.5, 2-D n = 32."""
     pot = PotentialSpec("separable", TrigForm(0.0, (4.0, 4.0), (0.0, 0.0)), 1.0)
@@ -183,7 +166,7 @@ class TestKrylovSolve:
         s_half, _ = newton_solve(spec, 0.5, s)
         sys = assemble_jacobian(spec, 1.0, s_half)
         assert np.ptp(sys.base_state.m.values) > 1.0
-        return spec, sys
+        return spec, sys, newton_rhs(spec, 1.0, s_half)
 
     @pytest.fixture(scope="class")
     def mms_system(self):
@@ -192,9 +175,10 @@ class TestKrylovSolve:
         case = ManufacturedCase(
             spec, TrigForm(0.0, (0.05, 0.0), (0.0, 0.05)), TrigForm(2.0, (0.25, 0.0), (0.0, 0.0))
         )
-        sys = assemble_jacobian(spec, 1.0, case.sample(spec.grid), mms_source(case, spec.grid))
+        exact = case.sample(spec.grid)
+        sys = assemble_jacobian(spec, 1.0, exact)
         assert np.mean(sys.base_state.m.values) == pytest.approx(2.0, abs=1e-14)
-        return spec, sys
+        return spec, sys, newton_rhs(spec, 1.0, exact, mms_source(case, spec.grid))
 
     @pytest.fixture(params=["strong_system", "mms_system"])
     def krylov_system(self, request):
@@ -203,9 +187,9 @@ class TestKrylovSolve:
     def test_matches_direct_solve_on_strong_coefficients(self, krylov_system):
         from scipy.sparse.linalg import spsolve
 
-        spec, sys = krylov_system
-        delta, iterations = _solve_krylov(sys, spec.alpha)
-        direct = spsolve(sys.matrix, sys.rhs)
+        spec, sys, b = krylov_system
+        delta, iterations = _solve_krylov(sys, b, spec.alpha)
+        direct = spsolve(sys.matrix, b)
         assert 0 < iterations
         assert np.linalg.norm(delta - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -214,10 +198,10 @@ class TestKrylovSolve:
         """Same inner iterations as SciPy's `gmres`, and the same answer; restart 6 forces restarts."""
         import mfgtorus.solver as solver_mod
 
-        spec, sys = krylov_system
+        spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
-        ref, info, ref_iterations, cycles = reference_gmres(sys, spec.alpha)
-        delta, iterations = _solve_krylov(sys, spec.alpha)
+        ref, info, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha)
+        delta, iterations = _solve_krylov(sys, b, spec.alpha)
         assert info == 0
         assert restart == 40 or cycles > 1
         assert iterations == ref_iterations
@@ -226,10 +210,10 @@ class TestKrylovSolve:
     def test_unconverged_solve_returns_none(self, krylov_system, monkeypatch):
         import mfgtorus.solver as solver_mod
 
-        spec, sys = krylov_system
+        spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
-        assert reference_gmres(sys, spec.alpha)[1] == solver_mod.KRYLOV_MAX_RESTARTS
-        assert _solve_krylov(sys, spec.alpha) == (None, 0)
+        assert reference_gmres(sys, b, spec.alpha)[1] == solver_mod.KRYLOV_MAX_RESTARTS
+        assert _solve_krylov(sys, b, spec.alpha) == (None, 0)
 
     @pytest.mark.parametrize("restart", [40, 6])
     def test_each_cycle_applies_matrix_and_preconditioner_once_beyond_its_iterations(
@@ -240,9 +224,9 @@ class TestKrylovSolve:
 
         import mfgtorus.solver as solver_mod
 
-        spec, sys = krylov_system
+        spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
-        _, _, ref_iterations, cycles = reference_gmres(sys, spec.alpha)
+        _, _, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha)
         calls = {"matrix": 0, "preconditioner": 0}
         forward = solver_mod._krylov_preconditioner
 
@@ -260,17 +244,15 @@ class TestKrylovSolve:
             return counted
 
         monkeypatch.setattr(solver_mod, "_krylov_preconditioner", counting_preconditioner)
-        delta, iterations = _solve_krylov(replace(sys, matrix=CountingMatrix()), spec.alpha)
+        delta, iterations = _solve_krylov(replace(sys, matrix=CountingMatrix()), b, spec.alpha)
         assert delta is not None and iterations == ref_iterations
         assert calls == {"matrix": iterations + cycles, "preconditioner": iterations + cycles}
 
     def test_zero_right_hand_side_returns_zeros(self, strong_system):
-        from dataclasses import replace
-
-        spec, sys = strong_system
-        delta, iterations = _solve_krylov(replace(sys, rhs=np.zeros_like(sys.rhs)), spec.alpha)
+        spec, sys, b = strong_system
+        delta, iterations = _solve_krylov(sys, np.zeros_like(b), spec.alpha)
         assert iterations == 0
-        assert np.array_equal(delta, np.zeros_like(sys.rhs))
+        assert np.array_equal(delta, np.zeros_like(b))
 
     @pytest.mark.parametrize("failure", ["info", "nonfinite"])
     def test_failed_gmres_falls_back_to_direct(self, strong_system, monkeypatch, failure):
@@ -279,7 +261,7 @@ class TestKrylovSolve:
 
         import mfgtorus.solver as solver_mod
 
-        spec, sys = strong_system
+        spec, sys, b = strong_system
         if failure == "info":
             monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
             monkeypatch.setattr(solver_mod, "KRYLOV_MAX_RESTARTS", 1)
@@ -287,9 +269,9 @@ class TestKrylovSolve:
             monkeypatch.setattr(
                 solver_mod, "_krylov_preconditioner", lambda sys, alpha: lambda r: np.full_like(r, np.nan)
             )
-        delta, path, iterations = _solve_linear(sys, spec.alpha)
+        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
         assert (path, iterations) == ("direct", 0)
-        np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
+        np.testing.assert_array_equal(delta, spsolve(sys.matrix, b))
 
     @pytest.mark.parametrize("n", [8, 9, 48])
     def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
@@ -301,7 +283,8 @@ class TestKrylovSolve:
         spec = problem_2d(n=n)
         grid = spec.grid
         m = 2.0 + 0.25 * np.cos(TWO_PI * mesh(grid)[0]).ravel()
-        sys = assemble_jacobian(spec, 1.0, State(constant_field(grid, 0.0), Field(grid, m)))
+        state = State(constant_field(grid, 0.0), Field(grid, m))
+        sys = assemble_jacobian(spec, 1.0, state)
         preconditioners = []
         forward = solver_mod._krylov_preconditioner
 
@@ -310,7 +293,7 @@ class TestKrylovSolve:
             return preconditioners[-1]
 
         monkeypatch.setattr(solver_mod, "_krylov_preconditioner", recording_preconditioner)
-        _solve_krylov(sys, spec.alpha)
+        _solve_krylov(sys, newton_rhs(spec, 1.0, state), spec.alpha)
 
         c = 2.0 ** (1.0 - spec.alpha)
         eye_minus_lap = sparse.identity(grid.size) - laplacian_matrix(grid)
@@ -340,7 +323,7 @@ class TestKrylovSolve:
 
         spec = problem_2d()
         s_k, trace_k = continuation_solve(spec)
-        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, alpha: (None, 0))
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha: (None, 0))
         s_d, trace_d = continuation_solve(spec)
         assert [st.newton.iterations for st in trace_k.steps] == [
             st.newton.iterations for st in trace_d.steps
@@ -389,11 +372,12 @@ class TestBandSolve:
             # alpha = kappa = 0 and no drift: the A_vf diagonal is exactly zero at lam = 1, and stored
             "no-coupling": one_d_problem(n, 0.5, 0.0, alpha=0.0, kappa=0.0),
         }[case]
-        sys = assemble_jacobian(spec, lam, smooth_state(spec.grid))
+        state = smooth_state(spec.grid)
+        sys, b = assemble_jacobian(spec, lam, state), newton_rhs(spec, lam, state)
         assert sys.matrix.nnz == _band_layout(spec.grid)[4].size
         assert (sys.matrix.count_nonzero() < sys.matrix.nnz) == (case == "no-coupling")
-        delta, path, iterations = _solve_linear(sys, spec.alpha)
-        direct = spsolve(sys.matrix, sys.rhs)
+        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
+        direct = spsolve(sys.matrix, b)
         assert (path, iterations) == ("band", 0)
         assert np.linalg.norm(delta - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -419,17 +403,18 @@ class TestBandSolve:
         import mfgtorus.solver as solver_mod
 
         spec = one_d_problem(64, 4.0, 4.0)
-        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+        state = smooth_state(spec.grid)
+        sys, b = assemble_jacobian(spec, 1.0, state), newton_rhs(spec, 1.0, state)
 
-        def broken_dgbsv(kl, ku, ab, b, **kwargs):
+        def broken_dgbsv(kl, ku, ab, rhs, **kwargs):
             if failure == "info":
-                return ab, np.zeros(b.shape[0], dtype=np.int32), b, 1
-            return ab, np.zeros(b.shape[0], dtype=np.int32), np.full_like(b, np.nan), 0
+                return ab, np.zeros(rhs.shape[0], dtype=np.int32), rhs, 1
+            return ab, np.zeros(rhs.shape[0], dtype=np.int32), np.full_like(rhs, np.nan), 0
 
         monkeypatch.setattr(solver_mod, "dgbsv", broken_dgbsv)
-        delta, path, iterations = _solve_linear(sys, spec.alpha)
+        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
         assert (path, iterations) == ("direct", 0)
-        np.testing.assert_array_equal(delta, spsolve(sys.matrix, sys.rhs))
+        np.testing.assert_array_equal(delta, spsolve(sys.matrix, b))
 
     def test_matrix_off_the_pattern_goes_to_the_direct_solve(self):
         from dataclasses import replace
@@ -439,29 +424,71 @@ class TestBandSolve:
         from mfgtorus.solver import _solve_band
 
         spec = one_d_problem(16, 0.5, 0.0, alpha=0.0, kappa=0.0)
-        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+        state = smooth_state(spec.grid)
+        sys, b = assemble_jacobian(spec, 1.0, state), newton_rhs(spec, 1.0, state)
         matrix = sys.matrix.copy()
         matrix.eliminate_zeros()  # the zero A_vf diagonal leaves the structure
         dropped = replace(sys, matrix=matrix)
-        assert _solve_band(dropped) is None
-        delta, path, _ = _solve_linear(dropped, spec.alpha)
+        assert _solve_band(dropped, b) is None
+        delta, path, _ = _solve_linear(dropped, b, spec.alpha)
         assert path == "direct"
-        np.testing.assert_array_equal(delta, spsolve(matrix, sys.rhs))
+        np.testing.assert_array_equal(delta, spsolve(matrix, b))
 
-    def test_singular_system_ends_in_the_pinned_solve(self):
+    def test_singular_system_fails_the_newton_step(self):
         from dataclasses import replace
 
         from mfgtorus.solver import _solve_band
 
         spec = one_d_problem(16, 0.5, 0.3)
-        sys = assemble_jacobian(spec, 1.0, smooth_state(spec.grid))
+        state = smooth_state(spec.grid)
+        sys, b = assemble_jacobian(spec, 1.0, state), newton_rhs(spec, 1.0, state)
         matrix = sys.matrix.copy()
         matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
         singular = replace(sys, matrix=matrix)
-        assert _solve_band(singular) is None  # gbsv meets the zero pivot
-        delta, path, _ = _solve_linear(singular, spec.alpha)
-        assert path == "pinned"
-        np.testing.assert_array_equal(delta, _solve_pinned(matrix, sys.rhs, spec.grid.size))
+        assert _solve_band(singular, b) is None  # gbsv meets the zero pivot
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            _solve_linear(singular, b, spec.alpha)
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_right_hand_side_is_the_negated_augmented_residual(self, monkeypatch, dim):
+        """Every b the linear solve gets in an MMS Newton solve is -(F - S) at that iterate, bit for bit."""
+        import mfgtorus.solver as solver_mod
+
+        spec = suite_problem(0.5, n=32) if dim == 1 else problem_2d(n=16)
+        zero = (0.0,) * dim
+        case = ManufacturedCase(spec, TrigForm(0.0, zero, (0.1,) * dim), TrigForm(1.0, (0.25,) * dim, zero))
+        sources = mms_source(case, spec.grid)
+        received = []
+        forward = solver_mod._solve_linear
+
+        def recording_solve(sys, b, alpha):
+            received.append((sys.base_state, b.copy()))
+            return forward(sys, b, alpha)
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", recording_solve)
+        _, report = newton_solve(spec, 1.0, exact_initial(spec), sources=sources)
+        assert report.converged and len(received) == report.iterations > 0
+        for state, b in received:
+            assert np.array_equal(b, newton_rhs(spec, 1.0, state, sources))
+
+    def test_failed_linear_solve_is_a_continuation_step_failure(self, monkeypatch):
+        """A LinearSolveFailure halves the step, like any other Newton failure."""
+        import mfgtorus.solver as solver_mod
+
+        forward, calls = solver_mod._solve_linear, []
+
+        def singular_once(sys, b, alpha):
+            calls.append(sys)
+            if len(calls) == 1:  # the first Newton system: lambda = 0 starts at its exact solution
+                raise LinearSolveFailure("singular Newton system")
+            return forward(sys, b, alpha)
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", singular_once)
+        _, trace = continuation_solve(suite_problem(0.5, n=32))
+        assert trace.success
+        assert [f.error for f in trace.failures] == ["LinearSolveFailure"]
 
 
 class TestContinuation:
