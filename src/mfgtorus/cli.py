@@ -306,6 +306,9 @@ def main(argv=None) -> int:
     except MFGError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as err:  # every read turns its OSError into a ConfigError, so this is a write
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -137,17 +137,26 @@ def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[fl
     return values
 
 
-def _cancellation_at(spec: ProblemSpec, s: State, du: list[np.ndarray], lap_u: np.ndarray):
-    """`cancellation_check` on s as a function of r, given Du and lap(u); the r-free arrays are built once."""
+def cancellation_check(spec: ProblemSpec, s: State):
+    """The cancellation defect of s as a function of r > alpha; the r-free arrays are built once.
+
+        at(r) = integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a)))
+
+    Zero in the continuum for any smooth pair with m > 0 (both sides integrate
+    by parts to integral(Du.Dm / m^(r+1))); discretely O(h^2).
+    """
     grid = spec.grid
     a = spec.alpha
     m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity("cancellation check needs m > 0")
+    du, lap_u = gradient_and_laplacian(s.u.reshaped(), grid)
     m_flux = m ** (1.0 - a)
     flux_div = divergence_arrays([m_flux * d for d in du], grid)
 
     def at(r: float) -> float:
+        if r <= a:
+            raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             term1 = integral(grid, lap_u / (r * m**r))
             term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
@@ -156,19 +165,18 @@ def _cancellation_at(spec: ProblemSpec, s: State, du: list[np.ndarray], lap_u: n
     return at
 
 
-def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
-    """integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a))).
+def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
+    """Both sides of the rearranged master identity on a lam=1 solution, as a function of r > alpha.
 
-    Zero in the continuum for any smooth pair with m > 0 (both sides integrate
-    by parts to integral(Du.Dm / m^(r+1))); discretely O(h^2).
+        lhs = int m^-(r+1-a)/(r+1-a) + int |Du|^2/(2 r m^(r+a)) + int |Dm|^2/m^(r+2-a)
+        rhs = int (V_eff - u)/(r m^r) - int b.Du/(r m^r)
+              + int m^-(r-a)/(r+1-a) - int div(b) m^-(r-a)/(r-a)
+
+    at(r) returns (lhs, rhs, defect).  Only holds on solutions: raises NotASolution
+    above 100x the Newton tolerance `tol`; the residual test and the r-free arrays run once.
+    The defect is O(h^2): the discrete chain rule behind the |Dm|^2 term is not
+    exact, so the identity is verified by refinement, not equality.
     """
-    if r <= spec.alpha:
-        raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
-    return _cancellation_at(spec, s, *gradient_and_laplacian(s.u.reshaped(), spec.grid))(r)
-
-
-def _identity_at(spec: ProblemSpec, s: State, tol: float, du: list[np.ndarray]):
-    """`moment_identity_check` on s as a function of r, given Du; the residual test and the r-free arrays run once."""
     grid = spec.grid
     a = spec.alpha
     m = s.m.reshaped()
@@ -179,6 +187,7 @@ def _identity_at(spec: ProblemSpec, s: State, tol: float, du: list[np.ndarray]):
         raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
 
     u = s.u.reshaped()
+    du = gradient_arrays(s.u)
     dm = gradient_arrays(s.m)
     du_sq = sum(d * d for d in du)
     dm_sq = sum(d * d for d in dm)
@@ -188,6 +197,8 @@ def _identity_at(spec: ProblemSpec, s: State, tol: float, du: list[np.ndarray]):
     v_eff = effective_potential(spec, grid, m)
 
     def at(r: float) -> tuple[float, float, float]:
+        if r <= a:
+            raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
         p = r + 1.0 - a
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = (
@@ -204,22 +215,6 @@ def _identity_at(spec: ProblemSpec, s: State, tol: float, du: list[np.ndarray]):
         return _finite("identity", spec, r, lhs, rhs, abs(lhs - rhs))
 
     return at
-
-
-def moment_identity_check(spec: ProblemSpec, s: State, r: float, tol: float) -> tuple[float, float, float]:
-    """Both sides of the rearranged master identity on a lam=1 solution; returns (lhs, rhs, defect).
-
-        lhs = int m^-(r+1-a)/(r+1-a) + int |Du|^2/(2 r m^(r+a)) + int |Dm|^2/m^(r+2-a)
-        rhs = int (V_eff - u)/(r m^r) - int b.Du/(r m^r)
-              + int m^-(r-a)/(r+1-a) - int div(b) m^-(r-a)/(r-a)
-
-    Only holds on solutions: raises NotASolution above 100x the Newton tolerance `tol`.
-    The defect is O(h^2): the discrete chain rule behind the |Dm|^2 term is not
-    exact, so the identity is verified by refinement, not equality.
-    """
-    if r <= spec.alpha:
-        raise BadExponent(f"need r > alpha, got r = {r}, alpha = {spec.alpha}")
-    return _identity_at(spec, s, tol, gradient_arrays(s.u))(r)
 
 
 @dataclass(frozen=True)
@@ -251,10 +246,6 @@ def monotonicity_gap(
     Each derivative sample is certified against (1 - a/2) int m_t^(1-a) |D(u1-u0)|^2,
     which is nonnegative for alpha in [0, 2].
     """
-    # Imported here, not at the top: scipy.integrate adds about 0.35 s and 20 MB
-    # to every start of the command line, which never calls this function.
-    from scipy.integrate import trapezoid
-
     grid = spec.grid
     a = spec.alpha
     m0 = s0.m.reshaped()
@@ -293,7 +284,8 @@ def monotonicity_gap(
         main = integral(grid, m_t ** (1.0 - a) * ddiff_sq)
         curve.append(cross + square + main)
         bounds.append((1.0 - 0.5 * a) * main)
-    i1 = float(trapezoid(curve, thetas))
+    y = np.asarray(curve)
+    i1 = float((np.diff(thetas) * (y[1:] + y[:-1]) / 2.0).sum())  # the trapezoidal rule, as scipy's trapezoid
 
     return MonotonicityGapReport(
         lhs=lhs,
@@ -325,10 +317,10 @@ def make_snapshot(
 
     A row is one verdict {check, r, value, threshold, passed, note}, with r None for
     the scalar checks.  The snapshot's scalar fields are always recorded; the per-r
-    checks run at each r > alpha.  What does not depend on r (Du, the r-free arrays,
-    the identity's residual test) is computed once.  Off a lam = 1 solution (to 100x
-    `newton_tol`) no identity defect is recorded and each identity row fails with the reason;
-    where m > 0 fails, so does every per-r row, and no per-r value is recorded.
+    checks are built once per state and run at each r > alpha, so what does not depend
+    on r (the r-free arrays, the identity's residual test) is computed once.  Off a lam = 1
+    solution (to 100x `newton_tol`) no identity defect is recorded and each identity row
+    fails with the reason; where m > 0 fails, so does every per-r row and no per-r value is recorded.
     """
     checks = config.checks
     budget = config.identity_budget_factor * spec.grid.h**2
@@ -356,15 +348,13 @@ def make_snapshot(
         return DiagnosticsSnapshot(sup_u, bound, min_m, mass_defect, (), (), ()), rows
     cancellation = identity = None
     not_a_solution = ""
-    if r_values and ("cancellation" in checks or "identity" in checks):
-        du, lap_u = gradient_and_laplacian(s.u.reshaped(), spec.grid)
-        if "cancellation" in checks:
-            cancellation = _cancellation_at(spec, s, du, lap_u)
-        if "identity" in checks and lam == 1.0:
-            try:
-                identity = _identity_at(spec, s, newton_tol, du)
-            except NotASolution as err:
-                not_a_solution = str(err)
+    if r_values and "cancellation" in checks:
+        cancellation = cancellation_check(spec, s)
+    if r_values and "identity" in checks and lam == 1.0:
+        try:
+            identity = moment_identity_check(spec, s, newton_tol)
+        except NotASolution as err:
+            not_a_solution = str(err)
     moments, cancels, identities = [], [], []
     for r in r_values:
         if "moment" in checks:

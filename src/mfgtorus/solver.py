@@ -8,9 +8,9 @@ are never floored or regularized.
 
 Each Newton step solves one 2N x 2N linear system.  In 2-D that is an in-house
 GMRES loop with a block preconditioner diagonal in the discrete Fourier basis;
-in 1-D it is a banded LU with the periodic ring folded into a plain band.
-Whenever either answer is not accepted, it is the sparse direct solve, and a
-system that solve cannot factor fails the Newton step.
+in 1-D it is a banded LU with the periodic ring folded into a plain band.  A
+GMRES answer that is not accepted goes to the sparse direct solve, and a system
+that the band LU or the direct solve cannot factor fails the Newton step.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class StepOptions:
 class NewtonReport:
     """One Newton solve.
 
-    `linear_paths` ("krylov", "band" or "direct") and `krylov_iterations`
+    `linear_paths` ("band" in 1-D; "krylov" or "direct" in 2-D) and `krylov_iterations`
     (0 off the Krylov path) hold one entry per linear solve: one per accepted
     iteration, plus the rejected last one when damping gave out.
     """
@@ -231,33 +231,30 @@ def _solve_krylov(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[n
     return (x, iterations) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0)
 
 
-def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray | None:
-    """Banded LU (LAPACK gbsv) in `_band_layout` order; None off its structure, on a zero pivot or non-finite x."""
+def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
+    """Banded LU (LAPACK gbsv) of a matrix on the cached pattern; LinearSolveFailure on a zero pivot or non-finite x."""
     order, inverse, kl, ku, slots = _band_layout(sys.grid)
-    if sys.matrix.nnz != slots.size:
-        return None
     band = np.zeros((order.size, 2 * kl + ku + 1))
     band.ravel()[slots] = sys.matrix.data
     _, _, x, info = dgbsv(kl, ku, band.T, b[order, None], overwrite_ab=True, overwrite_b=True)
-    return x[inverse, 0] if info == 0 and np.all(np.isfinite(x)) else None
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise LinearSolveFailure(f"singular or overflowing band LU (gbsv info {info})")
+    return x[inverse, 0]
 
 
 def _solve_linear(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[np.ndarray, str, int]:
     """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations).
 
-    2-D tries `_solve_krylov` first ("krylov"), 1-D `_solve_band` ("band").  The
-    sparse direct solve ("direct") is the fallback of both; where it meets a
-    (near-)singular factorization or gives non-finite values, LinearSolveFailure
-    ends the Newton step, and the continuation shortens its step.
+    1-D is `_solve_band` ("band").  2-D tries `_solve_krylov` first ("krylov"), and
+    the sparse direct solve ("direct") when GMRES is not accepted.  Where either LU
+    meets a (near-)singular factorization or gives non-finite values,
+    LinearSolveFailure ends the Newton step, and the continuation shortens its step.
     """
-    if sys.grid.dim == 2:
-        delta, iterations = _solve_krylov(sys, b, alpha)
-        if delta is not None:
-            return delta, "krylov", iterations
-    else:
-        delta = _solve_band(sys, b)
-        if delta is not None:
-            return delta, "band", 0
+    if sys.grid.dim == 1:
+        return _solve_band(sys, b), "band", 0
+    delta, iterations = _solve_krylov(sys, b, alpha)
+    if delta is not None:
+        return delta, "krylov", iterations
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:

@@ -230,7 +230,8 @@ class TestSolveCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("continuation stalled: ")
         trace = json.loads((out / "trace.json").read_text())
-        assert trace["failures"] and {f["error"] for f in trace["failures"]} == {"NonFiniteResidual"}
+        errors = {f["error"] for f in trace["failures"]}  # the band LU's step can overflow before the residual
+        assert trace["failures"] and errors == {"NonFiniteResidual", "LinearSolveFailure"}
 
     def test_majorant_overflow_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
         doc = base_config()
@@ -710,6 +711,28 @@ class TestUsageErrors:
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: cannot create output directory {afile}: ")
         assert afile.read_text() == "kept\n"
+
+    FIRST_OUTPUT = {"solve": "resolved_config.json", "verify": "diagnostics.json", "mms": "rates.csv",
+                    "jacobian-check": "jacobian_check.json", "sweep": "sweep.csv"}
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "mms", "jacobian-check", "sweep"])
+    def test_unwritable_output_file_exits_one_with_one_line(self, tmp_path, capsys, command):
+        from mfgtorus import exact_initial
+
+        doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [0.1]}, "m": {"const": 1.0, "cos": [0.25]}},
+                          sweep={"alphas": [0.5], "kappas": [1.0]})
+        cfg = write_config(tmp_path, doc)
+        s = exact_initial(load_config(cfg).problem)
+        save_field(s.u, str(tmp_path / "u.csv"))
+        save_field(s.m, str(tmp_path / "m.csv"))
+        out = tmp_path / "out"
+        blocked = out / self.FIRST_OUTPUT[command]
+        blocked.mkdir(parents=True)
+        state = ["--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")] if command == "verify" else []
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(out), *state, *jobs]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"cannot write output: [Errno 21] Is a directory: '{blocked}'"]
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 1

@@ -153,34 +153,34 @@ class TestCancellation:
         spec = suite_problem(0.5, n=32)
         x = mesh(spec.grid)[0]
         s = State(constant_field(spec.grid, 1.0), Field(spec.grid, 1.0 + 0.4 * np.cos(TWO_PI * x)))
-        assert cancellation_check(spec, s, 2.0) == 0.0
+        assert cancellation_check(spec, s)(2.0) == 0.0
 
     def test_unit_density_telescopes_to_roundoff(self):
         spec = suite_problem(0.5, n=64)
         x = mesh(spec.grid)[0]
         s = State(Field(spec.grid, 0.3 * np.sin(TWO_PI * x)), constant_field(spec.grid, 1.0))
-        assert abs(cancellation_check(spec, s, 2.0)) <= 1e-13
+        assert abs(cancellation_check(spec, s)(2.0)) <= 1e-13
 
     def test_second_order_refinement_on_converged_solutions(self, refined_solutions):
         defects = []
         for n in (64, 128, 256):
             spec, s = refined_solutions[n]
-            defects.append(abs(cancellation_check(spec, s, 2.0)))
+            defects.append(abs(cancellation_check(spec, s)(2.0)))
         ratios = [a / b for a, b in zip(defects, defects[1:])]
         assert all(r >= 3.5 for r in ratios), (defects, ratios)
 
     def test_rejects_bad_exponent(self):
         spec = suite_problem(0.9, n=32)
         with pytest.raises(BadExponent):
-            cancellation_check(spec, exact_initial(spec), 0.9)
+            cancellation_check(spec, exact_initial(spec))(0.9)
 
     def test_overflowing_powers_raise_one_error(self):
         # m^r leaves the float range both ways: inf where m > 1, 0 (then x / 0) where m < 1
         spec = suite_problem(0.5, n=32)
         s = wavy_state(spec.grid)
-        assert np.isfinite(cancellation_check(spec, s, 400.0))
+        assert np.isfinite(cancellation_check(spec, s)(400.0))
         with pytest.raises(MFGError, match="cancellation check overflows at r = 100000, alpha = 0.5"):
-            cancellation_check(spec, s, 1e5)
+            cancellation_check(spec, s)(1e5)
 
 
 class TestMomentIdentity:
@@ -193,7 +193,7 @@ class TestMomentIdentity:
         )
         s = State(constant_field(grid, c), constant_field(grid, 1.0))
         for r in (1.0, 2.0, 4.0):
-            lhs, rhs, defect = moment_identity_check(spec, s, r, NEWTON_TOL)
+            lhs, rhs, defect = moment_identity_check(spec, s, NEWTON_TOL)(r)
             assert lhs == pytest.approx(1.0 / (r + 0.5), abs=1e-13)
             assert defect <= 1e-13
 
@@ -201,7 +201,7 @@ class TestMomentIdentity:
         defects = []
         for n in (64, 128, 256):
             spec, s = refined_solutions[n]
-            _, _, defect = moment_identity_check(spec, s, 2.0, NEWTON_TOL)
+            _, _, defect = moment_identity_check(spec, s, NEWTON_TOL)(2.0)
             defects.append(defect)
         ratios = [a / b for a, b in zip(defects, defects[1:])]
         assert all(r >= 3.5 for r in ratios), (defects, ratios)
@@ -210,18 +210,41 @@ class TestMomentIdentity:
         spec, s, _ = reference_solution
         bad = State(Field(spec.grid, s.u.values + 1e-3), s.m)
         with pytest.raises(NotASolution):
-            moment_identity_check(spec, bad, 2.0, NEWTON_TOL)
+            moment_identity_check(spec, bad, NEWTON_TOL)(2.0)
 
     def test_rejects_bad_exponent(self, reference_solution):
         spec, s, _ = reference_solution
         with pytest.raises(BadExponent):
-            moment_identity_check(spec, s, 0.25, NEWTON_TOL)
+            moment_identity_check(spec, s, NEWTON_TOL)(0.25)
 
     def test_overflowing_powers_raise_one_error(self, reference_solution):
         spec, s, _ = reference_solution
-        assert all(np.isfinite(moment_identity_check(spec, s, 4.0, NEWTON_TOL)))
+        assert all(np.isfinite(moment_identity_check(spec, s, NEWTON_TOL)(4.0)))
         with pytest.raises(MFGError, match="identity check overflows at r = 100000, alpha = 0.5"):
-            moment_identity_check(spec, s, 1e5, NEWTON_TOL)
+            moment_identity_check(spec, s, NEWTON_TOL)(1e5)
+
+    def test_one_residual_however_many_exponents(self, reference_solution, monkeypatch):
+        spec, s, _ = reference_solution
+        original = diagnostics.residual
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "residual", counting)
+        identity = moment_identity_check(spec, s, NEWTON_TOL)
+        assert seen == [1.0]
+        for r in (1.0, 1.5, 2.0, 3.0, 4.0):
+            identity(r)
+        assert seen == [1.0]
+
+    @pytest.mark.parametrize("check", ["cancellation", "identity"])
+    def test_built_on_nonpositive_density_raises(self, check):
+        spec = suite_problem(0.5, n=32)
+        s = State(constant_field(spec.grid, 0.8), Field(spec.grid, np.linspace(-0.5, 2.5, 32)))
+        with pytest.raises(NonPositiveDensity, match=f"{check} check needs m > 0"):
+            cancellation_check(spec, s) if check == "cancellation" else moment_identity_check(spec, s, NEWTON_TOL)
 
 
 class TestMonotonicityGap:
@@ -384,13 +407,13 @@ def snapshot_from_checks(spec, s, lam, r_values, tol):
     identities = ()
     if lam == 1.0:
         try:
-            identities = tuple((r, moment_identity_check(spec, s, r, tol)[2]) for r in rs)
+            identities = tuple((r, moment_identity_check(spec, s, tol)(r)[2]) for r in rs)
         except NotASolution:
             pass
     return DiagnosticsSnapshot(
         sup_u, bound, min_m, mass_defect,
         tuple((r, *inverse_moment(spec, s, r)) for r in rs),
-        tuple((r, cancellation_check(spec, s, r)) for r in rs),
+        tuple((r, cancellation_check(spec, s)(r)) for r in rs),
         identities,
     )
 
@@ -456,12 +479,12 @@ def rows_from_checks(spec, s, dcfg, tol):
             value, majorant = inverse_moment(spec, s, r)
             add("moment", r, value, majorant, value <= majorant)
         if "cancellation" in dcfg.checks:
-            value = cancellation_check(spec, s, r)
+            value = cancellation_check(spec, s)(r)
             budget = dcfg.identity_budget_factor * h2
             add("cancellation", r, abs(value), budget, abs(value) <= budget)
         if "identity" in dcfg.checks:
             try:
-                lhs, _, defect = moment_identity_check(spec, s, r, tol)
+                lhs, _, defect = moment_identity_check(spec, s, tol)(r)
                 budget = dcfg.identity_budget_factor * h2 * max(1.0, abs(lhs))
                 add("identity", r, defect, budget, defect <= budget)
             except NotASolution as err:

@@ -332,14 +332,6 @@ class TestKrylovSolve:
         assert {p for st in trace_d.steps for p in st.newton.linear_paths} == {"direct"}
         np.testing.assert_allclose(s_k.stacked(), s_d.stacked(), rtol=0, atol=1e-12)
 
-    def test_one_dimensional_newton_uses_direct_solve(self):
-        spec = suite_problem(0.5, n=64)
-        s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
-        _, rep = newton_solve(spec, 1.0, s0)
-        assert rep.iterations > 0
-        assert rep.linear_paths == ["band"] * rep.iterations
-        assert rep.krylov_iterations == [0] * rep.iterations
-
 
 def one_d_problem(n: int, a_amp: float, b_amp: float, alpha: float = 0.5, kappa: float = 1.0) -> ProblemSpec:
     """a = a_amp cos(2 pi x), b = b_amp sin(2 pi x) on a 1-D grid of n points."""
@@ -396,10 +388,16 @@ class TestBandSolve:
         np.testing.assert_array_equal(np.sort(order), np.arange(2 * n))
         np.testing.assert_array_equal(order[inverse], np.arange(2 * n))
 
-    @pytest.mark.parametrize("failure", ["info", "nonfinite"])
-    def test_failed_band_solve_falls_back_to_direct(self, monkeypatch, failure):
-        from scipy.sparse.linalg import spsolve
+    def test_one_dimensional_newton_uses_band_solve(self):
+        spec = suite_problem(0.5, n=64)
+        s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
+        _, rep = newton_solve(spec, 1.0, s0)
+        assert rep.iterations > 0
+        assert rep.linear_paths == ["band"] * rep.iterations
+        assert rep.krylov_iterations == [0] * rep.iterations
 
+    @pytest.mark.parametrize("failure", ["info", "nonfinite"])
+    def test_failed_band_solve_fails_the_newton_step(self, monkeypatch, failure):
         import mfgtorus.solver as solver_mod
 
         spec = one_d_problem(64, 4.0, 4.0)
@@ -412,27 +410,11 @@ class TestBandSolve:
             return ab, np.zeros(rhs.shape[0], dtype=np.int32), np.full_like(rhs, np.nan), 0
 
         monkeypatch.setattr(solver_mod, "dgbsv", broken_dgbsv)
-        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
-        assert (path, iterations) == ("direct", 0)
-        np.testing.assert_array_equal(delta, spsolve(sys.matrix, b))
-
-    def test_matrix_off_the_pattern_goes_to_the_direct_solve(self):
-        from dataclasses import replace
-
-        from scipy.sparse.linalg import spsolve
-
-        from mfgtorus.solver import _solve_band
-
-        spec = one_d_problem(16, 0.5, 0.0, alpha=0.0, kappa=0.0)
-        state = smooth_state(spec.grid)
-        sys, b = assemble_jacobian(spec, 1.0, state), newton_rhs(spec, 1.0, state)
-        matrix = sys.matrix.copy()
-        matrix.eliminate_zeros()  # the zero A_vf diagonal leaves the structure
-        dropped = replace(sys, matrix=matrix)
-        assert _solve_band(dropped, b) is None
-        delta, path, _ = _solve_linear(dropped, b, spec.alpha)
-        assert path == "direct"
-        np.testing.assert_array_equal(delta, spsolve(matrix, b))
+        direct_calls = []
+        monkeypatch.setattr(solver_mod, "spsolve", lambda *args: direct_calls.append(args))
+        with pytest.raises(LinearSolveFailure, match="band LU"):
+            _solve_linear(sys, b, spec.alpha)
+        assert direct_calls == []
 
     def test_singular_system_fails_the_newton_step(self):
         from dataclasses import replace
@@ -445,7 +427,8 @@ class TestBandSolve:
         matrix = sys.matrix.copy()
         matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
         singular = replace(sys, matrix=matrix)
-        assert _solve_band(singular, b) is None  # gbsv meets the zero pivot
+        with pytest.raises(LinearSolveFailure, match="singular"):  # gbsv meets the zero pivot
+            _solve_band(singular, b)
         with pytest.raises(LinearSolveFailure, match="singular"):
             _solve_linear(singular, b, spec.alpha)
 
