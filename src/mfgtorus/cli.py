@@ -54,51 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mfgtorus", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=True, help="output directory")
-
-    p_solve = sub.add_parser("solve", help="run the continuation to lambda=1")
-    common(p_solve)
-
-    p_verify = sub.add_parser("verify", help="run diagnostics on stored fields")
-    common(p_verify)
-    p_verify.add_argument(
-        "--state",
-        nargs=2,
-        action="append",
-        required=True,
-        metavar=("U_CSV", "M_CSV"),
-        help="a (u, m) field pair; repeat with refined grids to get a refinement series",
-    )
-
-    p_mms = sub.add_parser("mms", help="manufactured-solution convergence study")
-    common(p_mms)
-
-    p_jac = sub.add_parser("jacobian-check", help="finite-difference and coercivity checks")
-    common(p_jac)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep over (alpha, kappa, drift scale)")
-    common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker processes")
-    return parser
-
-
-def _ensure_out(args) -> str:
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output directory {args.out}: {err}") from err
-    return args.out
-
-
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    out = _ensure_out(args)
+def cmd_solve(args, cfg, out) -> int:
     _write_json(os.path.join(out, "resolved_config.json"), cfg.resolved())
     try:
         s, trace = continuation_solve(cfg.problem, cfg.solver, cfg.continuation, cfg.diagnostics)
@@ -125,9 +81,7 @@ def _read_field(path):
         raise ConfigError(f"cannot read field file {path}: {err}") from err
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    out = _ensure_out(args)
+def cmd_verify(args, cfg, out) -> int:
     entries = []
     for u_path, m_path in args.state:
         u = _read_field(u_path)
@@ -173,11 +127,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
-def cmd_mms(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.mms is None:
-        raise ConfigError("config has no 'mms' section")
-    out = _ensure_out(args)
+def cmd_mms(args, cfg, out) -> int:
     case = ManufacturedCase(cfg.problem, cfg.mms.u, cfg.mms.m)
     try:
         table = convergence_study(case, list(cfg.mms.grids), cfg.solver)
@@ -192,9 +142,7 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
-def cmd_jacobian_check(args) -> int:
-    cfg = load_config(args.config)
-    out = _ensure_out(args)
+def cmd_jacobian_check(args, cfg, out) -> int:
     spec = cfg.problem
     rng = np.random.default_rng(cfg.seed)
 
@@ -254,13 +202,7 @@ def _sweep_cell(payload) -> dict:
     return row
 
 
-def cmd_sweep(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    cfg = load_config(args.config)
-    if cfg.sweep is None:
-        raise ConfigError("config has no 'sweep' section")
-    out = _ensure_out(args)
+def cmd_sweep(args, cfg, out) -> int:
     cells = [
         (cfg, a, k, sc)
         for a in cfg.sweep.alphas
@@ -268,38 +210,69 @@ def cmd_sweep(args) -> int:
         for sc in cfg.sweep.drift_scales
     ]
     jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
-
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:  # opened first: an unwritable path fails before any cell runs
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_sweep_cell, cells))
+        else:
+            rows = [_sweep_cell(c) for c in cells]
         writer = csv.DictWriter(
             fh, fieldnames=["alpha", "kappa", "drift_scale", "min_m", "sup_u", "iterations", "success", "error"]
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     n_ok = sum(r["success"] for r in rows)
     print(f"sweep: {n_ok}/{len(rows)} cells succeeded -> {path}")
     return EXIT_OK if n_ok == len(rows) else EXIT_NUMERICAL
 
 
+# Each subcommand once: its handler, the config section it needs and its help line.
+COMMANDS = {
+    "solve": (cmd_solve, None, "run the continuation to lambda=1"),
+    "verify": (cmd_verify, None, "run diagnostics on stored fields"),
+    "mms": (cmd_mms, "mms", "manufactured-solution convergence study"),
+    "jacobian-check": (cmd_jacobian_check, None, "finite-difference and coercivity checks"),
+    "sweep": (cmd_sweep, "sweep", "parameter sweep over (alpha, kappa, drift scale)"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="mfgtorus", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, section, help_line) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(handler=handler, section=section)
+        if name == "verify":
+            p.add_argument(
+                "--state",
+                nargs=2,
+                action="append",
+                required=True,
+                metavar=("U_CSV", "M_CSV"),
+                help="a (u, m) field pair; repeat with refined grids to get a refinement series",
+            )
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    return parser
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "mms": cmd_mms,
-        "jacobian-check": cmd_jacobian_check,
-        "sweep": cmd_sweep,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+            raise ConfigError("--jobs must be at least 1")
+        cfg = load_config(args.config)
+        if args.section is not None and getattr(cfg, args.section) is None:
+            raise ConfigError(f"config has no {args.section!r} section")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {args.out}: {err}") from err
+        return args.handler(args, cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,6 +44,18 @@ def every_key_config():
     )
 
 
+def edited(*edits):
+    """base_config() with each (dotted key path, value) of edits set."""
+    doc = base_config()
+    for path, value in edits:
+        *parents, key = path.split(".")
+        target = doc
+        for part in parents:
+            target = target.setdefault(part, {})
+        target[key] = value
+    return doc
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -317,6 +329,16 @@ class TestVerifyCommand:
         ])
         assert code == 1
 
+    def test_fields_on_different_grids_exit_one_with_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        from mfgtorus import GridSpec, constant_field
+
+        u, m = str(tmp_path / "u.csv"), str(tmp_path / "m.csv")
+        save_field(constant_field(GridSpec(1, 64), 1.0), u)
+        save_field(constant_field(GridSpec(1, 32), 1.0), m)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"), "--state", u, m]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {u} and {m} live on different grids"]
+
     @pytest.mark.parametrize(
         "content",
         [None, "# n=64 dim=1\n" + "1.0\n" * 30, "1.0\n2.0\n", "# n=64\n" + "1.0\n" * 64],
@@ -508,6 +530,14 @@ class TestMmsCommand:
 
 
 class TestJacobianCheckCommand:
+    def test_stalled_continuation_exits_two_with_one_line(self, tmp_path, capsys):
+        doc = base_config(solver={"max_iters": 1}, continuation={"min_step": 1e-3})
+        out = tmp_path / "jac"
+        assert main(["jacobian-check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("continuation stalled before the check: ")
+        assert not (out / "jacobian_check.json").exists()
+
     def test_passes_on_suite_problem(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "jac"
@@ -574,6 +604,19 @@ class TestSweepCommand:
     def test_missing_section_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    def test_failed_cell_is_a_row_and_exits_two(self, tmp_path, capsys):
+        # with a = 0, drift scale 0 leaves a homotopy that needs no Newton iteration;
+        # drift scale 1 stalls on one iteration per step
+        doc = edited(("problem.potential.a_cos", [0.0]), ("solver.max_iters", 1), ("continuation.min_step", 1e-3),
+                     ("sweep", {"alphas": [0.5], "kappas": [1.0], "drift_scales": [0.0, 1.0]}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 2
+        header, ok, failed = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
+        assert header == ["alpha", "kappa", "drift_scale", "min_m", "sup_u", "iterations", "success", "error"]
+        assert ok[2:] == ["0.0", "1.0", "0.7853981633974483", "0", "True", ""]
+        assert failed == ["0.5", "1.0", "1.0", "nan", "nan", "-1", "False", "ContinuationStalled"]
+        assert capsys.readouterr().out == f"sweep: 1/2 cells succeeded -> {out / 'sweep.csv'}\n"
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
@@ -659,6 +702,36 @@ class TestConfigHardening:
         assert lines[0].startswith("config error: ")
         assert message in lines[0]
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (edited(("solver", [])), "solver: expected an object"),
+            (edited(("diagnostics.checks", ["mass", 1])), "diagnostics.checks: expected a list of strings"),
+            (edited(("problem.potential.a_cos", [0.5, 0.5])), "problem.potential.a_cos: expected 1 entries, got 2"),
+            (edited(("sweep", {"alphas": [0.5, 1.0], "kappas": [1.0]})),
+             "sweep: every entry of alphas must satisfy 0 <= alpha < 1"),
+            (edited(("sweep", {"alphas": [0.5], "kappas": [1.0, -1.0]})), "sweep: every entry of kappas must be >= 0"),
+            (edited(("output.dump_matrix", 1)), "output.dump_matrix: expected a boolean"),
+            (edited(("seed", -1)), "config.seed: expected a nonnegative integer"),
+            (edited(("problem.potential.form", "x_only"), ("problem.potential.kappa", 0.0),
+                    ("sweep", {"alphas": [0.5], "kappas": [0.0, 1.0]})),
+             "sweep.kappas: nonzero kappa needs a potential form with an m-part"),
+            ('{"problem": ', "{config} is not valid JSON: "),
+        ],
+        ids=["section-not-an-object", "checks-not-strings", "harmonic-entry-count", "sweep-alpha-out-of-range",
+             "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-with-sweep-kappa",
+             "invalid-json"],
+    )
+    def test_rule_exits_one_with_one_line_naming_the_key(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: " + message.format(config=cfg))
+        assert not out.exists()
+
     def test_integral_float_counts_still_accepted(self):
         cfg = parse_config(base_config(solver={"max_iters": 20.0}, continuation={"grow_iters": 2.0}))
         assert cfg.solver.max_iters == 20
@@ -716,8 +789,13 @@ class TestUsageErrors:
                     "jacobian-check": "jacobian_check.json", "sweep": "sweep.csv"}
 
     @pytest.mark.parametrize("command", ["solve", "verify", "mms", "jacobian-check", "sweep"])
-    def test_unwritable_output_file_exits_one_with_one_line(self, tmp_path, capsys, command):
+    def test_unwritable_output_file_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch, command):
+        import mfgtorus.cli as cli_mod
         from mfgtorus import exact_initial
+
+        solves = []
+        forward = cli_mod.continuation_solve
+        monkeypatch.setattr(cli_mod, "continuation_solve", lambda *a: solves.append(a) or forward(*a))
 
         doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [0.1]}, "m": {"const": 1.0, "cos": [0.25]}},
                           sweep={"alphas": [0.5], "kappas": [1.0]})
@@ -733,6 +811,8 @@ class TestUsageErrors:
         assert main([command, "--config", cfg, "--out", str(out), *state, *jobs]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"cannot write output: [Errno 21] Is a directory: '{blocked}'"]
+        if command == "sweep":  # sweep.csv is opened before any cell runs
+            assert solves == []
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 1

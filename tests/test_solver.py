@@ -273,6 +273,26 @@ class TestKrylovSolve:
         assert (path, iterations) == ("direct", 0)
         np.testing.assert_array_equal(delta, spsolve(sys.matrix, b))
 
+    @pytest.mark.parametrize("failure", ["singular", "nonfinite"])
+    def test_failed_direct_solve_fails_the_newton_step(self, strong_system, monkeypatch, failure):
+        """After a rejected Krylov answer, `spsolve`'s MatrixRankWarning or non-finite answer is a LinearSolveFailure."""
+        from dataclasses import replace
+
+        import mfgtorus.solver as solver_mod
+
+        spec, sys, b = strong_system
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha: (None, 0))
+        if failure == "singular":
+            matrix = sys.matrix.copy()
+            matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
+            sys = replace(sys, matrix=matrix)
+            message = "singular Newton system: Matrix is exactly singular"
+        else:
+            monkeypatch.setattr(solver_mod, "spsolve", lambda matrix, rhs: np.full_like(rhs, np.nan))
+            message = "linear solve produced non-finite values"
+        with pytest.raises(LinearSolveFailure, match=message):
+            _solve_linear(sys, b, spec.alpha)
+
     @pytest.mark.parametrize("n", [8, 9, 48])
     def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
         """The preconditioner of one Krylov solve inverts [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""

@@ -18,14 +18,18 @@ operations on the written 1-D states: the saturating state, the two 1-D
 kappa = 0 states as a refinement series (which writes `refinement.csv`), the
 n = 64 kappa = 0 state with a subset of the checks at other exponents and
 budget, and the saturating state against the kappa = 0 problem it does not
-solve (failed identity rows).  Each tree runs once, in its own subprocess with
-`PYTHONPATH=<tree>/src` and one BLAS thread.
+solve (failed identity rows); and four operations that end in a one-line error
+holding only relative paths: `mms` on a config with no `mms` section, `sweep
+--jobs 0`, an `--out` naming an existing file, and a `--state` pair whose u and
+m lie on different grids.  Each tree runs once, in its own subprocess with
+`PYTHONPATH=<tree>/src`, one BLAS thread and `MFG_LOG` unset (so no log lines).
 Both trees read the same configs, written once from this checkout's
-`perfbench` and this script.  The script then compares every output file, the stdout of every
-operation and its exit code, prints each difference, and exits 1 if there is
-any (0 when everything is byte-identical).  For a differing `.csv` file it also
-prints the largest absolute difference of its values, and for a differing
-`trace.json` whether the Newton iteration counts of its steps agree.
+`perfbench` and this script.  The script then compares every output file, the
+stdout and stderr of every operation and its exit code, prints each difference,
+and exits 1 if there is any (0 when everything is byte-identical).  For a
+differing `.csv` file it also prints the largest absolute difference of its
+values, and for a differing `trace.json` whether the Newton iteration counts of
+its steps agree.
 """
 
 from __future__ import annotations
@@ -61,12 +65,19 @@ VERIFIES = {"verify-saturating-1d": ("solve-saturating-1d", ["solve-saturating-1
             "verify-series-1d": ("solve-kappa0-1d", ["solve-kappa0-1d-128", "solve-kappa0-1d"]),
             "verify-subset-1d": ("verify-subset-1d", ["solve-kappa0-1d"]),
             "verify-off-solution-1d": ("solve-kappa0-1d", ["solve-saturating-1d"])}
+# (command, --out, further arguments) of each error exit, all on the 1-D kappa = 0 config:
+# a missing section, --jobs below 1, an --out naming a file, a state pair on two grids
+ERROR_EXITS = {"mms-without-section": ("mms", "mms-without-section", []),
+               "sweep-jobs-zero": ("sweep", "sweep-jobs-zero", ["--jobs", "0"]),
+               "out-names-a-file": ("solve", "solve-kappa0-1d/u.csv", []),
+               "state-on-two-grids": ("verify", "state-on-two-grids",
+                                      ["--state", "solve-kappa0-1d/u.csv", "solve-kappa0-1d-128/m.csv"])}
 SUBSET_DIAGNOSTICS = {"checks": ["positivity", "moment", "identity"], "r_values": [1.5, 3.0],
                       "identity_budget_factor": 25.0}
 
 # Runs one tree: each workload in its own directory, where each operation
-# writes its outputs under its own directory and its stdout to <id>.stdout;
-# the exit codes go to the workload's rc.json.
+# writes its outputs under its own directory and its stdout and stderr to
+# <id>.stdout and <id>.stderr; the exit codes go to the workload's rc.json.
 CHILD = """
 import contextlib, json, os, sys
 from pathlib import Path
@@ -79,7 +90,8 @@ for workload, ops in json.loads(ops_file.read_text()).items():
     os.chdir(work / workload)
     codes = {}
     for op in ops:
-        with open(op["id"] + ".stdout", "w") as out, contextlib.redirect_stdout(out):
+        with open(op["id"] + ".stdout", "w") as out, open(op["id"] + ".stderr", "w") as err, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             codes[op["id"]] = cli.main(op["argv"])
     Path("rc.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 """
@@ -97,7 +109,7 @@ def jacobian_check_ops(config_dir: Path) -> list[dict]:
 
 
 def branch_ops(config_dir: Path) -> list[dict]:
-    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations and the VERIFIES."""
+    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations, the VERIFIES and the ERROR_EXITS."""
     ops = []
     for op_id, (dim, n, form, kappa, eps) in BRANCH_SOLVES.items():
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
@@ -112,12 +124,16 @@ def branch_ops(config_dir: Path) -> list[dict]:
         for state in states:
             argv += ["--state", f"{state}/u.csv", f"{state}/m.csv"]
         ops.append({"id": op_id, "argv": argv})
+    kappa0 = str(config_dir / "solve-kappa0-1d.json")
+    for op_id, (command, out, more) in ERROR_EXITS.items():
+        ops.append({"id": op_id, "argv": [command, "--config", kappa0, "--out", out, *more]})
     return ops
 
 
 def run_tree(tree: Path, ops_file: Path, work: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("MFG_LOG", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, str(ops_file), str(tree / "src"), str(work)],
                           env=env, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -201,9 +217,10 @@ def main(argv: list[str]) -> int:
     for line in diffs:
         print(line)
     stdouts = sum(p.suffix == ".stdout" for p in same)
+    stderrs = sum(p.suffix == ".stderr" for p in same)
     codes = sum(p.name == "rc.json" for p in same)
-    print(f"identical: {len(same) - stdouts - codes} output files, {stdouts} stdouts, "
-          f"{codes} exit-code records; {len(diffs)} differences")
+    print(f"identical: {len(same) - stdouts - stderrs - codes} output files, {stdouts} stdouts, "
+          f"{stderrs} stderrs, {codes} exit-code records; {len(diffs)} differences")
     return 1 if diffs else 0
 
 
