@@ -7,10 +7,11 @@ Positivity is handled entirely by the line search; the equations themselves
 are never floored or regularized.
 
 Each Newton step solves one 2N x 2N linear system.  In 2-D that is an in-house
-GMRES loop with a block preconditioner diagonal in the discrete Fourier basis;
-in 1-D it is a banded LU with the periodic ring folded into a plain band.  A
-GMRES answer that is not accepted goes to the sparse direct solve, and a system
-that the band LU or the direct solve cannot factor fails the Newton step.
+GMRES loop with a block preconditioner diagonal in the discrete Fourier basis,
+run only as tightly as Newton needs (`_forcing_term`); in 1-D it is a banded LU
+with the periodic ring folded into a plain band.  A GMRES answer that misses its
+tolerance goes to the sparse direct solve, and a system that the band LU or the
+direct solve cannot factor fails the Newton step.
 """
 
 from __future__ import annotations
@@ -41,12 +42,20 @@ from .problem import Field, ProblemSpec, State, exact_initial, residual
 log = logging.getLogger("mfgtorus")
 
 # GMRES stops, and its answer is kept, once the true relative residual is at most
-# KRYLOV_RTOL; else the direct solve runs.  The preconditioned solves take at
-# most about 15 iterations, so one cycle of 40 normally suffices and 3 cycles
-# bound the work spent before a fallback.
+# the forcing term eta >= KRYLOV_RTOL; else the direct solve runs.  A solve takes
+# at most about 15 iterations even at KRYLOV_RTOL, so one cycle of 40 normally
+# suffices and 3 cycles bound the work spent before a fallback.  Newton stays
+# locally quadratic while eta = O(|F|) (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+# Anal. 19, 1982): eta is Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
+# 1996), FORCING_GAMMA (r_k / r_(k-1))^FORCING_POWER from FORCING_MAX at k = 0, capped
+# at FORCING_MAX, and floored at FORCING_TOL_SHARE tol / |b| to stop near the tolerance.
 KRYLOV_RTOL = 1e-10
 KRYLOV_RESTART = 40
 KRYLOV_MAX_RESTARTS = 3
+FORCING_MAX = 1e-2
+FORCING_GAMMA = 0.9
+FORCING_POWER = 2
+FORCING_TOL_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -170,19 +179,36 @@ def _krylov_preconditioner(sys: LinearizedSystem, alpha: float) -> Callable[[np.
     return apply_inverse
 
 
-def _solve_krylov(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[np.ndarray | None, int]:
+def _eisenstat_walker(history: list[float]) -> float:
+    """The unclamped forcing term of a Newton call whose sup-norm residuals so far are `history`."""
+    if len(history) < 2:
+        return FORCING_MAX
+    return FORCING_GAMMA * (history[-1] / history[-2]) ** FORCING_POWER
+
+
+def _forcing_term(eta_ew: float, tol: float, b_norm: float) -> float:
+    """The relative residual a Krylov solve stops at: eta_ew within [KRYLOV_RTOL, FORCING_MAX], and not
+    far below what takes |b| to the Newton tolerance tol."""
+    return max(KRYLOV_RTOL, min(FORCING_MAX, max(eta_ew, FORCING_TOL_SHARE * tol / b_norm)))
+
+
+def _solve_krylov(
+    sys: LinearizedSystem, b: np.ndarray, alpha: float, eta_ew: float, tol: float
+) -> tuple[np.ndarray | None, int, float]:
     """2-D restarted GMRES on A x = b from x = 0, left-preconditioned by `_krylov_preconditioner`.
 
-    Step for step it is SciPy's `gmres` (1.17): modified Gram-Schmidt, Givens
-    rotations from LAPACK lartg, its inner tolerance `ptol` across restarts and its
-    back substitution; but P^-1 b is applied once and b - A x once per cycle.
-    Returns (x, iterations), or (None, 0) unless x is finite and |b - A x| <= KRYLOV_RTOL |b|.
+    Step for step it is SciPy's `gmres` (1.17) at rtol eta = `_forcing_term(eta_ew, tol, |b|)`:
+    modified Gram-Schmidt, Givens rotations from LAPACK lartg, its inner tolerance
+    `ptol` across restarts and its back substitution; but P^-1 b is applied once and
+    b - A x once per cycle.  Returns (x, iterations, eta), with x None and no
+    iterations unless x is finite and |b - A x| <= eta |b|; b = 0 gives (0, 0, 0.0).
     """
     matrix, precond = sys.matrix, _krylov_preconditioner(sys, alpha)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
-        return np.zeros_like(b), 0
-    atol, eps = KRYLOV_RTOL * b_norm, np.finfo(float).eps
+        return np.zeros_like(b), 0, 0.0
+    eta = _forcing_term(eta_ew, tol, b_norm)
+    atol, eps = eta * b_norm, np.finfo(float).eps
     x, r, factor, iterations = np.zeros_like(b), b, 1.0, 0
     v = np.empty((KRYLOV_RESTART + 1, b.size))
     h = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART + 1))  # row j: column j of the rotated Hessenberg matrix
@@ -228,7 +254,7 @@ def _solve_krylov(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[n
             break
         factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
         ptol = presid * min(factor, atol / r_norm)
-    return (x, iterations) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0)
+    return (x, iterations, eta) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0, eta)
 
 
 def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
@@ -242,19 +268,22 @@ def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
     return x[inverse, 0]
 
 
-def _solve_linear(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[np.ndarray, str, int]:
-    """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations).
+def _solve_linear(
+    sys: LinearizedSystem, b: np.ndarray, alpha: float, eta_ew: float, tol: float
+) -> tuple[np.ndarray, str, int, float]:
+    """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations, forcing term).
 
-    1-D is `_solve_band` ("band").  2-D tries `_solve_krylov` first ("krylov"), and
-    the sparse direct solve ("direct") when GMRES is not accepted.  Where either LU
-    meets a (near-)singular factorization or gives non-finite values,
-    LinearSolveFailure ends the Newton step, and the continuation shortens its step.
+    1-D is `_solve_band` ("band").  2-D tries `_solve_krylov` first ("krylov") with
+    the forcing inputs eta_ew and tol, and the sparse direct solve ("direct") when
+    GMRES is not accepted.  The forcing term is the Krylov eta, and 0 for either
+    LU.  Where either LU meets a (near-)singular factorization or gives non-finite
+    values, LinearSolveFailure ends the Newton step, and the continuation shortens its step.
     """
     if sys.grid.dim == 1:
-        return _solve_band(sys, b), "band", 0
-    delta, iterations = _solve_krylov(sys, b, alpha)
+        return _solve_band(sys, b), "band", 0, 0.0
+    delta, iterations, eta = _solve_krylov(sys, b, alpha, eta_ew, tol)
     if delta is not None:
-        return delta, "krylov", iterations
+        return delta, "krylov", iterations, eta
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
@@ -263,7 +292,7 @@ def _solve_linear(sys: LinearizedSystem, b: np.ndarray, alpha: float) -> tuple[n
             raise LinearSolveFailure(f"singular Newton system: {err}") from err
     if not np.all(np.isfinite(delta)):
         raise LinearSolveFailure("linear solve produced non-finite values")
-    return delta, "direct", 0
+    return delta, "direct", 0, 0.0
 
 
 def newton_solve(
@@ -298,8 +327,9 @@ def newton_solve(
 
         sys = assemble_jacobian(spec, lam, s)
         rhs = -np.concatenate([res[0].values, res[1].values])
+        eta_ew = _eisenstat_walker(history)
         try:
-            delta, path, krylov_its = _solve_linear(sys, rhs, spec.alpha)
+            delta, path, krylov_its, eta = _solve_linear(sys, rhs, spec.alpha, eta_ew, opts.tol_residual)
         except LinearSolveFailure as err:
             err.report = report(False)
             raise
@@ -331,6 +361,8 @@ def newton_solve(
         history.append(res_norm)
         damping.append(t)
         it += 1
+        log.debug("newton iteration %d: residual %.3e, t %g, %s solve, %d krylov iterations, eta %.2e",
+                  it, res_norm, t, path, krylov_its, eta)
 
 
 def continuation_solve(

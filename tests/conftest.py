@@ -65,8 +65,9 @@ def newton_rhs(spec: ProblemSpec, lam: float, s, sources=None) -> np.ndarray:
     return -np.concatenate([r1.values, r2.values])
 
 
-def reference_gmres(sys, b: np.ndarray, alpha: float):
-    """SciPy's `gmres` on a 2-D Newton system A x = b with the solver's preconditioner and settings.
+def reference_gmres(sys, b: np.ndarray, alpha: float, rtol: float):
+    """SciPy's `gmres` at relative tolerance rtol on a 2-D Newton system A x = b with the solver's
+    preconditioner and restart settings.
 
     The reference the in-house Krylov loop is tested against.  Returns (x, info,
     inner iterations, restart cycles): SciPy calls a "pr_norm" callback once per
@@ -75,9 +76,7 @@ def reference_gmres(sys, b: np.ndarray, alpha: float):
     import mfgtorus.solver as solver
 
     precond = LinearOperator(sys.matrix.shape, matvec=solver._krylov_preconditioner(sys, alpha))
-    settings = dict(
-        rtol=solver.KRYLOV_RTOL, restart=solver.KRYLOV_RESTART, maxiter=solver.KRYLOV_MAX_RESTARTS, M=precond
-    )
+    settings = dict(rtol=rtol, restart=solver.KRYLOV_RESTART, maxiter=solver.KRYLOV_MAX_RESTARTS, M=precond)
     residuals, iterates = [], []
     x, info = gmres(sys.matrix, b, callback=residuals.append, callback_type="pr_norm", **settings)
     gmres(sys.matrix, b, callback=iterates.append, callback_type="x", **settings)

@@ -27,11 +27,13 @@ from mfgtorus import (
 )
 from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
-from mfgtorus.solver import _solve_krylov, _solve_linear
+from mfgtorus.solver import KRYLOV_RTOL, _solve_krylov, _solve_linear
 
 from conftest import diff_matrix, laplacian_matrix, newton_rhs, problem_2d, reference_gmres, suite_problem
 
 TWO_PI = 2 * np.pi
+# forcing inputs (eta_ew, tol) whose forcing term is KRYLOV_RTOL: the tightest Krylov solve
+TIGHTEST = (0.0, 0.0)
 
 
 def arctan_only_problem(n=64, eps=0.0):
@@ -188,32 +190,34 @@ class TestKrylovSolve:
         from scipy.sparse.linalg import spsolve
 
         spec, sys, b = krylov_system
-        delta, iterations = _solve_krylov(sys, b, spec.alpha)
+        delta, iterations, eta = _solve_krylov(sys, b, spec.alpha, *TIGHTEST)
         direct = spsolve(sys.matrix, b)
-        assert 0 < iterations
+        assert 0 < iterations and eta == KRYLOV_RTOL
         assert np.linalg.norm(delta - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("restart", [40, 6])
     def test_matches_scipy_gmres(self, krylov_system, monkeypatch, restart):
-        """Same inner iterations as SciPy's `gmres`, and the same answer; restart 6 forces restarts."""
+        """Same inner iterations as SciPy's `gmres` at each forcing term's rtol, and the same answer;
+        restart 6 forces restarts at the tightest rtol."""
         import mfgtorus.solver as solver_mod
 
         spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
-        ref, info, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha)
-        delta, iterations = _solve_krylov(sys, b, spec.alpha)
-        assert info == 0
-        assert restart == 40 or cycles > 1
-        assert iterations == ref_iterations
-        assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref)
+        for rtol in (KRYLOV_RTOL, 1e-2, 1e-5):
+            ref, info, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha, rtol)
+            delta, iterations, eta = _solve_krylov(sys, b, spec.alpha, rtol, 0.0)
+            assert info == 0 and eta == rtol
+            assert restart == 40 or rtol != KRYLOV_RTOL or cycles > 1
+            assert iterations == ref_iterations, rtol
+            assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref), rtol
 
     def test_unconverged_solve_returns_none(self, krylov_system, monkeypatch):
         import mfgtorus.solver as solver_mod
 
         spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
-        assert reference_gmres(sys, b, spec.alpha)[1] == solver_mod.KRYLOV_MAX_RESTARTS
-        assert _solve_krylov(sys, b, spec.alpha) == (None, 0)
+        assert reference_gmres(sys, b, spec.alpha, KRYLOV_RTOL)[1] == solver_mod.KRYLOV_MAX_RESTARTS
+        assert _solve_krylov(sys, b, spec.alpha, *TIGHTEST) == (None, 0, KRYLOV_RTOL)
 
     @pytest.mark.parametrize("restart", [40, 6])
     def test_each_cycle_applies_matrix_and_preconditioner_once_beyond_its_iterations(
@@ -226,7 +230,7 @@ class TestKrylovSolve:
 
         spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
-        _, _, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha)
+        _, _, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha, KRYLOV_RTOL)
         calls = {"matrix": 0, "preconditioner": 0}
         forward = solver_mod._krylov_preconditioner
 
@@ -244,14 +248,14 @@ class TestKrylovSolve:
             return counted
 
         monkeypatch.setattr(solver_mod, "_krylov_preconditioner", counting_preconditioner)
-        delta, iterations = _solve_krylov(replace(sys, matrix=CountingMatrix()), b, spec.alpha)
+        delta, iterations, _ = _solve_krylov(replace(sys, matrix=CountingMatrix()), b, spec.alpha, *TIGHTEST)
         assert delta is not None and iterations == ref_iterations
         assert calls == {"matrix": iterations + cycles, "preconditioner": iterations + cycles}
 
     def test_zero_right_hand_side_returns_zeros(self, strong_system):
         spec, sys, b = strong_system
-        delta, iterations = _solve_krylov(sys, np.zeros_like(b), spec.alpha)
-        assert iterations == 0
+        delta, iterations, eta = _solve_krylov(sys, np.zeros_like(b), spec.alpha, *TIGHTEST)
+        assert (iterations, eta) == (0, 0.0)
         assert np.array_equal(delta, np.zeros_like(b))
 
     @pytest.mark.parametrize("failure", ["info", "nonfinite"])
@@ -269,8 +273,8 @@ class TestKrylovSolve:
             monkeypatch.setattr(
                 solver_mod, "_krylov_preconditioner", lambda sys, alpha: lambda r: np.full_like(r, np.nan)
             )
-        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
-        assert (path, iterations) == ("direct", 0)
+        delta, path, iterations, eta = _solve_linear(sys, b, spec.alpha, *TIGHTEST)
+        assert (path, iterations, eta) == ("direct", 0, 0.0)
         np.testing.assert_array_equal(delta, spsolve(sys.matrix, b))
 
     @pytest.mark.parametrize("failure", ["singular", "nonfinite"])
@@ -281,7 +285,7 @@ class TestKrylovSolve:
         import mfgtorus.solver as solver_mod
 
         spec, sys, b = strong_system
-        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha: (None, 0))
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha, eta_ew, tol: (None, 0, eta_ew))
         if failure == "singular":
             matrix = sys.matrix.copy()
             matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
@@ -291,7 +295,7 @@ class TestKrylovSolve:
             monkeypatch.setattr(solver_mod, "spsolve", lambda matrix, rhs: np.full_like(rhs, np.nan))
             message = "linear solve produced non-finite values"
         with pytest.raises(LinearSolveFailure, match=message):
-            _solve_linear(sys, b, spec.alpha)
+            _solve_linear(sys, b, spec.alpha, *TIGHTEST)
 
     @pytest.mark.parametrize("n", [8, 9, 48])
     def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
@@ -313,7 +317,7 @@ class TestKrylovSolve:
             return preconditioners[-1]
 
         monkeypatch.setattr(solver_mod, "_krylov_preconditioner", recording_preconditioner)
-        _solve_krylov(sys, newton_rhs(spec, 1.0, state), spec.alpha)
+        _solve_krylov(sys, newton_rhs(spec, 1.0, state), spec.alpha, *TIGHTEST)
 
         c = 2.0 ** (1.0 - spec.alpha)
         eye_minus_lap = sparse.identity(grid.size) - laplacian_matrix(grid)
@@ -339,18 +343,68 @@ class TestKrylovSolve:
         assert np.array_equal(wide, sum(symbol(diff_matrix(grid, axis)) ** 2 for axis in range(2)).real)
 
     def test_continuation_matches_direct_path(self, monkeypatch):
+        """The inexact Krylov solves reach the direct path's states on the same lambdas, at
+        most one Newton iteration later per step."""
         import mfgtorus.solver as solver_mod
 
         spec = problem_2d()
         s_k, trace_k = continuation_solve(spec)
-        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha: (None, 0))
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, alpha, eta_ew, tol: (None, 0, eta_ew))
         s_d, trace_d = continuation_solve(spec)
-        assert [st.newton.iterations for st in trace_k.steps] == [
-            st.newton.iterations for st in trace_d.steps
-        ]
+        assert [st.lam for st in trace_k.steps] == [st.lam for st in trace_d.steps]
+        for st_k, st_d in zip(trace_k.steps, trace_d.steps):
+            assert st_k.newton.iterations <= st_d.newton.iterations + 1
         assert {p for st in trace_k.steps for p in st.newton.linear_paths} == {"krylov"}
         assert {p for st in trace_d.steps for p in st.newton.linear_paths} == {"direct"}
         np.testing.assert_allclose(s_k.stacked(), s_d.stacked(), rtol=0, atol=1e-12)
+
+
+class TestInexactNewton:
+    """Each 2-D GMRES solve stops at the forcing term, and Newton keeps its quadratic tail."""
+
+    def test_forcing_rule(self):
+        from mfgtorus.solver import FORCING_MAX, _eisenstat_walker, _forcing_term
+
+        tol = NewtonOptions().tol_residual
+        assert _eisenstat_walker([0.5]) == FORCING_MAX
+        assert _forcing_term(_eisenstat_walker([0.5]), tol, 3.0) == 1e-2
+        assert _eisenstat_walker([1e-2, 1e-4]) == pytest.approx(0.9e-4, rel=1e-14)
+        # near convergence, at |b| = 1e-7: 0.9 (1e-8 / 1e-4)^2 is far below 0.5 tol / |b| = 5e-4
+        eta_ew = _eisenstat_walker([1e-4, 1e-8])
+        assert _forcing_term(eta_ew, tol, 1e-7) == 0.5 * tol / 1e-7 > 1e3 * eta_ew
+        assert _forcing_term(0.0, tol, 1.0) == KRYLOV_RTOL
+        assert _forcing_term(_eisenstat_walker([1.0, 1e-12]), 0.0, 1.0) == KRYLOV_RTOL
+        assert _forcing_term(0.5, tol, 1e-12) == FORCING_MAX
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_quadratic_tail_in_two_dimensions(self, alpha):
+        """Acceptance criterion 6's bounds on a perturbed 2-D solution, with the Krylov solves inexact."""
+        spec = problem_2d(alpha, n=32)
+        s_star, _ = continuation_solve(spec)
+        x, y = mesh(spec.grid)
+        pert = (0.01 * np.cos(TWO_PI * x) * np.cos(TWO_PI * y)).ravel()
+        s0 = State(Field(spec.grid, s_star.u.values + pert), Field(spec.grid, s_star.m.values + pert))
+        _, rep = newton_solve(spec, 1.0, s0)
+        hist = rep.residual_history
+        assert rep.converged and set(rep.linear_paths) == {"krylov"}
+        full = [i for i, t in enumerate(rep.damping_history) if t == 1.0]
+        assert len(full) >= 2, hist
+        assert all(hist[i + 1] / hist[i] <= 0.1 for i in full[-2:]), hist
+        assert all(hist[i + 1] / hist[i] ** 2 <= 1e4 for i in full if hist[i] >= 1e-6), hist
+
+    def test_debug_log_has_one_line_per_iteration(self, caplog):
+        """MFG_LOG=debug shows each iteration's residual, damping, path, GMRES iterations and forcing term."""
+        spec = problem_2d(n=16)
+        with caplog.at_level("DEBUG", logger="mfgtorus"):
+            _, rep = newton_solve(spec, 1.0, exact_initial(spec))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton iteration")]
+        assert rep.iterations > 0 and len(lines) == rep.iterations
+        for k, line in enumerate(lines):
+            assert line.startswith(
+                f"newton iteration {k + 1}: residual {rep.residual_history[k + 1]:.3e}, "
+                f"t {rep.damping_history[k]:g}, krylov solve, {rep.krylov_iterations[k]} krylov iterations, eta "
+            )
+        assert lines[0].endswith("eta 1.00e-02")
 
 
 def one_d_problem(n: int, a_amp: float, b_amp: float, alpha: float = 0.5, kappa: float = 1.0) -> ProblemSpec:
@@ -388,9 +442,9 @@ class TestBandSolve:
         sys, b = assemble_jacobian(spec, lam, state), newton_rhs(spec, lam, state)
         assert sys.matrix.nnz == _band_layout(spec.grid)[4].size
         assert (sys.matrix.count_nonzero() < sys.matrix.nnz) == (case == "no-coupling")
-        delta, path, iterations = _solve_linear(sys, b, spec.alpha)
+        delta, path, iterations, eta = _solve_linear(sys, b, spec.alpha, *TIGHTEST)
         direct = spsolve(sys.matrix, b)
-        assert (path, iterations) == ("band", 0)
+        assert (path, iterations, eta) == ("band", 0, 0.0)
         assert np.linalg.norm(delta - direct) <= 1e-10 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("n", [8, 9, 256])
@@ -433,7 +487,7 @@ class TestBandSolve:
         direct_calls = []
         monkeypatch.setattr(solver_mod, "spsolve", lambda *args: direct_calls.append(args))
         with pytest.raises(LinearSolveFailure, match="band LU"):
-            _solve_linear(sys, b, spec.alpha)
+            _solve_linear(sys, b, spec.alpha, *TIGHTEST)
         assert direct_calls == []
 
     def test_singular_system_fails_the_newton_step(self):
@@ -450,7 +504,7 @@ class TestBandSolve:
         with pytest.raises(LinearSolveFailure, match="singular"):  # gbsv meets the zero pivot
             _solve_band(singular, b)
         with pytest.raises(LinearSolveFailure, match="singular"):
-            _solve_linear(singular, b, spec.alpha)
+            _solve_linear(singular, b, spec.alpha, *TIGHTEST)
 
 
 class TestNewtonSystem:
@@ -466,9 +520,9 @@ class TestNewtonSystem:
         received = []
         forward = solver_mod._solve_linear
 
-        def recording_solve(sys, b, alpha):
+        def recording_solve(sys, b, alpha, eta_ew, tol):
             received.append((sys.base_state, b.copy()))
-            return forward(sys, b, alpha)
+            return forward(sys, b, alpha, eta_ew, tol)
 
         monkeypatch.setattr(solver_mod, "_solve_linear", recording_solve)
         _, report = newton_solve(spec, 1.0, exact_initial(spec), sources=sources)
@@ -482,11 +536,11 @@ class TestNewtonSystem:
 
         forward, calls = solver_mod._solve_linear, []
 
-        def singular_once(sys, b, alpha):
+        def singular_once(sys, b, alpha, eta_ew, tol):
             calls.append(sys)
             if len(calls) == 1:  # the first Newton system: lambda = 0 starts at its exact solution
                 raise LinearSolveFailure("singular Newton system")
-            return forward(sys, b, alpha)
+            return forward(sys, b, alpha, eta_ew, tol)
 
         monkeypatch.setattr(solver_mod, "_solve_linear", singular_once)
         _, trace = continuation_solve(suite_problem(0.5, n=32))

@@ -29,7 +29,7 @@ stdout and stderr of every operation and its exit code, prints each difference,
 and exits 1 if there is any (0 when everything is byte-identical).  For a
 differing `.csv` file it also prints the largest absolute difference of its
 values, and for a differing `trace.json` whether the Newton iteration counts of
-its steps agree.
+its steps agree and the total GMRES iterations (`krylov_iterations`) of each side.
 """
 
 from __future__ import annotations
@@ -162,12 +162,16 @@ def csv_difference(a: Path, b: Path) -> str:
 
 
 def newton_counts(a: Path, b: Path) -> str:
-    """Whether two trace.json files took the same Newton iterations at each step."""
-    counts = [[step["newton"]["iterations"] for step in json.loads(p.read_text())["steps"]] for p in (a, b)]
+    """Whether two trace.json files took the same Newton iterations at each step, and each one's Krylov total."""
+    newtons = [[step["newton"] for step in json.loads(p.read_text())["steps"]] for p in (a, b)]
+    counts = [[newton["iterations"] for newton in steps] for steps in newtons]
+    krylov = " against ".join(str(sum(sum(newton["krylov_iterations"]) for newton in steps)) for steps in newtons)
     if counts[0] == counts[1]:
-        return f"same Newton iterations at each of {len(counts[0])} steps ({sum(counts[0])} in total)"
-    return "Newton iterations differ: " + " against ".join(
-        f"{len(c)} steps, {sum(c)} in total, {c}" for c in counts)
+        newton = f"same Newton iterations at each of {len(counts[0])} steps ({sum(counts[0])} in total)"
+    else:
+        newton = "Newton iterations differ: " + " against ".join(
+            f"{len(c)} steps, {sum(c)} in total, {c}" for c in counts)
+    return f"{newton}; Krylov iterations {krylov} in total"
 
 
 def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
