@@ -81,6 +81,12 @@ def mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(read_only(x) for x in np.meshgrid(*[axis] * grid.dim, indexing="ij"))
 
 
+@lru_cache(maxsize=64)
+def harmonics(grid: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(cos(2 pi x_i), sin(2 pi x_i)) for each axis i, each of full grid shape."""
+    return tuple((read_only(np.cos(2 * np.pi * x)), read_only(np.sin(2 * np.pi * x))) for x in mesh(grid))
+
+
 # ---------------------------------------------------------------------------
 # difference operators (periodic shifts by cached index arrays)
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .grid import (
     constant_field,
     divergence_arrays,
     gradient_and_laplacian,
+    harmonics,
     laplacian_array,
-    mesh,
     read_only,
 )
 
@@ -55,21 +55,23 @@ class TrigForm:
     def dim(self) -> int:
         return len(self.cos_amp)
 
-    def value(self, xs):
-        out = np.full(np.shape(xs[0]), self.const)
-        for i, (a, b) in enumerate(zip(self.cos_amp, self.sin_amp)):
-            out = out + a * np.cos(2 * np.pi * xs[i]) + b * np.sin(2 * np.pi * xs[i])
+    def value(self, grid: GridSpec):
+        out = np.full(grid.shape, self.const)
+        for a, b, (cos, sin) in zip(self.cos_amp, self.sin_amp, harmonics(grid)):
+            out = out + a * cos + b * sin
         return out
 
-    def deriv(self, xs, axis: int):
+    def deriv(self, grid: GridSpec, axis: int):
         a, b = self.cos_amp[axis], self.sin_amp[axis]
+        cos, sin = harmonics(grid)[axis]
         w = 2 * np.pi
-        return w * (-a * np.sin(w * xs[axis]) + b * np.cos(w * xs[axis]))
+        return w * (-a * sin + b * cos)
 
-    def second_deriv(self, xs, axis: int):
+    def second_deriv(self, grid: GridSpec, axis: int):
         a, b = self.cos_amp[axis], self.sin_amp[axis]
+        cos, sin = harmonics(grid)[axis]
         w = 2 * np.pi
-        return -w * w * (a * np.cos(w * xs[axis]) + b * np.sin(w * xs[axis]))
+        return -w * w * (a * cos + b * sin)
 
     def sup_bound(self) -> float:
         return abs(self.const) + self.harmonic_sum()
@@ -116,8 +118,8 @@ class PotentialSpec:
         if self.form == "x_only" and self.kappa != 0.0:
             raise ValueError("x_only potential takes no kappa")
 
-    def value(self, xs, m):
-        return self.value_given_a(self.a.value(xs), m, np.arctan(m))
+    def value(self, grid: GridSpec, m):
+        return self.value_given_a(self.a.value(grid), m, np.arctan(m))
 
     def value_given_a(self, ax, m, arctan_m):
         """V from the values `ax` of a(x) at the points where m is sampled, and arctan(m) there."""
@@ -223,7 +225,7 @@ class State:
 @lru_cache(maxsize=64)
 def _on_grid(form: TrigForm, grid: GridSpec) -> np.ndarray:
     """`form` evaluated at the grid points, once per grid."""
-    return read_only(form.value(mesh(grid)))
+    return read_only(form.value(grid))
 
 
 def _drift_arrays(drift: DriftSpec, grid: GridSpec) -> tuple[np.ndarray, ...]:

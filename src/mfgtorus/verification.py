@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonPositiveDensity
-from .grid import Field, GridSpec, mesh
+from .grid import Field, GridSpec
 from .problem import ProblemSpec, State, TrigForm, _drift_arrays, _finite_pair, effective_potential, exact_initial
 from .solver import NewtonOptions, newton_solve
 
@@ -45,8 +45,7 @@ class ManufacturedCase:
             )
 
     def sample(self, grid: GridSpec) -> State:
-        xs = mesh(grid)
-        return State(Field(grid, self.u_exact.value(xs)), Field(grid, self.m_exact.value(xs)))
+        return State(Field(grid, self.u_exact.value(grid)), Field(grid, self.m_exact.value(grid)))
 
 
 def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
@@ -57,22 +56,21 @@ def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
     """
     spec = case.spec
     a = spec.alpha
-    xs = mesh(grid)
     dim = grid.dim
 
     with np.errstate(all="ignore"):  # an overflow is reported by _finite_pair, not warned about
-        u = case.u_exact.value(xs)
-        m = case.m_exact.value(xs)
-        du = [case.u_exact.deriv(xs, ax) for ax in range(dim)]
-        ddu = [case.u_exact.second_deriv(xs, ax) for ax in range(dim)]
-        dm = [case.m_exact.deriv(xs, ax) for ax in range(dim)]
-        ddm = [case.m_exact.second_deriv(xs, ax) for ax in range(dim)]
+        u = case.u_exact.value(grid)
+        m = case.m_exact.value(grid)
+        du = [case.u_exact.deriv(grid, ax) for ax in range(dim)]
+        ddu = [case.u_exact.second_deriv(grid, ax) for ax in range(dim)]
+        dm = [case.m_exact.deriv(grid, ax) for ax in range(dim)]
+        ddm = [case.m_exact.second_deriv(grid, ax) for ax in range(dim)]
         lap_u = sum(ddu)
         lap_m = sum(ddm)
         du_sq = sum(d * d for d in du)
 
         bvals = _drift_arrays(spec.drift, grid)
-        db = [spec.drift.components[ax].deriv(xs, ax) for ax in range(dim)]
+        db = [spec.drift.components[ax].deriv(grid, ax) for ax in range(dim)]
 
         v_eff = effective_potential(spec, grid, m)
         s1 = u - lap_u + du_sq / (2.0 * m**a) + sum(b * d for b, d in zip(bvals, du)) - v_eff

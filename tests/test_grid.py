@@ -7,6 +7,7 @@ from mfgtorus.grid import (
     _second_diff,
     divergence_arrays,
     gradient_arrays,
+    harmonics,
     laplacian_array,
     mesh,
 )
@@ -57,6 +58,18 @@ class TestField:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             Field(GridSpec(1, 16), vals)
+
+
+class TestHarmonics:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tables_are_the_pointwise_harmonics_once_per_grid(self, dim):
+        grid = GridSpec(dim, 16)
+        tables = harmonics(grid)
+        assert len(tables) == dim
+        for x, (cos, sin) in zip(mesh(grid), tables):
+            assert np.array_equal(cos, np.cos(TWO_PI * x))
+            assert np.array_equal(sin, np.sin(TWO_PI * x))
+        assert harmonics(GridSpec(dim, 16)) is tables
 
 
 class TestGradient:

@@ -17,7 +17,7 @@ from mfgtorus import (
     residual,
     sup_norm,
 )
-from mfgtorus.grid import _neighbours, divergence_arrays, gradient_arrays, laplacian_array, mesh
+from mfgtorus.grid import _neighbours, divergence_arrays, gradient_arrays, harmonics, laplacian_array, mesh
 from mfgtorus.problem import _drift_arrays, _on_grid, _residual_arrays, effective_potential
 
 from conftest import suite_problem
@@ -131,8 +131,8 @@ def residual_reference(spec, lam, u, m, sources):
     grid = spec.grid
     alpha = spec.alpha
     pot = spec.potential
-    ax = pot.a.value(mesh(grid))
-    bvals = [c.value(mesh(grid)) for c in spec.drift.components]
+    ax = pot.a.value(grid)
+    bvals = [c.value(grid) for c in spec.drift.components]
     if pot.form == "separable":
         v = ax + pot.kappa * np.arctan(m)
     elif pot.form == "saturating":
@@ -217,6 +217,22 @@ class TestExactInitial:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trig_form_matches_pointwise_expressions_bitwise(self, dim):
+        # the forms read the per-grid harmonics tables in the expressions they once wrote out
+        grid = GridSpec(dim, 16)
+        form = TrigForm(0.3, (0.4, -0.7)[:dim], (0.2, 0.9)[:dim])
+        w = 2 * np.pi
+        xs = mesh(grid)
+        value = np.full(grid.shape, form.const)
+        for i, (a, b) in enumerate(zip(form.cos_amp, form.sin_amp)):
+            value = value + a * np.cos(w * xs[i]) + b * np.sin(w * xs[i])
+        assert np.array_equal(form.value(grid), value)
+        for ax, (a, b) in enumerate(zip(form.cos_amp, form.sin_amp)):
+            cos, sin = np.cos(w * xs[ax]), np.sin(w * xs[ax])
+            assert np.array_equal(form.deriv(grid, ax), w * (-a * sin + b * cos))
+            assert np.array_equal(form.second_deriv(grid, ax), -w * w * (a * cos + b * sin))
+
     @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("x_only", 0.0)])
     def test_m_derivative_nonnegative_on_samples(self, form, kappa):
         pot = PotentialSpec(form, TrigForm(0.1, (0.4,), (0.2,)), kappa)
@@ -228,10 +244,9 @@ class TestCatalog:
     def test_sup_bound_certifies_samples(self, form, kappa):
         pot = PotentialSpec(form, TrigForm(0.1, (0.4,), (0.2,)), kappa)
         grid = GridSpec(1, 128)
-        xs = mesh(grid)
         rng = np.random.default_rng(3)
         for m0 in rng.uniform(0.01, 30.0, 20):
-            vals = pot.value(xs, np.full(grid.shape, m0))
+            vals = pot.value(grid, np.full(grid.shape, m0))
             assert np.max(np.abs(vals)) <= pot.sup_bound() + 1e-12
 
     def test_negative_kappa_rejected(self):
@@ -242,7 +257,7 @@ class TestCatalog:
         drift = DriftSpec((TrigForm(0.1, (0.2,), (0.3,)),))
         assert drift.sup_bound() == pytest.approx(0.6)
         grid = GridSpec(1, 64)
-        b = drift.components[0].value(mesh(grid))
+        b = drift.components[0].value(grid)
         assert np.max(np.abs(b)) <= drift.sup_bound() + 1e-12
 
 
@@ -250,7 +265,7 @@ class TestPerGridArrays:
     @pytest.mark.parametrize("spec", catalog_battery())
     def test_effective_potential_equals_pointwise_value(self, spec):
         m = 1.0 + 0.5 * np.cos(2 * np.pi * mesh(spec.grid)[0])
-        expected = spec.potential.value(mesh(spec.grid), m) + spec.epsilon_monotone * np.arctan(m)
+        expected = spec.potential.value(spec.grid, m) + spec.epsilon_monotone * np.arctan(m)
         assert np.array_equal(effective_potential(spec, spec.grid, m), expected)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -259,6 +274,7 @@ class TestPerGridArrays:
         spec = next(s for s in catalog_battery() if s.grid.dim == dim)
         cached = [
             *mesh(spec.grid),
+            *(arr for pair in harmonics(spec.grid) for arr in pair),
             *_drift_arrays(spec.drift, spec.grid),
             _on_grid(spec.potential.a, spec.grid),
             *_neighbours(spec.grid.n),

@@ -100,13 +100,12 @@ class TestSources:
         n = 32
         coarse = GridSpec(1, n)
         fine = GridSpec(1, 8 * n)
-        xs_f = mesh(fine)
         a = case.spec.alpha
-        m_f = case.m_exact.value(xs_f)
-        du_f = case.u_exact.deriv(xs_f, 0)
+        m_f = case.m_exact.value(fine)
+        du_f = case.u_exact.deriv(fine, 0)
         flux = m_f ** (1 - a) * du_f
         flux_div_fine = (np.roll(flux, -1) - np.roll(flux, 1)) / (2 * fine.h)
-        lap_m_fine = case.m_exact.second_deriv(xs_f, 0)
+        lap_m_fine = case.m_exact.second_deriv(fine, 0)
         s2_oracle = (m_f - lap_m_fine - flux_div_fine - 1.0)[::8]
         _, s2 = mms_source(case, coarse)
         assert np.max(np.abs(s2.values - s2_oracle)) <= 100.0 * fine.h**2
