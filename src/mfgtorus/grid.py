@@ -137,6 +137,22 @@ def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     return sum(_second_diff(arr, ax, grid.h) for ax in range(grid.dim))
 
 
+def interpolate(f: Field, grid: GridSpec) -> Field:
+    """The trigonometric interpolant of `f` sampled on `grid`, whose n is a multiple of f's.
+
+    Per axis: the DFT of f's values, zero-padded to grid.n, with the coarse
+    Nyquist coefficient split evenly between +n/2 and -n/2, so the interpolant
+    is real and passes through f's values at the shared points.
+    """
+    arr = f.reshaped()
+    half = f.grid.n // 2
+    for ax in range(arr.ndim):
+        coef = np.fft.rfft(arr, axis=ax, norm="forward")
+        np.moveaxis(coef, ax, 0)[half] *= 0.5
+        arr = np.fft.irfft(coef, grid.n, axis=ax, norm="forward")
+    return Field(grid, arr)
+
+
 def integral(grid: GridSpec, values: np.ndarray) -> float:
     """Trapezoid rule on the uniform periodic grid: h^dim times the plain sum."""
     return grid.h**grid.dim * float(values.sum())

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from mfgtorus import Field, GridSpec, constant_field, integral, load_field, save_field
+from mfgtorus import Field, GridSpec, TrigForm, constant_field, integral, load_field, save_field
 from mfgtorus.grid import (
     _diff,
     _second_diff,
     divergence_arrays,
     gradient_arrays,
     harmonics,
+    interpolate,
     laplacian_array,
     mesh,
 )
@@ -70,6 +71,30 @@ class TestHarmonics:
             assert np.array_equal(cos, np.cos(TWO_PI * x))
             assert np.array_equal(sin, np.sin(TWO_PI * x))
         assert harmonics(GridSpec(dim, 16)) is tables
+
+
+REFINEMENTS = [(dim, n) for dim in (1, 2) for n in (8, 16)]
+
+
+class TestInterpolate:
+    @pytest.mark.parametrize("dim,n", REFINEMENTS)
+    def test_reproduces_the_shared_points(self, dim, n):
+        coarse, fine = GridSpec(dim, n), GridSpec(dim, 2 * n)
+        rng = np.random.default_rng(n + dim)
+        # the random field has a nonzero Nyquist coefficient; add a pure Nyquist mode too
+        nyquist = np.cos(np.pi * n * mesh(coarse)[-1]).ravel()
+        assert np.abs(np.fft.rfft(nyquist.reshape(coarse.shape), axis=-1)[..., n // 2]).max() > 1.0
+        f = Field(coarse, rng.standard_normal(coarse.size) + nyquist)
+        shared = interpolate(f, fine).reshaped()[(slice(None, None, 2),) * dim]
+        assert np.max(np.abs(shared - f.reshaped())) <= 1e-14
+
+    @pytest.mark.parametrize("dim,n", REFINEMENTS)
+    def test_band_limited_form_is_reproduced_on_the_fine_grid(self, dim, n):
+        coarse, fine = GridSpec(dim, n), GridSpec(dim, 2 * n)
+        form = TrigForm(0.7, (0.4, -0.3)[:dim], (0.25, 0.6)[:dim])
+        f = interpolate(Field(coarse, form.value(coarse)), fine)
+        assert f.grid == fine
+        assert np.max(np.abs(f.reshaped() - form.value(fine))) <= 1e-13
 
 
 class TestGradient:

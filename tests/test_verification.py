@@ -1,20 +1,29 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mfgtorus.verification as verification
 from mfgtorus import (
     DriftSpec,
+    Field,
     GridSpec,
     ManufacturedCase,
     NonPositiveDensity,
     PotentialSpec,
     ProblemSpec,
+    State,
     TrigForm,
+    constant_field,
     convergence_study,
+    exact_initial,
     mms_source,
+    newton_solve,
     residual,
     sup_norm,
 )
-from mfgtorus.grid import mesh
+from mfgtorus.grid import interpolate, mesh
 
 from conftest import problem_2d, suite_problem
 
@@ -172,3 +181,89 @@ class TestConvergence:
         assert lines[0] == "grid,error_u,error_m,rate_u,rate_m"
         assert len(lines) == 4
         assert lines[1].startswith("16,")
+
+
+def reference_case(dim, n):
+    """The reference MMS study's case: a = 0.5 cos, b_i = 0.3 sin(2 pi x_i), u* = 0.1 sin, m* = 1 + 0.25 cos per axis."""
+    pot = PotentialSpec("separable", TrigForm(0.0, (0.5,) * dim, (0.0,) * dim), 1.0)
+    drift = DriftSpec(tuple(TrigForm(0.0, (0.0,) * dim, tuple(0.3 * (i == ax) for i in range(dim))) for ax in range(dim)))
+    spec = ProblemSpec(GridSpec(dim, n), 0.5, pot, drift)
+    return ManufacturedCase(spec, TrigForm(0.0, (0.0,) * dim, (0.1,) * dim), TrigForm(1.0, (0.25,) * dim, (0.0,) * dim))
+
+
+def cold_start_study(case, grids):
+    """Each grid solved from `exact_initial`: (errors per grid, Newton iterations per grid, observed orders)."""
+    errors, iterations = [], []
+    for n in grids:
+        grid = GridSpec(case.spec.grid.dim, n)
+        spec = replace(case.spec, grid=grid)
+        s, report = newton_solve(spec, 1.0, exact_initial(spec), sources=mms_source(case, grid))
+        exact = case.sample(grid)
+        errors.append((np.max(np.abs(s.u.values - exact.u.values)), np.max(np.abs(s.m.values - exact.m.values))))
+        iterations.append(report.iterations)
+    orders = [np.mean([math.log2(a[k] / b[k]) for a, b in zip(errors, errors[1:])]) for k in (0, 1)]
+    return errors, iterations, orders
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Spy on the study's Newton solves: one (grid n, start state, solution, report) per call."""
+    calls = []
+
+    def spy(spec, lam, s0, opts, sources=None):
+        s, report = newton_solve(spec, lam, s0, opts, sources=sources)
+        calls.append((spec.grid.n, s0, s, report))
+        return s, report
+
+    monkeypatch.setattr(verification, "newton_solve", spy)
+    return calls
+
+
+class TestNestedIteration:
+    @pytest.mark.parametrize("dim,grids", [(1, [32, 64, 128, 256, 512]), (2, [16, 32, 64])])
+    def test_same_study_as_cold_starts_in_fewer_newton_steps(self, dim, grids, newton_calls):
+        case = reference_case(dim, grids[0])
+        cold_errors, cold_iterations, cold_orders = cold_start_study(case, grids)
+        table = convergence_study(case, grids)
+        for row, (eu, em) in zip(table.rows, cold_errors):
+            assert abs(row.error_u - eu) <= 1e-10 and abs(row.error_m - em) <= 1e-10
+        assert abs(table.observed_order_u - cold_orders[0]) <= 1e-6
+        assert abs(table.observed_order_m - cold_orders[1]) <= 1e-6
+
+        nested_iterations = [report.iterations for _, _, _, report in newton_calls]
+        assert [n for n, _, _, _ in newton_calls] == grids
+        assert nested_iterations[0] == cold_iterations[0]
+        assert all(a <= b for a, b in zip(nested_iterations[1:], cold_iterations[1:]))
+        if dim == 2:
+            assert (nested_iterations[-1], cold_iterations[-1]) == (3, 4)
+
+    def test_finer_grid_starts_from_the_interpolated_solution(self, newton_calls):
+        convergence_study(reference_case(1, 32), [32, 64, 128])
+        (_, first, _, _), *finer = newton_calls
+        assert np.array_equal(first.stacked(), exact_initial(reference_case(1, 32).spec).stacked())
+        for (_, _, coarse_solution, _), (n, start, _, _) in zip(newton_calls, finer):
+            fine = GridSpec(1, n)
+            assert np.array_equal(start.u.values, interpolate(coarse_solution.u, fine).values)
+            assert np.array_equal(start.m.values, interpolate(coarse_solution.m, fine).values)
+
+    def test_nonpositive_interpolated_density_falls_back_to_cold_start(self, monkeypatch):
+        coarse = GridSpec(1, 16)
+        spike = np.full(coarse.size, 0.01)
+        spike[3] = 1.0  # positive at every point, but its interpolant rings below 0
+        ringing = State(constant_field(coarse, 0.2), Field(coarse, spike))
+        assert interpolate(ringing.m, GridSpec(1, 32)).values.min() <= 0.0
+
+        starts = []
+
+        def ringing_first_solve(spec, lam, s0, opts, sources=None):
+            starts.append((spec, s0))
+            if spec.grid == coarse:
+                return ringing, None
+            return newton_solve(spec, lam, s0, opts, sources=sources)
+
+        monkeypatch.setattr(verification, "newton_solve", ringing_first_solve)
+        table = convergence_study(reference_case(1, 16), [16, 32, 64])
+        assert [row.n for row in table.rows] == [16, 32, 64]
+        spec, start = starts[1]
+        assert np.array_equal(start.stacked(), exact_initial(spec).stacked())
+        assert table.rows[2].error_m < table.rows[1].error_m  # the study ran on from the cold start

@@ -27,9 +27,12 @@ Both trees read the same configs, written once from this checkout's
 `perfbench` and this script.  The script then compares every output file, the
 stdout and stderr of every operation and its exit code, prints each difference,
 and exits 1 if there is any (0 when everything is byte-identical).  For a
-differing `.csv` file it also prints the largest absolute difference of its
-values, and for a differing `trace.json` whether the Newton iteration counts of
-its steps agree and the total GMRES iterations (`krylov_iterations`) of each side.
+differing `.csv` file it also prints the largest difference of its values:
+per column for a table with a header row (relative for the `error_u` and
+`error_m` columns of `rates.csv`, absolute for the others), and over all values
+otherwise.  For a differing `trace.json` it prints whether the Newton iteration
+counts of its steps agree and the total GMRES iterations (`krylov_iterations`)
+of each side.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ ERROR_EXITS = {"mms-without-section": ("mms", "mms-without-section", []),
                "out-names-a-file": ("solve", "solve-kappa0-1d/u.csv", []),
                "state-on-two-grids": ("verify", "state-on-two-grids",
                                       ["--state", "solve-kappa0-1d/u.csv", "solve-kappa0-1d-128/m.csv"])}
+# columns of a CSV table compared by relative difference: the MMS errors of rates.csv span
+# orders of magnitude across the grids, while its rates sit near 2
+RELATIVE_COLUMNS = {"error_u", "error_m"}
 SUBSET_DIAGNOSTICS = {"checks": ["positivity", "moment", "identity"], "r_values": [1.5, 3.0],
                       "identity_budget_factor": 25.0}
 
@@ -140,25 +146,46 @@ def run_tree(tree: Path, ops_file: Path, work: Path) -> None:
         raise SystemExit(f"{tree} failed\n{proc.stderr}")
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def csv_difference(a: Path, b: Path) -> str:
-    """The largest absolute difference of the values of two CSV tables of one layout."""
+    """The largest differences of the values of two CSV tables of one layout.
+
+    A table whose first row is a header gets one number per differing column:
+    relative in RELATIVE_COLUMNS, absolute elsewhere.  Any other table gets the
+    largest absolute difference of all its values.
+    """
     tables = []
     for path in (a, b):
         with open(path, newline="") as fh:
             tables.append([row for row in csv.reader(fh) if row and not row[0].startswith("#")])
     if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
         return "tables differ in shape"
-    largest = 0.0
+    header = tables[0][0] if tables[0] and not _is_number(tables[0][0][0]) else None
+    largest = {}
     for row_a, row_b in zip(*tables):
-        for x, y in zip(row_a, row_b):
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
             if x == y:
                 continue
             try:
                 diff = abs(float(x) - float(y))
             except ValueError:
                 return f"text differs: {x!r} against {y!r}"
-            largest = max(largest, diff if not math.isnan(diff) else math.inf)
-    return f"largest absolute difference {largest:.3e}"
+            name = header[col] if header else None
+            if name in RELATIVE_COLUMNS:
+                diff = diff / abs(float(x)) if float(x) != 0.0 else math.inf
+            largest[name] = max(largest.get(name, 0.0), diff if not math.isnan(diff) else math.inf)
+    if header is None:
+        return f"largest absolute difference {largest.get(None, 0.0):.3e}"
+    return "largest difference per column: " + ", ".join(
+        f"{name} {diff:.3e}" + (" relative" if name in RELATIVE_COLUMNS else " absolute")
+        for name, diff in largest.items())
 
 
 def newton_counts(a: Path, b: Path) -> str:
