@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -237,6 +238,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfgtorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -118,9 +118,6 @@ class PotentialSpec:
         if self.form == "x_only" and self.kappa != 0.0:
             raise ValueError("x_only potential takes no kappa")
 
-    def value(self, grid: GridSpec, m):
-        return self.value_given_a(self.a.value(grid), m, np.arctan(m))
-
     def value_given_a(self, ax, m, arctan_m):
         """V from the values `ax` of a(x) at the points where m is sampled, and arctan(m) there."""
         if self.form == "separable":

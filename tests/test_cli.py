@@ -520,6 +520,32 @@ class TestMmsCommand:
         cfg = write_config(tmp_path, base_config())
         assert main(["mms", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    def test_info_log_has_one_stderr_line_per_grid(self, tmp_path):
+        import subprocess
+        import sys
+
+        import mfgtorus
+
+        pkg_root = str(Path(mfgtorus.__file__).resolve().parents[1])
+        doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [0.1]}, "m": {"const": 1.0, "cos": [0.25]}})
+        cfg = write_config(tmp_path, doc)
+        runs = {}
+        for level in ("info", "error"):
+            out = tmp_path / level
+            runs[level] = subprocess.run(
+                [sys.executable, "-m", "mfgtorus.cli", "mms", "--config", cfg, "--out", str(out)],
+                env={"MFG_LOG": level, "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+                capture_output=True,
+                text=True,
+            )
+            assert runs[level].returncode == 0, runs[level].stderr
+        lines = runs["info"].stderr.splitlines()
+        assert [line.split(":")[1] for line in lines] == [" mms n=16", " mms n=32", " mms n=64"]
+        assert all("start residual" in line and "newton iterations" in line for line in lines)
+        assert runs["error"].stderr == ""
+        assert runs["info"].stdout == runs["error"].stdout
+        assert (tmp_path / "info" / "rates.csv").read_bytes() == (tmp_path / "error" / "rates.csv").read_bytes()
+
     def test_overflowing_source_exits_two_with_one_line(self, tmp_path, capsys):
         doc = base_config(mms={"grids": [16, 32, 64], "u": {"sin": [1e200]}, "m": {"const": 1.0, "cos": [0.25]}})
         doc["problem"]["n"] = 32
@@ -760,6 +786,20 @@ class TestUsageErrors:
         assert err.startswith("usage: mfgtorus ")
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
         assert not (tmp_path / "x").exists()
+
+    def test_parser_is_built_once_and_reused_for_usage_errors(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        cfg = write_config(tmp_path, base_config())
+        bad = ["solve", "--bogus", "--config", cfg, "--out", str(tmp_path / "x")]
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 1
+            errors.append(capsys.readouterr().err)
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: mfgtorus ") and "unrecognized arguments: --bogus" in errors[0]
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

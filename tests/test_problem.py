@@ -246,7 +246,8 @@ class TestCatalog:
         grid = GridSpec(1, 128)
         rng = np.random.default_rng(3)
         for m0 in rng.uniform(0.01, 30.0, 20):
-            vals = pot.value(grid, np.full(grid.shape, m0))
+            m = np.full(grid.shape, m0)
+            vals = pot.value_given_a(pot.a.value(grid), m, np.arctan(m))
             assert np.max(np.abs(vals)) <= pot.sup_bound() + 1e-12
 
     def test_negative_kappa_rejected(self):
@@ -265,7 +266,8 @@ class TestPerGridArrays:
     @pytest.mark.parametrize("spec", catalog_battery())
     def test_effective_potential_equals_pointwise_value(self, spec):
         m = 1.0 + 0.5 * np.cos(2 * np.pi * mesh(spec.grid)[0])
-        expected = spec.potential.value(spec.grid, m) + spec.epsilon_monotone * np.arctan(m)
+        pot = spec.potential
+        expected = pot.value_given_a(pot.a.value(spec.grid), m, np.arctan(m)) + spec.epsilon_monotone * np.arctan(m)
         assert np.array_equal(effective_potential(spec, spec.grid, m), expected)
 
     @pytest.mark.parametrize("dim", [1, 2])

@@ -230,40 +230,49 @@ class TestNestedIteration:
         assert abs(table.observed_order_u - cold_orders[0]) <= 1e-6
         assert abs(table.observed_order_m - cold_orders[1]) <= 1e-6
 
-        nested_iterations = [report.iterations for _, _, _, report in newton_calls]
+        iterations = [report.iterations for _, _, _, report in newton_calls]
         assert [n for n, _, _, _ in newton_calls] == grids
-        assert nested_iterations[0] == cold_iterations[0]
-        assert all(a <= b for a, b in zip(nested_iterations[1:], cold_iterations[1:]))
+        assert all(a < b for a, b in zip(iterations, cold_iterations)), (iterations, cold_iterations)
         if dim == 2:
-            assert (nested_iterations[-1], cold_iterations[-1]) == (3, 4)
+            assert iterations == [3, 2, 2]
 
     def test_finer_grid_starts_from_the_interpolated_solution(self, newton_calls):
-        convergence_study(reference_case(1, 32), [32, 64, 128])
-        (_, first, _, _), *finer = newton_calls
-        assert np.array_equal(first.stacked(), exact_initial(reference_case(1, 32).spec).stacked())
-        for (_, _, coarse_solution, _), (n, start, _, _) in zip(newton_calls, finer):
-            fine = GridSpec(1, n)
-            assert np.array_equal(start.u.values, interpolate(coarse_solution.u, fine).values)
-            assert np.array_equal(start.m.values, interpolate(coarse_solution.m, fine).values)
+        # the Richardson start: the sample plus the coarser solution's error, interpolated, over 4
+        for dim, grids in ((1, [32, 64, 128]), (2, [16, 32, 64])):
+            newton_calls.clear()
+            case = reference_case(dim, grids[0])
+            convergence_study(case, grids)
+            (_, first, _, _), *finer = newton_calls
+            assert np.array_equal(first.stacked(), case.sample(GridSpec(dim, grids[0])).stacked())
+            for (n_coarse, _, coarse_solution, _), (n, start, _, _) in zip(newton_calls, finer):
+                fine, coarse = GridSpec(dim, n), GridSpec(dim, n_coarse)
+                sample, coarse_sample = case.sample(fine), case.sample(coarse)
+                for field in ("u", "m"):
+                    error = getattr(coarse_solution, field).values - getattr(coarse_sample, field).values
+                    expected = getattr(sample, field).values + interpolate(Field(coarse, error), fine).values / 4.0
+                    assert np.array_equal(getattr(start, field).values, expected)
 
     def test_nonpositive_interpolated_density_falls_back_to_cold_start(self, monkeypatch):
-        coarse = GridSpec(1, 16)
+        # the fallback is the sampled pair, which m* > 0 keeps positive
+        case = reference_case(1, 16)
+        coarse, fine = GridSpec(1, 16), GridSpec(1, 32)
         spike = np.full(coarse.size, 0.01)
-        spike[3] = 1.0  # positive at every point, but its interpolant rings below 0
+        spike[3] = 100.0  # positive at every point, but its carried-over error rings below -m* on the finer grid
         ringing = State(constant_field(coarse, 0.2), Field(coarse, spike))
-        assert interpolate(ringing.m, GridSpec(1, 32)).values.min() <= 0.0
+        carried = interpolate(Field(coarse, ringing.m.values - case.sample(coarse).m.values), fine)
+        assert (case.sample(fine).m.values + carried.values / 4.0).min() <= 0.0
 
         starts = []
 
         def ringing_first_solve(spec, lam, s0, opts, sources=None):
             starts.append((spec, s0))
-            if spec.grid == coarse:
-                return ringing, None
-            return newton_solve(spec, lam, s0, opts, sources=sources)
+            s, report = newton_solve(spec, lam, s0, opts, sources=sources)
+            return (ringing if spec.grid == coarse else s), report
 
         monkeypatch.setattr(verification, "newton_solve", ringing_first_solve)
-        table = convergence_study(reference_case(1, 16), [16, 32, 64])
+        table = convergence_study(case, [16, 32, 64])
         assert [row.n for row in table.rows] == [16, 32, 64]
         spec, start = starts[1]
-        assert np.array_equal(start.stacked(), exact_initial(spec).stacked())
-        assert table.rows[2].error_m < table.rows[1].error_m  # the study ran on from the cold start
+        assert spec.grid == fine
+        assert np.array_equal(start.stacked(), case.sample(fine).stacked())
+        assert table.rows[2].error_m < table.rows[1].error_m  # the study ran on from the sample
