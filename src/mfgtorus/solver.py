@@ -10,22 +10,20 @@ Each Newton step solves one 2N x 2N linear system.  In 2-D that is an in-house
 GMRES loop with a block preconditioner diagonal in the discrete Fourier basis,
 run only as tightly as Newton needs (`_forcing_term`); in 1-D it is a banded LU
 with the periodic ring folded into a plain band.  A GMRES answer that misses its
-tolerance goes to the sparse direct solve, and a system that the band LU or the
-direct solve cannot factor fails the Newton step.
+forcing term, or a system that the band LU cannot factor, fails the Newton step.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dlartg
-# lsqr is not called here: perfbench/tracer.py (line 144) wraps solver.lsqr by name until ROADMAP item 3
-from scipy.sparse.linalg import MatrixRankWarning, lsqr, spsolve
+# neither is called here: perfbench/tracer.py wraps solver.spsolve and solver.lsqr by name until ROADMAP item 14
+from scipy.sparse.linalg import lsqr, spsolve
 
 from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
 from .errors import (
@@ -42,9 +40,9 @@ from .problem import Field, ProblemSpec, State, exact_initial, residual
 log = logging.getLogger("mfgtorus")
 
 # GMRES stops, and its answer is kept, once the true relative residual is at most
-# the forcing term eta >= KRYLOV_RTOL; else the direct solve runs.  A solve takes
-# at most about 15 iterations even at KRYLOV_RTOL, so one cycle of 40 normally
-# suffices and 3 cycles bound the work spent before a fallback.  Newton stays
+# the forcing term eta >= KRYLOV_RTOL; else the Newton step fails.  No solve took
+# more than 25 iterations in a sweep of 144 2-D continuations, so one cycle of 40
+# normally suffices and 3 cycles bound the work spent before a step failure.  Newton stays
 # locally quadratic while eta = O(|F|) (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 # Anal. 19, 1982): eta is Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
 # 1996), FORCING_GAMMA (r_k / r_(k-1))^FORCING_POWER from FORCING_MAX at k = 0, capped
@@ -71,6 +69,8 @@ class NewtonOptions:
             raise ValueError("positivity_fraction must lie in (0, 1)")
         if min(self.tol_residual, self.max_iters, self.armijo_c, self.min_damping) <= 0:
             raise ValueError("all Newton options must be positive")
+        if self.armijo_c >= 1.0:  # (1 - c t) res would then reject every full step
+            raise ValueError("armijo_c must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class StepOptions:
 class NewtonReport:
     """One Newton solve.
 
-    `linear_paths` ("band" in 1-D; "krylov" or "direct" in 2-D) and `krylov_iterations`
+    `linear_paths` ("band" in 1-D, "krylov" in 2-D) and `krylov_iterations`
     (0 off the Krylov path) hold one entry per linear solve: one per accepted
     iteration, plus the rejected last one when damping gave out.
     """
@@ -194,14 +194,14 @@ def _forcing_term(eta_ew: float, tol: float, b_norm: float) -> float:
 
 def _solve_krylov(
     sys: LinearizedSystem, b: np.ndarray, alpha: float, eta_ew: float, tol: float
-) -> tuple[np.ndarray | None, int, float]:
+) -> tuple[np.ndarray, int, float]:
     """2-D restarted GMRES on A x = b from x = 0, left-preconditioned by `_krylov_preconditioner`.
 
     Step for step it is SciPy's `gmres` (1.17) at rtol eta = `_forcing_term(eta_ew, tol, |b|)`:
     modified Gram-Schmidt, Givens rotations from LAPACK lartg, its inner tolerance
     `ptol` across restarts and its back substitution; but P^-1 b is applied once and
-    b - A x once per cycle.  Returns (x, iterations, eta), with x None and no
-    iterations unless x is finite and |b - A x| <= eta |b|; b = 0 gives (0, 0, 0.0).
+    b - A x once per cycle.  Returns (x, iterations, eta); b = 0 gives (0, 0, 0.0).  Raises
+    LinearSolveFailure unless x is finite and |b - A x| <= eta |b| within KRYLOV_MAX_RESTARTS cycles.
     """
     matrix, precond = sys.matrix, _krylov_preconditioner(sys, alpha)
     b_norm = np.linalg.norm(b)
@@ -254,7 +254,9 @@ def _solve_krylov(
             break
         factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
         ptol = presid * min(factor, atol / r_norm)
-    return (x, iterations, eta) if r_norm <= atol and np.all(np.isfinite(x)) else (None, 0, eta)
+    if not (r_norm <= atol and np.all(np.isfinite(x))):
+        raise LinearSolveFailure(f"GMRES missed its forcing term eta {eta:.1e} in {iterations} iterations")
+    return x, iterations, eta
 
 
 def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
@@ -273,26 +275,13 @@ def _solve_linear(
 ) -> tuple[np.ndarray, str, int, float]:
     """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations, forcing term).
 
-    1-D is `_solve_band` ("band").  2-D tries `_solve_krylov` first ("krylov") with
-    the forcing inputs eta_ew and tol, and the sparse direct solve ("direct") when
-    GMRES is not accepted.  The forcing term is the Krylov eta, and 0 for either
-    LU.  Where either LU meets a (near-)singular factorization or gives non-finite
-    values, LinearSolveFailure ends the Newton step, and the continuation shortens its step.
+    1-D is `_solve_band` ("band", forcing term 0) and 2-D is `_solve_krylov` ("krylov").  Each
+    raises LinearSolveFailure on an answer it rejects: the Newton step fails, and the continuation shortens its step.
     """
     if sys.grid.dim == 1:
         return _solve_band(sys, b), "band", 0, 0.0
     delta, iterations, eta = _solve_krylov(sys, b, alpha, eta_ew, tol)
-    if delta is not None:
-        return delta, "krylov", iterations, eta
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            delta = spsolve(sys.matrix, b)
-        except (MatrixRankWarning, RuntimeError) as err:
-            raise LinearSolveFailure(f"singular Newton system: {err}") from err
-    if not np.all(np.isfinite(delta)):
-        raise LinearSolveFailure("linear solve produced non-finite values")
-    return delta, "direct", 0, 0.0
+    return delta, "krylov", iterations, eta
 
 
 def newton_solve(

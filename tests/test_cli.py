@@ -714,11 +714,14 @@ class TestConfigHardening:
              "diagnostics: identity_budget_factor must be positive"),
             ("diagnostics", {"identity_budget_factor": 0},
              "diagnostics: identity_budget_factor must be positive"),
+            # with c >= 1 the Armijo test rejects every full step, and the line search halves to min_damping
+            ("solver", {"min_damping": 1e-300, "armijo_c": 1000}, "solver: armijo_c must lie in (0, 1)"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "initial-step-above-max-step",
              "negative-grow-iters", "fractional-max-iters", "fractional-grow-iters", "nan-scalar",
              "infinite-list-entry", "integer-beyond-float-range", "grids-not-doubling",
-             "empty-drift-scales", "bad-mms-density", "negative-budget-factor", "zero-budget-factor"],
+             "empty-drift-scales", "bad-mms-density", "negative-budget-factor", "zero-budget-factor",
+             "armijo-c-at-least-one"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))

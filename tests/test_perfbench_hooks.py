@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,18 @@ def test_tracer_installs_on_every_name_it_wraps():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_direct_or_least_squares_solve_in_the_package():
+    """`spsolve` and `lsqr` appear in src/ only as names that solver.py imports for the tracer to wrap."""
+    pkg = Path(mfgtorus.__file__).resolve().parent
+    uses = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                uses += [(path.name, "import", node.module) for a in node.names if a.name in ("spsolve", "lsqr")]
+            elif isinstance(node, ast.Name) and node.id in ("spsolve", "lsqr"):
+                uses.append((path.name, "name", node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in ("spsolve", "lsqr"):
+                uses.append((path.name, "attribute", node.attr))
+    assert uses == [("solver.py", "import", "scipy.sparse.linalg")] * 2
