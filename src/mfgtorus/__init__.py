@@ -44,12 +44,10 @@ from .grid import (
     sup_norm,
 )
 from .linearization import (
-    CoercivityReport,
     LinearizedSystem,
     assemble_jacobian,
     bilinear_form,
     coercivity_check,
-    rotate_pair,
 )
 from .problem import (
     DriftSpec,

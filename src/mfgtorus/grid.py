@@ -18,6 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# the most grid points n**dim: the largest array, the 2-D GMRES basis of 41 x 2 n**dim floats, is 0.7 GB there
+MAX_POINTS = 2**20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -31,6 +34,8 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
+        if self.n**self.dim > MAX_POINTS:
+            raise ValueError(f"n**dim must be at most {MAX_POINTS}, got {self.n}**{self.dim}")
 
     @property
     def h(self) -> float:

@@ -163,40 +163,21 @@ def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_di
     return worst
 
 
-def rotate_pair(w: tuple[Field, Field]) -> tuple[Field, Field]:
-    """Quarter-turn on stacked pairs: (v, f) -> (f, -v)."""
-    v, f = w
-    return f, Field(v.grid, -v.values)
-
-
 def bilinear_form(sys: LinearizedSystem, w1: tuple[Field, Field], w2: tuple[Field, Field]) -> float:
-    """h^dim-weighted pairing of the operator applied to w1 against the rotated w2."""
+    """h^dim-weighted pairing of the operator applied to w1 against w2 turned by (v, f) -> (f, -v)."""
     grid = sys.grid
     x1 = np.concatenate([w1[0].values, w1[1].values])
-    r2 = rotate_pair(w2)
-    x2 = np.concatenate([r2[0].values, r2[1].values])
+    x2 = np.concatenate([w2[1].values, -w2[0].values])
     return grid.h**grid.dim * float((sys.matrix @ x1) @ x2)
 
 
-@dataclass(frozen=True)
-class CoercivityReport:
-    """Sampled sign-definiteness of w -> B[w, w] on zero-mean-v directions.
+def coercivity_check(sys: LinearizedSystem, n_samples: int = 200, seed: int = 0) -> float:
+    """Largest B[w, w] / (||Dv||_2^2 + ||f||_2^2) over seeded random directions w = (v, f).
 
-    `ratios` holds B[w,w] / (||Dv||_2^2 + ||f||_2^2) per sample; all must be
-    strictly negative, and -max_ratio estimates the coercivity constant.
-    """
-
-    max_ratio: float
-    c_estimate: float
-    all_negative: bool
-    ratios: tuple[float, ...]
-
-
-def coercivity_check(sys: LinearizedSystem, n_samples: int = 200, seed: int = 0) -> CoercivityReport:
-    """Probe B[w, w] against -C (||Dv||^2 + ||f||^2) on seeded random directions.
-
-    v-samples are shifted to zero mean: the constant-v direction is the kernel
-    case handled separately (B[(1,0),(1,0)] = 0).
+    Coercivity holds where it is strictly negative, and minus it estimates the
+    constant C in B[w, w] <= -C (||Dv||^2 + ||f||^2).  v-samples are shifted to
+    zero mean: the constant-v direction is the kernel case handled separately
+    (B[(1,0),(1,0)] = 0).  A NaN sample makes the result NaN.
     """
     grid = sys.grid
     if sys.base_state.min_m() <= 0.0:
@@ -213,11 +194,4 @@ def coercivity_check(sys: LinearizedSystem, n_samples: int = 200, seed: int = 0)
         dv_sq = sum(d.ravel() ** 2 for d in gradient_arrays(w[0]))
         denom = vol * (float(np.sum(dv_sq)) + float(np.sum(f * f)))
         ratios.append(b_ww / denom)
-    ratios_arr = np.array(ratios)
-    max_ratio = float(np.max(ratios_arr))
-    return CoercivityReport(
-        max_ratio=max_ratio,
-        c_estimate=-max_ratio,
-        all_negative=bool(np.all(ratios_arr < 0.0)),
-        ratios=tuple(float(r) for r in ratios_arr),
-    )
+    return float(np.max(ratios))

@@ -54,6 +54,9 @@ FORCING_MAX = 1e-2
 FORCING_GAMMA = 0.9
 FORCING_POWER = 2
 FORCING_TOL_SHARE = 0.5
+# the most failed steps a continuation schedule may take from max_step down to min_step,
+# log(min_step / max_step) / log(shrink): the defaults take 18, and shrink 0.9 takes 118
+MAX_SHRINKS = 200
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,10 @@ class StepOptions:
             raise ValueError("growth must be >= 1")
         if self.min_step > self.max_step:
             raise ValueError("min_step must not exceed max_step")
+        shrinks = np.log(self.min_step / self.max_step) / np.log(self.shrink)
+        if shrinks > MAX_SHRINKS:
+            raise ValueError(f"shrink takes {shrinks:.0f} failed steps from max_step to min_step, "
+                             f"more than {MAX_SHRINKS}")
         if self.initial_step > self.max_step:
             raise ValueError("initial_step must not exceed max_step")
         if self.grow_iters < 0:
@@ -201,7 +208,8 @@ def _solve_krylov(
     modified Gram-Schmidt, Givens rotations from LAPACK lartg, its inner tolerance
     `ptol` across restarts and its back substitution; but P^-1 b is applied once and
     b - A x once per cycle.  Returns (x, iterations, eta); b = 0 gives (0, 0, 0.0).  Raises
-    LinearSolveFailure unless x is finite and |b - A x| <= eta |b| within KRYLOV_MAX_RESTARTS cycles.
+    LinearSolveFailure unless x is finite and |b - A x| <= eta |b| within KRYLOV_MAX_RESTARTS cycles;
+    a non-finite residual ends the loops at once.
     """
     matrix, precond = sys.matrix, _krylov_preconditioner(sys, alpha)
     b_norm = np.linalg.norm(b)
@@ -238,7 +246,7 @@ def _solve_krylov(
             g[col:] = c * g[col], -s * g[col]
             presid = abs(g[col + 1])
             iterations += 1
-            if presid <= ptol or breakdown:
+            if presid <= ptol or breakdown or not np.isfinite(presid):
                 break
         if h[col, col] == 0:
             g[col] = 0.0
@@ -250,7 +258,7 @@ def _solve_krylov(
         x += y @ v[: col + 1]
         r = b - matrix @ x
         r_norm = np.linalg.norm(r)
-        if r_norm <= atol or breakdown:
+        if r_norm <= atol or breakdown or not np.isfinite(r_norm):
             break
         factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
         ptol = presid * min(factor, atol / r_norm)

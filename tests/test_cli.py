@@ -361,6 +361,14 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: cannot read field file {bad}: ")
 
+    def test_state_header_above_grid_cap_exits_one_before_reading_values(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        big = tmp_path / "u.csv"
+        big.write_text("# n=1025 dim=2\n1.0\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"), "--state", str(big), str(big)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot read field file {big}: n**dim must be at most 1048576, got 1025**2"]
+
     def test_refined_state_pairs_emit_refinement_series(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         runs = {}
@@ -716,12 +724,18 @@ class TestConfigHardening:
              "diagnostics: identity_budget_factor must be positive"),
             # with c >= 1 the Armijo test rejects every full step, and the line search halves to min_damping
             ("solver", {"min_damping": 1e-300, "armijo_c": 1000}, "solver: armijo_c must lie in (0, 1)"),
+            # about 5.5 million failed steps, hours of work, before the continuation would stall
+            ("continuation", {"shrink": 0.999999, "min_step": 1e-3},
+             "continuation: shrink takes 5521458 failed steps from max_step to min_step, more than 200"),
+            ("mms", {"grids": [2**19, 2**20, 2**21], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
+                     "m": {"const": 1.0, "cos": [0.25], "sin": [0.0]}},
+             "mms.grids: n**dim must be at most 1048576, got 2097152**1"),
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "initial-step-above-max-step",
              "negative-grow-iters", "fractional-max-iters", "fractional-grow-iters", "nan-scalar",
              "infinite-list-entry", "integer-beyond-float-range", "grids-not-doubling",
              "empty-drift-scales", "bad-mms-density", "negative-budget-factor", "zero-budget-factor",
-             "armijo-c-at-least-one"],
+             "armijo-c-at-least-one", "shrink-near-one", "mms-grid-above-cap"],
     )
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, values, message):
         cfg = write_config(tmp_path, base_config(**{section: values}))
@@ -745,11 +759,12 @@ class TestConfigHardening:
             (edited(("problem.potential.form", "x_only"), ("problem.potential.kappa", 0.0),
                     ("sweep", {"alphas": [0.5], "kappas": [0.0, 1.0]})),
              "sweep.kappas: nonzero kappa needs a potential form with an m-part"),
+            (edited(("problem.n", 2**20 + 1)), "problem: n**dim must be at most 1048576, got 1048577**1"),
             ('{"problem": ', "{config} is not valid JSON: "),
         ],
         ids=["section-not-an-object", "checks-not-strings", "harmonic-entry-count", "sweep-alpha-out-of-range",
              "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-with-sweep-kappa",
-             "invalid-json"],
+             "n-above-grid-cap", "invalid-json"],
     )
     def test_rule_exits_one_with_one_line_naming_the_key(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import pytest
 
 from mfgtorus import Field, GridSpec, TrigForm, constant_field, integral, load_field, save_field
 from mfgtorus.grid import (
+    MAX_POINTS,
     _diff,
     _second_diff,
     divergence_arrays,
@@ -47,6 +48,13 @@ class TestGridSpec:
     def test_rejects_bad_dimensions(self, dim, n):
         with pytest.raises(ValueError):
             GridSpec(dim, n)
+
+    @pytest.mark.parametrize("dim,n", [(1, 2**20), (2, 2**10)])
+    def test_point_cap_admits_its_boundary_and_nothing_above(self, dim, n):
+        # a GridSpec allocates nothing, so the boundary costs no memory
+        assert GridSpec(dim, n).size == MAX_POINTS
+        with pytest.raises(ValueError, match=f"n\\*\\*dim must be at most {MAX_POINTS}"):
+            GridSpec(dim, n + 1)
 
 
 class TestField:

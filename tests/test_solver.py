@@ -273,8 +273,8 @@ class TestKrylovSolve:
             monkeypatch.setattr(
                 solver_mod, "_krylov_preconditioner", lambda sys, alpha: lambda r: np.full_like(r, np.nan)
             )
-        # a NaN residual meets no stopping test, so the caps end the loop
-        iterations = 3 if failure == "info" else solver_mod.KRYLOV_RESTART * solver_mod.KRYLOV_MAX_RESTARTS
+        # the caps end the unconverged loop; a NaN residual ends it after its first iteration
+        iterations = 3 if failure == "info" else 1
         with pytest.raises(LinearSolveFailure, match=f"forcing term eta 1.0e-10 in {iterations} iterations"):
             _solve_linear(sys, b, spec.alpha, *TIGHTEST)
 
@@ -610,6 +610,8 @@ class TestContinuation:
         with pytest.raises(ValueError, match="initial_step must not exceed max_step"):
             StepOptions(initial_step=0.9, max_step=0.25)
         assert StepOptions(initial_step=0.25, max_step=0.25).initial_step == 0.25
+        # shrinking from max_step to min_step takes 118 failed steps here, within the cap of 200
+        assert StepOptions(shrink=0.9).shrink == 0.9
 
     def test_accepted_states_satisfy_mass_and_positivity(self, reference_solution):
         _, _, trace = reference_solution

@@ -32,7 +32,9 @@ per column for a table with a header row (relative for the `error_u` and
 `error_m` columns of `rates.csv`, absolute for the others), and over all values
 otherwise.  For a differing `trace.json` it prints whether the Newton iteration
 counts of its steps agree and the total GMRES iterations (`krylov_iterations`)
-of each side.
+of each side.  For any other differing `.json` file it prints the key path of
+the first value that differs (for example `states[2].coercivity.c_estimate`)
+and both values.
 """
 
 from __future__ import annotations
@@ -201,6 +203,28 @@ def newton_counts(a: Path, b: Path) -> str:
     return f"{newton}; Krylov iterations {krylov} in total"
 
 
+def json_difference(x, y, path: str = "") -> str:
+    """Where two JSON documents first differ: a key path and both values, or what differs in shape there."""
+    where = path or "top level"
+    if isinstance(x, dict) and isinstance(y, dict):
+        if x.keys() != y.keys():
+            return f"{where}: keys {sorted(x.keys() ^ y.keys())} on one side only"
+        children = [(f"{path}.{key}" if path else key, x[key], y[key]) for key in x]
+    elif isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return f"{where}: {len(x)} against {len(y)} entries"
+        children = [(f"{path}[{i}]", u, v) for i, (u, v) in enumerate(zip(x, y))]
+    elif type(x) is type(y) and (x == y or x != x and y != y):  # NaN matches NaN
+        return ""
+    else:
+        return f"{where}: {x!r} against {y!r}"
+    for child_path, u, v in children:
+        found = json_difference(u, v, child_path)
+        if found:
+            return found
+    return ""
+
+
 def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
     """(the files identical in both trees, one line per difference)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -215,6 +239,9 @@ def compare(a: Path, b: Path) -> tuple[list[Path], list[str]]:
             diffs.append(f"differs: {p}: {csv_difference(a / p, b / p)}")
         elif p.name == "trace.json":
             diffs.append(f"differs: {p}: {newton_counts(a / p, b / p)}")
+        elif p.suffix == ".json":
+            found = json_difference(*(json.loads((tree / p).read_text()) for tree in (a, b)))
+            diffs.append(f"differs: {p}: {found or 'same values, other bytes'}")
         else:
             diffs.append(f"differs: {p}")
     return same, diffs
