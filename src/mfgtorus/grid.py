@@ -143,17 +143,19 @@ def laplacian_array(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def interpolate(f: Field, grid: GridSpec) -> Field:
-    """The trigonometric interpolant of `f` sampled on `grid`, whose n is a multiple of f's.
+    """The trigonometric interpolant of `f` sampled on `grid`, whose n must be a multiple of f's.
 
-    Per axis: the DFT of f's values, zero-padded to grid.n, with the coarse
-    Nyquist coefficient split evenly between +n/2 and -n/2, so the interpolant
-    is real and passes through f's values at the shared points.
+    Per axis: the DFT of f's values, zero-padded to grid.n, with an even coarse n's Nyquist coefficient
+    split evenly between +n/2 and -n/2 on a finer grid (an odd n has none), so the interpolant is real and
+    passes through f's values at the shared points.
     """
+    if grid.n % f.grid.n:
+        raise ValueError(f"cannot interpolate from n = {f.grid.n} to n = {grid.n}, not a multiple of it")
     arr = f.reshaped()
-    half = f.grid.n // 2
     for ax in range(arr.ndim):
         coef = np.fft.rfft(arr, axis=ax, norm="forward")
-        np.moveaxis(coef, ax, 0)[half] *= 0.5
+        if f.grid.n % 2 == 0 and grid.n > f.grid.n:
+            np.moveaxis(coef, ax, 0)[f.grid.n // 2] *= 0.5
         arr = np.fft.irfft(coef, grid.n, axis=ax, norm="forward")
     return Field(grid, arr)
 

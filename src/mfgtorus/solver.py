@@ -1,4 +1,4 @@
-"""Damped Newton at fixed lambda, and the lambda-continuation driver 0 -> 1.
+"""Damped Newton at fixed lambda, and the lambda-continuation driver 0 -> 1 with its 2-D grid ladder.
 
 Newton damping enforces two guards before accepting a step fraction t:
 (a) positivity: min(m + t dm) >= positivity_fraction * min(m_current), and
@@ -30,10 +30,11 @@ from .errors import (
     ContinuationStalled,
     LinearSolveFailure,
     MaxItersExceeded,
+    MFGError,
     NoDescent,
     SolverFailure,
 )
-from .grid import GridSpec, gradient_and_laplacian, read_only, sup_norm
+from .grid import GridSpec, gradient_and_laplacian, interpolate, read_only, sup_norm
 from .linearization import LinearizedSystem, _band_layout, assemble_jacobian
 from .problem import Field, ProblemSpec, State, exact_initial, residual
 
@@ -57,6 +58,8 @@ FORCING_TOL_SHARE = 0.5
 # the most failed steps a continuation schedule may take from max_step down to min_step,
 # log(min_step / max_step) / log(shrink): the defaults take 18, and shrink 0.9 takes 118
 MAX_SHRINKS = 200
+# the smallest grid a 2-D continuation runs on before it climbs to n (`ladder_sizes`)
+COARSE_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,7 @@ class ContinuationStep:
     lam: float
     newton: NewtonReport
     diagnostics: DiagnosticsSnapshot
+    n: int  # the grid size the step solved on
 
 
 @dataclass
@@ -148,6 +152,7 @@ class ContinuationTrace:
     failures: list[FailureRecord] = field(default_factory=list)
     reached_lambda: float = 0.0
     success: bool = False
+    fallback: dict | None = None  # {"n", "error"}: the ladder size that failed, before the rerun on n
 
     def to_dict(self) -> dict:
         """The trace as trace.json holds it: every field under its own name, but `lambda` for `lam`."""
@@ -362,26 +367,66 @@ def newton_solve(
                   it, res_norm, t, path, krylov_its, eta)
 
 
+def ladder_sizes(grid: GridSpec) -> list[int]:
+    """The grid sizes a solve climbs to grid.n, coarsest first: in 2-D, n halved while it is even and its
+    half is at least COARSE_MIN_N (48: [24, 48], 64: [16, 32, 64], 50: [25, 50]); in 1-D, [n]."""
+    sizes = [grid.n]
+    while grid.dim == 2 and sizes[0] % 2 == 0 and sizes[0] // 2 >= COARSE_MIN_N:
+        sizes.insert(0, sizes[0] // 2)
+    return sizes
+
+
+def solve_levels(spec: ProblemSpec, sizes: list[int], opts: NewtonOptions, label: str, coarse: State | None = None,
+                 start: Callable = lambda grid, s: State(interpolate(s.u, grid), interpolate(s.m, grid)),
+                 sources: Callable = lambda grid: None, newton: Callable | None = None):
+    """Yield (spec, solution, report) of Newton at lam = 1 on each grid size from `start(grid, coarser
+    solution or coarse)` with `sources(grid)`, logged under `label`.  `newton` is the caller's own binding
+    of `newton_solve` (this module's by default), so either module's name can be replaced."""
+    s = coarse
+    for n in sizes:
+        spec_n = replace(spec, grid=GridSpec(spec.grid.dim, n))
+        level_sources = sources(spec_n.grid)
+        s, report = (newton or newton_solve)(spec_n, 1.0, start(spec_n.grid, s), opts, sources=level_sources)
+        log.info("%s n=%d: start residual %.3e, %d newton iterations, %d krylov iterations",
+                 label, n, report.residual_history[0], report.iterations, sum(report.krylov_iterations))
+        yield spec_n, s, report
+
+
 def continuation_solve(
     spec: ProblemSpec,
     opts: NewtonOptions = NewtonOptions(),
     step_opts: StepOptions = StepOptions(),
     diagnostics: DiagnosticsConfig = DiagnosticsConfig(),
 ) -> tuple[State, ContinuationTrace]:
-    """Track the solution branch from the explicit lam=0 state up to lam=1.
-
-    Warm-starts every step from the last accepted state, halves the step on any
-    Newton failure, grows it after fast steps, and clamps the final step to
-    land on lam=1 exactly.  Each accepted state gets a snapshot of the checks
-    `diagnostics.checks` at the moment exponents `diagnostics.r_values`.
-    """
+    """Continue from lam = 0 to 1 on the coarsest `ladder_sizes`, then climb to spec's grid from interpolated
+    solutions, one step per size.  If the ladder fails, its `fallback` is recorded and `_continue` runs on n."""
     if not spec.solvable:
         raise ValueError(f"the solver requires alpha < 1, got alpha = {spec.alpha}")
-    trace = ContinuationTrace()
+    sizes, trace = ladder_sizes(spec.grid), ContinuationTrace()
+    if len(sizes) == 1:
+        return _continue(spec, opts, step_opts, diagnostics, trace)
+    try:
+        s, _ = _continue(replace(spec, grid=GridSpec(spec.grid.dim, sizes[0])), opts, step_opts, diagnostics, trace)
+        for spec_n, s, report in solve_levels(spec, sizes[1:], opts, "climb", s):
+            snapshot = make_snapshot(spec_n, s, 1.0, diagnostics, opts.tol_residual)[0]
+            trace.steps.append(ContinuationStep(1.0, report, snapshot, spec_n.grid.n))
+        return s, trace
+    except MFGError as err:  # the continuation on n then solves, or fails, as it does without the ladder
+        failed = 2 * trace.steps[-1].n if trace.success else sizes[0]  # the size after the last one solved
+        log.info("grid ladder failed at n=%d (%s); continuing on n=%d", failed, type(err).__name__, spec.grid.n)
+        fallback = ContinuationTrace(fallback={"n": failed, "error": type(err).__name__})
+        return _continue(spec, opts, step_opts, diagnostics, fallback)
 
+
+def _continue(spec: ProblemSpec, opts: NewtonOptions, step_opts: StepOptions, diagnostics: DiagnosticsConfig,
+              trace: ContinuationTrace) -> tuple[State, ContinuationTrace]:
+    """The continuation on spec's grid alone, recorded into `trace`: warm-starts every step from the last
+    accepted state, halves the step on any Newton failure, grows it after fast steps, and clamps the final
+    step to land on lam=1 exactly.  Each accepted state gets a snapshot of the checks `diagnostics.checks`
+    at the moment exponents `diagnostics.r_values`."""
     s, report = newton_solve(spec, 0.0, exact_initial(spec), opts)
     snapshot = make_snapshot(spec, s, 0.0, diagnostics, opts.tol_residual)[0]
-    trace.steps.append(ContinuationStep(0.0, report, snapshot))
+    trace.steps.append(ContinuationStep(0.0, report, snapshot, spec.grid.n))
     lam = 0.0
     dlam = step_opts.initial_step
 
@@ -401,7 +446,7 @@ def continuation_solve(
             continue
         lam, s = lam_try, s_new
         snapshot = make_snapshot(spec, s, lam, diagnostics, opts.tol_residual)[0]
-        trace.steps.append(ContinuationStep(lam, report, snapshot))
+        trace.steps.append(ContinuationStep(lam, report, snapshot, spec.grid.n))
         log.debug("accepted lambda=%.6f in %d iterations", lam, report.iterations)
         if report.iterations <= step_opts.grow_iters:
             dlam = min(dlam * step_opts.growth, step_opts.max_step)

@@ -15,18 +15,16 @@ interpolated and scaled by 1/4, predicts the finer grid's (`extrapolated_start`)
 from __future__ import annotations
 
 import csv
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, interpolate
 from .problem import ProblemSpec, State, TrigForm, _drift_arrays, _finite_pair, effective_potential
-from .solver import NewtonOptions, newton_solve
-
-log = logging.getLogger("mfgtorus")
+from .solver import NewtonOptions, newton_solve, solve_levels
 
 
 @dataclass(frozen=True)
@@ -158,33 +156,26 @@ def convergence_study(
     each finer grid from `extrapolated_start`.  The order is the mean of the
     successive log2 error ratios.
     """
-    errors = []
-    s = exact = None
-    for grid in refinement_grids(case.spec.grid.dim, grids):
-        spec_n = replace(case.spec, grid=grid)
-        sources = mms_source(case, grid)
-        exact, coarse_exact = case.sample(grid), exact
-        s, report = newton_solve(spec_n, 1.0, extrapolated_start(exact, s, coarse_exact), opts, sources=sources)
-        log.info("mms n=%d: start residual %.3e, %d newton iterations, %d krylov iterations",
-                 grid.n, report.residual_history[0], report.iterations, sum(report.krylov_iterations))
-        err_u = float(np.max(np.abs(s.u.values - exact.u.values)))
-        err_m = float(np.max(np.abs(s.m.values - exact.m.values)))
-        errors.append((grid.n, err_u, err_m))
+    samples = {}  # the manufactured pair on each grid, sampled once
 
-    rows = []
-    rates_u, rates_m = [], []
-    for i, (n, eu, em) in enumerate(errors):
+    def start(grid: GridSpec, coarse: State | None) -> State:
+        samples[grid.n] = case.sample(grid)
+        return extrapolated_start(samples[grid.n], coarse, None if coarse is None else samples[coarse.grid.n])
+
+    rows, rates = [], []
+    sizes = [grid.n for grid in refinement_grids(case.spec.grid.dim, grids)]
+    for spec_n, s, _ in solve_levels(case.spec, sizes, opts, "mms", start=start,
+                                     sources=partial(mms_source, case), newton=newton_solve):
+        exact = samples[spec_n.grid.n]
+        eu = float(np.max(np.abs(s.u.values - exact.u.values)))
+        em = float(np.max(np.abs(s.m.values - exact.m.values)))
         exact_flag = eu < ROUNDOFF_ERROR and em < ROUNDOFF_ERROR
-        if i == 0 or exact_flag:
-            ru = rm = float("nan")
-        else:
-            _, eu_prev, em_prev = errors[i - 1]
-            ru = math.log2(eu_prev / eu) if eu > 0 else float("nan")
-            rm = math.log2(em_prev / em) if em > 0 else float("nan")
-            rates_u.append(ru)
-            rates_m.append(rm)
-        rows.append(RateRow(n, eu, em, ru, rm, exact_flag))
+        ru = rm = float("nan")
+        if rows and not exact_flag:
+            ru = math.log2(rows[-1].error_u / eu) if eu > 0 else float("nan")
+            rm = math.log2(rows[-1].error_m / em) if em > 0 else float("nan")
+            rates.append((ru, rm))
+        rows.append(RateRow(spec_n.grid.n, eu, em, ru, rm, exact_flag))
 
-    order_u = float(np.mean(rates_u)) if rates_u else float("nan")
-    order_m = float(np.mean(rates_m)) if rates_m else float("nan")
+    order_u, order_m = (float(np.mean(r)) for r in zip(*rates)) if rates else (float("nan"), float("nan"))
     return RateTable(tuple(rows), order_u, order_m)

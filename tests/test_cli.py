@@ -202,6 +202,25 @@ class TestSolveCommand:
             assert len(rep["krylov_iterations"]) == rep["iterations"]
             assert all(k > 0 for k in rep["krylov_iterations"])
 
+    @pytest.mark.parametrize("dim, n, sizes", [(1, 64, [64]), (2, 32, [16, 32])])
+    def test_trace_records_each_steps_grid(self, tmp_path, dim, n, sizes):
+        """Every step names its grid size; a 2-D trace ends with the climb to n, and no fallback ran."""
+        doc = base_config()
+        if dim == 2:
+            doc["problem"].update(
+                dim=2, n=n,
+                potential={"form": "separable", "kappa": 1.0, "a_cos": [0.5, 0.5], "a_sin": [0.0, 0.0]},
+                drift={"components": [{"const": 0.0, "cos": [0.0, 0.0], "sin": [0.3, 0.0]},
+                                      {"const": 0.0, "cos": [0.0, 0.0], "sin": [0.0, 0.3]}]},
+            )
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["fallback"] is None
+        assert sorted({step["n"] for step in trace["steps"]}) == sizes
+        assert (trace["steps"][-1]["lambda"], trace["steps"][-1]["n"]) == (1.0, n)
+        assert load_field(out / "u.csv").grid.n == n
+
     def test_resolved_config_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, base_config(output={"dump_matrix": True}))
         main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])

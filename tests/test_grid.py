@@ -104,6 +104,28 @@ class TestInterpolate:
         assert f.grid == fine
         assert np.max(np.abs(f.reshaped() - form.value(fine))) <= 1e-13
 
+    @pytest.mark.parametrize("dim,n", [(dim, n) for dim in (1, 2) for n in (9, 25)])
+    def test_odd_source_grid_has_no_nyquist_term(self, dim, n):
+        """An odd n has no Nyquist coefficient to split: the shared points and a band-limited form are kept."""
+        coarse, fine = GridSpec(dim, n), GridSpec(dim, 2 * n)
+        f = Field(coarse, np.random.default_rng(n + dim).standard_normal(coarse.size))
+        shared = interpolate(f, fine).reshaped()[(slice(None, None, 2),) * dim]
+        assert np.max(np.abs(shared - f.reshaped())) <= 1e-14
+        form = TrigForm(0.7, (0.4, -0.3)[:dim], (0.25, 0.6)[:dim])
+        g = interpolate(Field(coarse, form.value(coarse)), GridSpec(dim, 4 * n))
+        assert np.max(np.abs(g.reshaped() - form.value(g.grid))) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", [(dim, n) for dim in (1, 2) for n in (8, 9)])
+    def test_same_grid_is_the_identity(self, dim, n):
+        grid = GridSpec(dim, n)
+        f = Field(grid, np.random.default_rng(n + dim).standard_normal(grid.size))
+        assert np.max(np.abs(interpolate(f, grid).values - f.values)) <= 1e-14
+
+    @pytest.mark.parametrize("n_from, n_to", [(16, 24), (9, 16), (32, 16)])
+    def test_target_must_be_a_multiple_of_the_source(self, n_from, n_to):
+        with pytest.raises(ValueError, match="not a multiple"):
+            interpolate(constant_field(GridSpec(1, n_from), 1.0), GridSpec(1, n_to))
+
 
 class TestGradient:
     def test_constant_gives_zero(self):

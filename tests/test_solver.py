@@ -10,6 +10,7 @@ from mfgtorus import (
     ManufacturedCase,
     MaxItersExceeded,
     NewtonOptions,
+    NoDescent,
     PotentialSpec,
     ProblemSpec,
     State,
@@ -697,3 +698,168 @@ class TestTraceBookkeeping:
         # identity defects only live on the final lam=1 snapshot
         assert trace.steps[-1].diagnostics.moment_identity_defects
         assert not trace.steps[0].diagnostics.moment_identity_defects
+
+
+def coefficient_set_2d(a: float, b: float, n: int, alpha: float = 0.5, kappa: float = 1.0,
+                       drift_scale: float = 1.0) -> ProblemSpec:
+    """The benchmark's 2-D problem: V = kappa (a cos 2 pi x + a cos 2 pi y), drift b (sin 2 pi x, sin 2 pi y)."""
+    pot = PotentialSpec("separable", TrigForm(0.0, (a, a), (0.0, 0.0)), kappa)
+    drift = DriftSpec((TrigForm(0.0, (0.0, 0.0), (b, 0.0)), TrigForm(0.0, (0.0, 0.0), (0.0, b))))
+    return ProblemSpec(GridSpec(2, n), alpha, pot, drift.scaled(drift_scale))
+
+
+COEFFICIENT_SETS = {"reference": (0.5, 0.3), "strong": (4.0, 4.0)}
+
+
+def plain_continuation(spec: ProblemSpec):
+    """The continuation on spec's own grid alone: the reference the ladder and its fallback are compared with."""
+    import mfgtorus.solver as solver_mod
+    from mfgtorus.diagnostics import DiagnosticsConfig
+
+    return solver_mod._continue(spec, NewtonOptions(), StepOptions(), DiagnosticsConfig(),
+                                solver_mod.ContinuationTrace())
+
+
+class TestGridLadder:
+    """2-D solves continue on a coarse grid, then climb to n by Newton at lambda = 1."""
+
+    @pytest.mark.parametrize("dim, n, sizes", [
+        (2, 16, [16]), (2, 32, [16, 32]), (2, 48, [24, 48]), (2, 50, [25, 50]), (2, 64, [16, 32, 64]),
+        (2, 128, [16, 32, 64, 128]), (2, 25, [25]), (2, 33, [33]), (2, 8, [8]),
+        (1, 64, [64]), (1, 1024, [1024]),
+    ])
+    def test_ladder_sizes(self, dim, n, sizes):
+        from mfgtorus.solver import ladder_sizes
+
+        assert ladder_sizes(GridSpec(dim, n)) == sizes
+
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("coeffs", COEFFICIENT_SETS.values(), ids=COEFFICIENT_SETS.keys())
+    def test_each_climbed_level_takes_at_most_three_newton_iterations(self, coeffs, n):
+        from mfgtorus.solver import ladder_sizes
+
+        spec = coefficient_set_2d(*coeffs, n)
+        sizes = ladder_sizes(spec.grid)
+        s, trace = continuation_solve(spec)
+        assert trace.success and trace.fallback is None and trace.failures == []
+        climbs = trace.steps[-(len(sizes) - 1):]
+        assert [st.n for st in climbs] == sizes[1:]
+        assert {st.n for st in trace.steps[: -len(climbs)]} == {sizes[0]}
+        assert all(st.lam == 1.0 and 0 < st.newton.iterations <= 3 for st in climbs)
+        assert (trace.steps[-1].lam, trace.steps[-1].n) == (1.0, n)
+        assert s.grid == spec.grid
+        assert sup_norm(*residual(spec, 1.0, s)) <= NewtonOptions().tol_residual
+
+    @pytest.mark.parametrize("drift_scale", [0.0, 3.0])
+    @pytest.mark.parametrize("kappa", [0.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.9])
+    @pytest.mark.parametrize("coeffs", COEFFICIENT_SETS.values(), ids=COEFFICIENT_SETS.keys())
+    def test_sweep_cells_end_at_the_plain_continuations_state(self, monkeypatch, coeffs, alpha, kappa,
+                                                               drift_scale):
+        """On 16 sweep cells at n = 32 the ladder solves and ends within 1e-10 of the continuation on
+        n = 32, reached by failing the climb so that the solve falls back to it."""
+        import mfgtorus.solver as solver_mod
+
+        spec = coefficient_set_2d(*coeffs, 32, alpha, kappa, drift_scale)
+        s, trace = continuation_solve(spec)
+        assert trace.success and trace.fallback is None
+        assert [st.n for st in trace.steps[-2:]] == [16, 32]
+
+        def no_climb(f, grid):
+            raise NoDescent("climb refused")
+
+        monkeypatch.setattr(solver_mod, "interpolate", no_climb)
+        s_plain, trace_plain = continuation_solve(spec)
+        assert trace_plain.fallback == {"n": 32, "error": "NoDescent"}
+        assert {st.n for st in trace_plain.steps} == {32}
+        assert np.max(np.abs(s.stacked() - s_plain.stacked())) <= 1e-10
+
+    @pytest.mark.parametrize("failing_n", [32, 64])
+    def test_failed_climb_falls_back_to_the_plain_continuation(self, monkeypatch, caplog, failing_n):
+        import mfgtorus.solver as solver_mod
+
+        spec = coefficient_set_2d(*COEFFICIENT_SETS["reference"], 64)
+        forward, seen = solver_mod.newton_solve, set()
+
+        def first_solve_on_the_level_fails(spec_n, lam, s0, *args, **kwargs):
+            if spec_n.grid.n == failing_n and failing_n not in seen:
+                seen.add(failing_n)
+                raise MaxItersExceeded("forced climb failure")
+            return forward(spec_n, lam, s0, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "newton_solve", first_solve_on_the_level_fails)
+        with caplog.at_level("INFO", logger="mfgtorus"):
+            s, trace = continuation_solve(spec)
+        s_plain, trace_plain = plain_continuation(spec)
+        assert trace.fallback == {"n": failing_n, "error": "MaxItersExceeded"}
+        assert np.array_equal(s.stacked(), s_plain.stacked())
+        assert {**trace.to_dict(), "fallback": None} == trace_plain.to_dict()
+        assert f"grid ladder failed at n={failing_n} (MaxItersExceeded); continuing on n=64" in caplog.text
+        assert (failing_n == 64) == ("climb n=32: start residual" in caplog.text)
+
+    def test_stalled_coarse_continuation_falls_back(self, monkeypatch):
+        import mfgtorus.solver as solver_mod
+
+        spec = coefficient_set_2d(*COEFFICIENT_SETS["strong"], 32)
+        forward = solver_mod.newton_solve
+
+        def coarse_steps_fail(spec_n, lam, s0, *args, **kwargs):
+            if spec_n.grid.n == 16 and lam > 0.0:
+                raise NoDescent("forced coarse failure")
+            return forward(spec_n, lam, s0, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "newton_solve", coarse_steps_fail)
+        s, trace = continuation_solve(spec)
+        s_plain, trace_plain = plain_continuation(spec)
+        assert trace.fallback == {"n": 16, "error": "ContinuationStalled"}
+        assert np.array_equal(s.stacked(), s_plain.stacked())
+        assert {**trace.to_dict(), "fallback": None} == trace_plain.to_dict()
+
+    def test_nonpositive_interpolated_density_falls_back(self, monkeypatch):
+        import mfgtorus.solver as solver_mod
+
+        spec = coefficient_set_2d(*COEFFICIENT_SETS["reference"], 32)
+        forward = solver_mod.interpolate
+
+        def dented(f, grid):  # u and m alike: m <= 0 at one point
+            values = forward(f, grid).values.copy()
+            values[0] = -1e-3
+            return Field(grid, values)
+
+        monkeypatch.setattr(solver_mod, "interpolate", dented)
+        s, trace = continuation_solve(spec)
+        assert trace.fallback == {"n": 32, "error": "NonPositiveDensity"}
+        assert trace.success and {st.n for st in trace.steps} == {32}
+        assert np.array_equal(s.stacked(), plain_continuation(spec)[0].stacked())
+
+    def test_a_fallback_that_stalls_keeps_its_record(self, monkeypatch):
+        import mfgtorus.solver as solver_mod
+
+        forward = solver_mod.newton_solve
+
+        def steps_fail(spec_n, lam, s0, *args, **kwargs):
+            if lam > 0.0:
+                raise NoDescent("forced failure")
+            return forward(spec_n, lam, s0, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "newton_solve", steps_fail)
+        with pytest.raises(ContinuationStalled) as exc:
+            continuation_solve(coefficient_set_2d(*COEFFICIENT_SETS["reference"], 32))
+        trace = exc.value.trace
+        assert trace.fallback == {"n": 16, "error": "ContinuationStalled"}
+        assert not trace.success and {st.n for st in trace.steps} == {32}
+
+    def test_one_info_line_per_climbed_level(self, caplog):
+        with caplog.at_level("INFO", logger="mfgtorus"):
+            continuation_solve(coefficient_set_2d(*COEFFICIENT_SETS["reference"], 64))
+        climbs = [r.getMessage() for r in caplog.records if r.getMessage().startswith("climb ")]
+        assert [line.split(":")[0] for line in climbs] == ["climb n=32", "climb n=64"]
+        assert all("newton iterations" in line and "krylov iterations" in line for line in climbs)
+
+    def test_1d_keeps_the_plain_continuation(self):
+        spec = suite_problem(0.5, n=64)
+        s, trace = continuation_solve(spec)
+        s_plain, trace_plain = plain_continuation(spec)
+        assert np.array_equal(s.stacked(), s_plain.stacked())
+        assert trace.to_dict() == trace_plain.to_dict()
+        assert {st.n for st in trace.steps} == {64} and trace.fallback is None

@@ -5,12 +5,14 @@
 Each tree is the root of a checkout.  Every operation of the three workloads in
 `perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
 inputs the stored reference was made from (`build(w, None, dir)`), and so are
-operations that no workload runs: two `jacobian-check` operations with
+operations that no workload runs: three `jacobian-check` operations with
 `output.dump_matrix` on the workloads' reference problem (1-D n = 32 and 2-D
-n = 16), and the branches of the residual and of the certificates that every
-workload's `separable` potential with epsilon_monotone = 0 skips: a 1-D n = 64
-solve with a `saturating` potential and epsilon_monotone = 0.2 and a 2-D n = 16
-solve with an `x_only` potential; two solves of the reference problem with
+n = 16 and 32), a 4-cell `sweep` of that problem at 2-D n = 32 (the smallest
+grid a 2-D continuation climbs to from a coarser one, so every command that
+reaches the climb is compared), and the branches of the residual and of the
+certificates that every workload's `separable` potential with
+epsilon_monotone = 0 skips: a 1-D n = 64 solve with a `saturating` potential
+and epsilon_monotone = 0.2 and a 2-D n = 16 solve with an `x_only` potential; two solves of the reference problem with
 kappa = 0 (1-D n = 64 and 2-D n = 16), whose Jacobians at lambda = 1 hold exact
 zeros, so that the band solve and GMRES on explicitly stored zeros are compared
 through full fields and traces, and a third at 1-D n = 128; and four `verify`
@@ -55,7 +57,9 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 import workloads  # noqa: E402
 
 # (dim, n) of each jacobian-check operation
-JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16)}
+JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16), "jacobian-check-2d-32": (2, 32)}
+# (dim, n, sweep section) of each sweep operation
+SWEEPS = {"sweep-2d-32": (2, 32, {"alphas": [0.3, 0.9], "kappas": [1.0, 2.0], "drift_scales": [1.0]})}
 # (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch,
 # the kappa = 0 ones at n = 64 and 16 with exact zeros in the lambda = 1 Jacobian
 BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
@@ -113,6 +117,17 @@ def jacobian_check_ops(config_dir: Path) -> list[dict]:
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
         config.write_text(json.dumps({"problem": problem, "output": {"dump_matrix": True}}))
         ops.append({"id": op_id, "argv": ["jacobian-check", "--config", str(config), "--out", op_id]})
+    return ops
+
+
+def sweep_ops(config_dir: Path) -> list[dict]:
+    """Write the configs of the SWEEPS into config_dir and return their operations, one worker each."""
+    ops = []
+    for op_id, (dim, n, sweep) in SWEEPS.items():
+        config = config_dir / f"{op_id}.json"
+        problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
+        config.write_text(json.dumps({"problem": problem, "sweep": sweep}))
+        ops.append({"id": op_id, "argv": ["sweep", "--config", str(config), "--out", op_id, "--jobs", "1"]})
     return ops
 
 
@@ -265,6 +280,8 @@ def main(argv: list[str]) -> int:
             ops[workload] = workloads.build(workload, None, config_dir)
         (tmp / "configs" / "jacobian-check").mkdir()
         ops["jacobian-check"] = jacobian_check_ops(tmp / "configs" / "jacobian-check")
+        (tmp / "configs" / "sweep").mkdir()
+        ops["sweep"] = sweep_ops(tmp / "configs" / "sweep")
         (tmp / "configs" / "branches").mkdir()
         ops["branches"] = branch_ops(tmp / "configs" / "branches")
         ops_file = tmp / "configs" / "ops.json"
