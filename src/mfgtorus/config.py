@@ -262,8 +262,6 @@ def parse_config(doc: dict) -> RunConfig:
     sweep = None
     if "sweep" in doc:
         sweep = _options(SweepConfig, doc["sweep"], "sweep")
-        if problem.potential.form == "x_only" and any(k != 0.0 for k in sweep.kappas):
-            raise ConfigError("sweep.kappas: nonzero kappa needs a potential form with an m-part")
 
     return RunConfig(
         problem=problem,

@@ -91,7 +91,7 @@ class TrigForm:
         return TrigForm(0.0, (0.0,) * dim, (0.0,) * dim)
 
 
-POTENTIAL_FORMS = ("separable", "saturating", "x_only")
+POTENTIAL_FORMS = ("separable", "saturating")
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,10 @@ class PotentialSpec:
 
     separable:  V = a(x) + kappa * arctan(m)
     saturating: V = a(x) + kappa * m / (1 + m)
-    x_only:     V = a(x)
 
-    All forms are smooth, globally bounded with bounded derivatives, and
-    nondecreasing in m; strictly increasing in m iff kappa > 0 (first two forms).
+    Both forms are smooth, globally bounded with bounded derivatives, and
+    nondecreasing in m; strictly increasing in m iff kappa > 0.  kappa = 0 (the
+    default) gives V = a(x).
     """
 
     form: str
@@ -115,32 +115,24 @@ class PotentialSpec:
             raise ValueError(f"form must be one of {POTENTIAL_FORMS}, got {self.form!r}")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
-        if self.form == "x_only" and self.kappa != 0.0:
-            raise ValueError("x_only potential takes no kappa")
 
     def value_given_a(self, ax, m, arctan_m):
         """V from the values `ax` of a(x) at the points where m is sampled, and arctan(m) there."""
         if self.form == "separable":
             return ax + self.kappa * arctan_m
-        if self.form == "saturating":
-            return ax + self.kappa * m / (1.0 + m)
-        return ax * np.ones_like(m)
+        return ax + self.kappa * m / (1.0 + m)
 
     def dm(self, m):
         """Partial derivative in m; >= 0 on m > 0 for every catalog entry."""
         if self.form == "separable":
             return self.kappa / (1.0 + m * m)
-        if self.form == "saturating":
-            return self.kappa / (1.0 + m) ** 2
-        return np.zeros_like(m)
+        return self.kappa / (1.0 + m) ** 2
 
     def sup_bound(self) -> float:
         """Certified bound on sup |V| over the torus and m > 0."""
         if self.form == "separable":
             return self.a.sup_bound() + self.kappa * math.pi / 2
-        if self.form == "saturating":
-            return self.a.sup_bound() + self.kappa
-        return self.a.sup_bound()
+        return self.a.sup_bound() + self.kappa
 
 
 @dataclass(frozen=True)

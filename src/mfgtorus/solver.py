@@ -60,6 +60,8 @@ FORCING_TOL_SHARE = 0.5
 MAX_SHRINKS = 200
 # the smallest grid a 2-D continuation runs on before it climbs to n (`ladder_sizes`)
 COARSE_MIN_N = 16
+# the MFG_LOG=info line of each Newton solve at lambda = 1 on one grid size: a climbed level, or an MMS grid
+LEVEL_LOG = "%s n=%d: start residual %.3e, %d newton iterations, %d krylov iterations"
 
 
 @dataclass(frozen=True)
@@ -283,20 +285,6 @@ def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
     return x[inverse, 0]
 
 
-def _solve_linear(
-    sys: LinearizedSystem, b: np.ndarray, alpha: float, eta_ew: float, tol: float
-) -> tuple[np.ndarray, str, int, float]:
-    """Solve the Newton system A delta = b; returns (delta, path, Krylov iterations, forcing term).
-
-    1-D is `_solve_band` ("band", forcing term 0) and 2-D is `_solve_krylov` ("krylov").  Each
-    raises LinearSolveFailure on an answer it rejects: the Newton step fails, and the continuation shortens its step.
-    """
-    if sys.grid.dim == 1:
-        return _solve_band(sys, b), "band", 0, 0.0
-    delta, iterations, eta = _solve_krylov(sys, b, alpha, eta_ew, tol)
-    return delta, "krylov", iterations, eta
-
-
 def newton_solve(
     spec: ProblemSpec,
     lam: float,
@@ -329,9 +317,13 @@ def newton_solve(
 
         sys = assemble_jacobian(spec, lam, s)
         rhs = -np.concatenate([res[0].values, res[1].values])
-        eta_ew = _eisenstat_walker(history)
-        try:
-            delta, path, krylov_its, eta = _solve_linear(sys, rhs, spec.alpha, eta_ew, opts.tol_residual)
+        path = "band" if grid.dim == 1 else "krylov"
+        try:  # a rejected answer fails the Newton step, and the continuation shortens its step
+            if path == "band":
+                delta, krylov_its, eta = _solve_band(sys, rhs), 0, 0.0
+            else:
+                delta, krylov_its, eta = _solve_krylov(sys, rhs, spec.alpha, _eisenstat_walker(history),
+                                                       opts.tol_residual)
         except LinearSolveFailure as err:
             err.report = report(False)
             raise
@@ -376,22 +368,6 @@ def ladder_sizes(grid: GridSpec) -> list[int]:
     return sizes
 
 
-def solve_levels(spec: ProblemSpec, sizes: list[int], opts: NewtonOptions, label: str, coarse: State | None = None,
-                 start: Callable = lambda grid, s: State(interpolate(s.u, grid), interpolate(s.m, grid)),
-                 sources: Callable = lambda grid: None, newton: Callable | None = None):
-    """Yield (spec, solution, report) of Newton at lam = 1 on each grid size from `start(grid, coarser
-    solution or coarse)` with `sources(grid)`, logged under `label`.  `newton` is the caller's own binding
-    of `newton_solve` (this module's by default), so either module's name can be replaced."""
-    s = coarse
-    for n in sizes:
-        spec_n = replace(spec, grid=GridSpec(spec.grid.dim, n))
-        level_sources = sources(spec_n.grid)
-        s, report = (newton or newton_solve)(spec_n, 1.0, start(spec_n.grid, s), opts, sources=level_sources)
-        log.info("%s n=%d: start residual %.3e, %d newton iterations, %d krylov iterations",
-                 label, n, report.residual_history[0], report.iterations, sum(report.krylov_iterations))
-        yield spec_n, s, report
-
-
 def continuation_solve(
     spec: ProblemSpec,
     opts: NewtonOptions = NewtonOptions(),
@@ -407,9 +383,14 @@ def continuation_solve(
         return _continue(spec, opts, step_opts, diagnostics, trace)
     try:
         s, _ = _continue(replace(spec, grid=GridSpec(spec.grid.dim, sizes[0])), opts, step_opts, diagnostics, trace)
-        for spec_n, s, report in solve_levels(spec, sizes[1:], opts, "climb", s):
+        for n in sizes[1:]:
+            spec_n = replace(spec, grid=GridSpec(spec.grid.dim, n))
+            start = State(interpolate(s.u, spec_n.grid), interpolate(s.m, spec_n.grid))
+            s, report = newton_solve(spec_n, 1.0, start, opts)
+            log.info(LEVEL_LOG, "climb", n, report.residual_history[0], report.iterations,
+                     sum(report.krylov_iterations))
             snapshot = make_snapshot(spec_n, s, 1.0, diagnostics, opts.tol_residual)[0]
-            trace.steps.append(ContinuationStep(1.0, report, snapshot, spec_n.grid.n))
+            trace.steps.append(ContinuationStep(1.0, report, snapshot, n))
         return s, trace
     except MFGError as err:  # the continuation on n then solves, or fails, as it does without the ladder
         failed = 2 * trace.steps[-1].n if trace.success else sizes[0]  # the size after the last one solved

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, interpolate
 from .problem import ProblemSpec, State, TrigForm, _drift_arrays, _finite_pair, effective_potential
-from .solver import NewtonOptions, newton_solve, solve_levels
+from .solver import LEVEL_LOG, NewtonOptions, log, newton_solve
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,13 @@ def convergence_study(
     each finer grid from `extrapolated_start`.  The order is the mean of the
     successive log2 error ratios.
     """
-    samples = {}  # the manufactured pair on each grid, sampled once
-
-    def start(grid: GridSpec, coarse: State | None) -> State:
-        samples[grid.n] = case.sample(grid)
-        return extrapolated_start(samples[grid.n], coarse, None if coarse is None else samples[coarse.grid.n])
-
-    rows, rates = [], []
-    sizes = [grid.n for grid in refinement_grids(case.spec.grid.dim, grids)]
-    for spec_n, s, _ in solve_levels(case.spec, sizes, opts, "mms", start=start,
-                                     sources=partial(mms_source, case), newton=newton_solve):
-        exact = samples[spec_n.grid.n]
+    rows, rates, coarse, coarse_exact = [], [], None, None
+    for grid in refinement_grids(case.spec.grid.dim, grids):
+        exact = case.sample(grid)
+        s, report = newton_solve(replace(case.spec, grid=grid), 1.0, extrapolated_start(exact, coarse, coarse_exact),
+                                 opts, sources=mms_source(case, grid))
+        log.info(LEVEL_LOG, "mms", grid.n, report.residual_history[0], report.iterations,
+                 sum(report.krylov_iterations))
         eu = float(np.max(np.abs(s.u.values - exact.u.values)))
         em = float(np.max(np.abs(s.m.values - exact.m.values)))
         exact_flag = eu < ROUNDOFF_ERROR and em < ROUNDOFF_ERROR
@@ -175,7 +170,8 @@ def convergence_study(
             ru = math.log2(rows[-1].error_u / eu) if eu > 0 else float("nan")
             rm = math.log2(rows[-1].error_m / em) if em > 0 else float("nan")
             rates.append((ru, rm))
-        rows.append(RateRow(spec_n.grid.n, eu, em, ru, rm, exact_flag))
+        rows.append(RateRow(grid.n, eu, em, ru, rm, exact_flag))
+        coarse, coarse_exact = s, exact
 
     order_u, order_m = (float(np.mean(r)) for r in zip(*rates)) if rates else (float("nan"), float("nan"))
     return RateTable(tuple(rows), order_u, order_m)

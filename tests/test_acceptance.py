@@ -278,7 +278,7 @@ def test_criterion_11_interpolation_derivative_inequality(reference_solution):
 
 
 def test_criterion_12_perturbation_path():
-    pot = PotentialSpec("x_only", TrigForm(0.0, (0.3,), (0.0,)))
+    pot = PotentialSpec("separable", TrigForm(0.0, (0.3,), (0.0,)))
     spec = ProblemSpec(GridSpec(1, 128), 0.5, pot, DriftSpec((TrigForm(0.0, (0.0,), (0.3,)),)))
     results = perturbation_solve(spec, [1e-1, 1e-2, 1e-3, 1e-4])
     dists = [

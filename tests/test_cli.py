@@ -775,14 +775,13 @@ class TestConfigHardening:
             (edited(("sweep", {"alphas": [0.5], "kappas": [1.0, -1.0]})), "sweep: every entry of kappas must be >= 0"),
             (edited(("output.dump_matrix", 1)), "output.dump_matrix: expected a boolean"),
             (edited(("seed", -1)), "config.seed: expected a nonnegative integer"),
-            (edited(("problem.potential.form", "x_only"), ("problem.potential.kappa", 0.0),
-                    ("sweep", {"alphas": [0.5], "kappas": [0.0, 1.0]})),
-             "sweep.kappas: nonzero kappa needs a potential form with an m-part"),
+            (edited(("problem.potential.form", "x_only"), ("problem.potential.kappa", 0.0)),
+             "problem.potential: form must be one of ('separable', 'saturating'), got 'x_only'"),
             (edited(("problem.n", 2**20 + 1)), "problem: n**dim must be at most 1048576, got 1048577**1"),
             ('{"problem": ', "{config} is not valid JSON: "),
         ],
         ids=["section-not-an-object", "checks-not-strings", "harmonic-entry-count", "sweep-alpha-out-of-range",
-             "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-with-sweep-kappa",
+             "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-form",
              "n-above-grid-cap", "invalid-json"],
     )
     def test_rule_exits_one_with_one_line_naming_the_key(self, tmp_path, capsys, doc, message):

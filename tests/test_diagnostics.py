@@ -189,7 +189,7 @@ class TestMomentIdentity:
         grid = GridSpec(1, 32)
         c = 0.8
         spec = ProblemSpec(
-            grid, 0.5, PotentialSpec("x_only", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
+            grid, 0.5, PotentialSpec("separable", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
         )
         s = State(constant_field(grid, c), constant_field(grid, 1.0))
         for r in (1.0, 2.0, 4.0):

@@ -99,7 +99,7 @@ def reference_jacobian(spec, lam, s):
 
 
 def coefficient_case(dim, n, case, alpha):
-    """`flat`: kappa = 0, no drift, no x-dependence; `x_only`: that potential form; `sources`: the
+    """`flat`: kappa = 0, no drift, no x-dependence; `kappa0`: kappa = 0 with both; `sources`: the
     separable potential with drift, the problem MMS adds sources to (they do not enter the Jacobian)."""
     from mfgtorus import DriftSpec, PotentialSpec, ProblemSpec, TrigForm
 
@@ -108,8 +108,7 @@ def coefficient_case(dim, n, case, alpha):
         pot = PotentialSpec("separable", TrigForm.zero(dim), 0.0)
         drift = DriftSpec.zero(dim)
     else:
-        form, kappa = ("x_only", 0.0) if case == "x_only" else ("separable", 1.0)
-        pot = PotentialSpec(form, TrigForm(0.0, (0.4,) * dim, (0.1,) * dim), kappa)
+        pot = PotentialSpec("separable", TrigForm(0.0, (0.4,) * dim, (0.1,) * dim), 0.0 if case == "kappa0" else 1.0)
         drift = DriftSpec(tuple(
             TrigForm(0.0, tuple(0.5 * (i == ax) for i in range(dim)), (1.5,) * dim) for ax in range(dim)
         ))
@@ -119,7 +118,7 @@ def coefficient_case(dim, n, case, alpha):
 class TestPatternFill:
     """The pattern fill reproduces the product-and-bmat assembly bit for bit."""
 
-    @pytest.mark.parametrize("case", ["flat", "x_only", "sources"])
+    @pytest.mark.parametrize("case", ["flat", "kappa0", "sources"])
     @pytest.mark.parametrize("n", [8, 9, 48])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_equals_reference_assembly_exactly(self, dim, n, case):
@@ -158,7 +157,7 @@ class TestPatternStructure:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_every_matrix_is_canonical_with_fixed_row_counts(self, dim, n):
         # at n = 8 and 9 the offsets +-2 come closest to wrapping onto each other
-        for case in ("flat", "x_only", "sources"):
+        for case in ("flat", "kappa0", "sources"):
             spec = coefficient_case(dim, n, case, 0.5)
             for lam in (0.0, 1.0):
                 mat = assemble_jacobian(spec, lam, random_positive_state(spec.grid, seed=n)).matrix

@@ -35,7 +35,7 @@ def catalog_battery():
             for eps in (0.0, 0.05):
                 problems.append(ProblemSpec(grid, alpha, PotentialSpec("separable", a, 1.0), drift, eps))
                 problems.append(ProblemSpec(grid, alpha, PotentialSpec("saturating", a, 0.7), drift, eps))
-                problems.append(ProblemSpec(grid, alpha, PotentialSpec("x_only", a), drift, eps))
+                problems.append(ProblemSpec(grid, alpha, PotentialSpec("separable", a), drift, eps))
     return problems
 
 
@@ -45,11 +45,11 @@ class TestResidual:
         assert sup_norm(*residual(spec, 0.0, exact_initial(spec))) <= 1e-14
 
     def test_constant_solution_at_lambda_one(self):
-        # V = c (x_only), b = 0: u = c, m = 1 solves the full system exactly
+        # V = c (kappa = 0), b = 0: u = c, m = 1 solves the full system exactly
         grid = GridSpec(1, 32)
         c = 0.8
         spec = ProblemSpec(
-            grid, 0.5, PotentialSpec("x_only", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
+            grid, 0.5, PotentialSpec("separable", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
         )
         s = State(constant_field(grid, c), constant_field(grid, 1.0))
         assert sup_norm(*residual(spec, 1.0, s)) == 0.0
@@ -167,7 +167,7 @@ class TestResidualKernel:
     """The kernel and `residual` reproduce the reference expression bit for bit."""
 
     @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 256), (2, 8), (2, 9), (2, 48)])
-    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("x_only", 0.0)])
+    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("separable", 0.0)])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_bitwise_equal_to_reference(self, dim, n, form, kappa, eps):
         grid = GridSpec(dim, n)
@@ -233,14 +233,14 @@ class TestCatalog:
             assert np.array_equal(form.deriv(grid, ax), w * (-a * sin + b * cos))
             assert np.array_equal(form.second_deriv(grid, ax), -w * w * (a * cos + b * sin))
 
-    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("x_only", 0.0)])
+    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("separable", 0.0)])
     def test_m_derivative_nonnegative_on_samples(self, form, kappa):
         pot = PotentialSpec(form, TrigForm(0.1, (0.4,), (0.2,)), kappa)
         rng = np.random.default_rng(2)
         m = rng.uniform(1e-3, 50.0, 500)
         assert np.all(pot.dm(m) >= 0.0)
 
-    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("x_only", 0.0)])
+    @pytest.mark.parametrize("form,kappa", [("separable", 1.3), ("saturating", 0.8), ("separable", 0.0)])
     def test_sup_bound_certifies_samples(self, form, kappa):
         pot = PotentialSpec(form, TrigForm(0.1, (0.4,), (0.2,)), kappa)
         grid = GridSpec(1, 128)
@@ -288,7 +288,7 @@ class TestPerGridArrays:
 
 class TestProblemSpecValidation:
     def test_alpha_range(self):
-        pot = PotentialSpec("x_only", TrigForm(0.0, (0.0,), (0.0,)))
+        pot = PotentialSpec("separable", TrigForm(0.0, (0.0,), (0.0,)))
         with pytest.raises(ValueError):
             ProblemSpec(GridSpec(1, 16), -0.1, pot, DriftSpec.zero(1))
         with pytest.raises(ValueError):
@@ -298,10 +298,10 @@ class TestProblemSpecValidation:
         assert not spec.solvable
 
     def test_dimension_mismatches_rejected(self):
-        pot1 = PotentialSpec("x_only", TrigForm(0.0, (0.0,), (0.0,)))
+        pot1 = PotentialSpec("separable", TrigForm(0.0, (0.0,), (0.0,)))
         with pytest.raises(ValueError):
             ProblemSpec(GridSpec(2, 8), 0.5, pot1, DriftSpec.zero(2))
-        pot2 = PotentialSpec("x_only", TrigForm(0.0, (0.0, 0.0), (0.0, 0.0)))
+        pot2 = PotentialSpec("separable", TrigForm(0.0, (0.0, 0.0), (0.0, 0.0)))
         with pytest.raises(ValueError):
             ProblemSpec(GridSpec(2, 8), 0.5, pot2, DriftSpec.zero(1))
 

@@ -28,7 +28,7 @@ from mfgtorus import (
 )
 from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
-from mfgtorus.solver import KRYLOV_RTOL, _solve_krylov, _solve_linear
+from mfgtorus.solver import KRYLOV_RTOL, _solve_band, _solve_krylov
 
 from conftest import diff_matrix, laplacian_matrix, newton_rhs, problem_2d, reference_gmres, suite_problem
 
@@ -277,7 +277,7 @@ class TestKrylovSolve:
         # the caps end the unconverged loop; a NaN residual ends it after its first iteration
         iterations = 3 if failure == "info" else 1
         with pytest.raises(LinearSolveFailure, match=f"forcing term eta 1.0e-10 in {iterations} iterations"):
-            _solve_linear(sys, b, spec.alpha, *TIGHTEST)
+            _solve_krylov(sys, b, spec.alpha, *TIGHTEST)
 
     def test_rejected_krylov_answer_is_one_continuation_step_failure(self, monkeypatch):
         """A first Krylov solve that misses its forcing term (1 iteration allowed) fails that lambda
@@ -468,9 +468,8 @@ class TestBandSolve:
         sys, b = assemble_jacobian(spec, lam, state), newton_rhs(spec, lam, state)
         assert sys.matrix.nnz == _band_layout(spec.grid)[4].size
         assert (sys.matrix.count_nonzero() < sys.matrix.nnz) == (case == "no-coupling")
-        delta, path, iterations, eta = _solve_linear(sys, b, spec.alpha, *TIGHTEST)
+        delta = _solve_band(sys, b)
         direct = spsolve(sys.matrix, b)
-        assert (path, iterations, eta) == ("band", 0, 0.0)
         assert np.linalg.norm(delta - direct) <= 1e-10 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("n", [8, 9, 256])
@@ -513,13 +512,13 @@ class TestBandSolve:
         direct_calls = []
         monkeypatch.setattr(solver_mod, "spsolve", lambda *args: direct_calls.append(args))
         with pytest.raises(LinearSolveFailure, match="band LU"):
-            _solve_linear(sys, b, spec.alpha, *TIGHTEST)
+            _solve_band(sys, b)
         assert direct_calls == []
 
-    def test_singular_system_fails_the_newton_step(self):
+    def test_singular_system_fails_the_newton_step(self, monkeypatch):
         from dataclasses import replace
 
-        from mfgtorus.solver import _solve_band
+        import mfgtorus.solver as solver_mod
 
         spec = one_d_problem(16, 0.5, 0.3)
         state = smooth_state(spec.grid)
@@ -529,8 +528,10 @@ class TestBandSolve:
         singular = replace(sys, matrix=matrix)
         with pytest.raises(LinearSolveFailure, match="singular"):  # gbsv meets the zero pivot
             _solve_band(singular, b)
-        with pytest.raises(LinearSolveFailure, match="singular"):
-            _solve_linear(singular, b, spec.alpha, *TIGHTEST)
+        monkeypatch.setattr(solver_mod, "assemble_jacobian", lambda *args: singular)
+        with pytest.raises(LinearSolveFailure, match="singular") as failure:
+            newton_solve(spec, 1.0, state)
+        assert failure.value.report.linear_paths == [] and not failure.value.report.converged
 
 
 class TestNewtonSystem:
@@ -544,13 +545,14 @@ class TestNewtonSystem:
         case = ManufacturedCase(spec, TrigForm(0.0, zero, (0.1,) * dim), TrigForm(1.0, (0.25,) * dim, zero))
         sources = mms_source(case, spec.grid)
         received = []
-        forward = solver_mod._solve_linear
+        name = "_solve_band" if dim == 1 else "_solve_krylov"
+        forward = getattr(solver_mod, name)
 
-        def recording_solve(sys, b, alpha, eta_ew, tol):
+        def recording_solve(sys, b, *forcing):
             received.append((sys.base_state, b.copy()))
-            return forward(sys, b, alpha, eta_ew, tol)
+            return forward(sys, b, *forcing)
 
-        monkeypatch.setattr(solver_mod, "_solve_linear", recording_solve)
+        monkeypatch.setattr(solver_mod, name, recording_solve)
         _, report = newton_solve(spec, 1.0, exact_initial(spec), sources=sources)
         assert report.converged and len(received) == report.iterations > 0
         for state, b in received:
@@ -560,15 +562,15 @@ class TestNewtonSystem:
         """A LinearSolveFailure halves the step, like any other Newton failure."""
         import mfgtorus.solver as solver_mod
 
-        forward, calls = solver_mod._solve_linear, []
+        forward, calls = solver_mod._solve_band, []
 
-        def singular_once(sys, b, alpha, eta_ew, tol):
+        def singular_once(sys, b):
             calls.append(sys)
             if len(calls) == 1:  # the first Newton system: lambda = 0 starts at its exact solution
                 raise LinearSolveFailure("singular Newton system")
-            return forward(sys, b, alpha, eta_ew, tol)
+            return forward(sys, b)
 
-        monkeypatch.setattr(solver_mod, "_solve_linear", singular_once)
+        monkeypatch.setattr(solver_mod, "_solve_band", singular_once)
         _, trace = continuation_solve(suite_problem(0.5, n=32))
         assert trace.success
         assert [f.error for f in trace.failures] == ["LinearSolveFailure"]
@@ -662,7 +664,7 @@ class TestPerturbationPath:
         assert d2 <= d1 / 5.0
 
     def test_nondecreasing_potential_converges_with_rate_at_least_one(self):
-        pot = PotentialSpec("x_only", TrigForm(0.0, (0.3,), (0.0,)))
+        pot = PotentialSpec("separable", TrigForm(0.0, (0.3,), (0.0,)))
         spec = ProblemSpec(GridSpec(1, 64), 0.5, pot, DriftSpec.zero(1))
         results = perturbation_solve(spec, [1e-1, 1e-2, 1e-3, 1e-4])
         dists = [

@@ -46,7 +46,7 @@ class TestSources:
         grid = GridSpec(1, 32)
         c = 0.8
         spec = ProblemSpec(
-            grid, 0.5, PotentialSpec("x_only", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
+            grid, 0.5, PotentialSpec("separable", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
         )
         case = ManufacturedCase(spec, TrigForm(c, (0.0,), (0.0,)), TrigForm(1.0, (0.0,), (0.0,)))
         s1, s2 = mms_source(case, grid)
@@ -141,7 +141,7 @@ class TestConvergence:
         grid = GridSpec(1, 32)
         c = 0.8
         spec = ProblemSpec(
-            grid, 0.5, PotentialSpec("x_only", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
+            grid, 0.5, PotentialSpec("separable", TrigForm(c, (0.0,), (0.0,))), DriftSpec.zero(1)
         )
         case = ManufacturedCase(spec, TrigForm(c, (0.0,), (0.0,)), TrigForm(1.0, (0.0,), (0.0,)))
         table = convergence_study(case, [8, 16, 32])

@@ -12,7 +12,8 @@ grid a 2-D continuation climbs to from a coarser one, so every command that
 reaches the climb is compared), and the branches of the residual and of the
 certificates that every workload's `separable` potential with
 epsilon_monotone = 0 skips: a 1-D n = 64 solve with a `saturating` potential
-and epsilon_monotone = 0.2 and a 2-D n = 16 solve with an `x_only` potential; two solves of the reference problem with
+and epsilon_monotone = 0.2 and a 2-D n = 16 solve with a `saturating` potential
+(the one 2-D run whose m-part is not arctan); two solves of the reference problem with
 kappa = 0 (1-D n = 64 and 2-D n = 16), whose Jacobians at lambda = 1 hold exact
 zeros, so that the band solve and GMRES on explicitly stored zeros are compared
 through full fields and traces, and a third at 1-D n = 128; and four `verify`
@@ -63,7 +64,7 @@ SWEEPS = {"sweep-2d-32": (2, 32, {"alphas": [0.3, 0.9], "kappas": [1.0, 2.0], "d
 # (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch,
 # the kappa = 0 ones at n = 64 and 16 with exact zeros in the lambda = 1 Jacobian
 BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
-                 "solve-x-only-2d": (2, 16, "x_only", 0.0, 0.0),
+                 "solve-saturating-2d": (2, 16, "saturating", 1.0, 0.0),
                  "solve-kappa0-1d": (1, 64, "separable", 0.0, 0.0),
                  "solve-kappa0-1d-128": (1, 128, "separable", 0.0, 0.0),
                  "solve-kappa0-2d": (2, 16, "separable", 0.0, 0.0)}
