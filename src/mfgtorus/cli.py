@@ -2,7 +2,7 @@
 
 The only module with side effects.  JSON for configs and reports, CSV for
 fields and tables.  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure.  MFG_LOG=error|info|debug controls verbosity.
+failure or out of memory.  MFG_LOG=error|info|debug controls verbosity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .grid import load_field, save_field, sup_norm
 from .linearization import FD_TOLERANCE, assemble_jacobian, coercivity_check, fd_max_error
 from .problem import State, exact_initial
 from .solver import continuation_solve, newton_solve
-from .verification import ManufacturedCase, convergence_study
+from .verification import convergence_study
 
 log = logging.getLogger("mfgtorus")
 
@@ -129,9 +129,8 @@ def cmd_verify(args, cfg, out) -> int:
 
 
 def cmd_mms(args, cfg, out) -> int:
-    case = ManufacturedCase(cfg.problem, cfg.mms.u, cfg.mms.m)
     try:
-        table = convergence_study(case, list(cfg.mms.grids), cfg.solver)
+        table = convergence_study(cfg.mms.case, list(cfg.mms.grids), cfg.solver)
     except SolverFailure as err:
         print(f"mms solve failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -276,6 +275,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MFGError as err:
         print(f"run failed: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:  # the grid cap admits runs that need more memory than some hosts have
+        print("run failed: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:  # every read turns its OSError into a ConfigError, so this is a write
         print(f"cannot write output: {err}", file=sys.stderr)

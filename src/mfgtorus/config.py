@@ -167,8 +167,7 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
 @dataclass(frozen=True)
 class MmsConfig:
     grids: tuple[int, ...]
-    u: TrigForm
-    m: TrigForm
+    case: ManufacturedCase  # on the run's problem
 
 
 @dataclass(frozen=True)
@@ -208,11 +207,8 @@ class RunConfig:
             "seed": self.seed,
         }
         if self.mms is not None:
-            out["mms"] = {
-                "grids": list(self.mms.grids),
-                "u": _trig_dict(self.mms.u),
-                "m": _trig_dict(self.mms.m),
-            }
+            case = self.mms.case
+            out["mms"] = {"grids": list(self.mms.grids), "u": _trig_dict(case.u_exact), "m": _trig_dict(case.m_exact)}
         if self.sweep is not None:
             out["sweep"] = _plain(self.sweep)
         return out
@@ -252,12 +248,8 @@ def parse_config(doc: dict) -> RunConfig:
         _check_keys(mo, {"grids", "u", "m"}, "mms", required=("grids", "u", "m"))
         grids = tuple(_integer(g, "mms.grids") for g in _floats(mo["grids"], "mms.grids"))
         _build("mms.grids", refinement_grids, problem.grid.dim, grids)
-        mms = MmsConfig(
-            grids=grids,
-            u=_trig(mo["u"], problem.grid.dim, "mms.u"),
-            m=_trig(mo["m"], problem.grid.dim, "mms.m"),
-        )
-        _build("mms.m", ManufacturedCase, problem, mms.u, mms.m)
+        u, m = (_trig(mo[key], problem.grid.dim, f"mms.{key}") for key in ("u", "m"))
+        mms = MmsConfig(grids, _build("mms.m", ManufacturedCase, problem, u, m))
 
     sweep = None
     if "sweep" in doc:

@@ -58,6 +58,9 @@ FORCING_TOL_SHARE = 0.5
 # the most failed steps a continuation schedule may take from max_step down to min_step,
 # log(min_step / max_step) / log(shrink): the defaults take 18, and shrink 0.9 takes 118
 MAX_SHRINKS = 200
+# the most Newton solves, accepted and failed, one continuation may take: default schedules take a few dozen at
+# most, while a step that never grows, or failures between successes, could otherwise run for hours
+MAX_ATTEMPTS = 1000
 # the smallest grid a 2-D continuation runs on before it climbs to n (`ladder_sizes`)
 COARSE_MIN_N = 16
 # the MFG_LOG=info line of each Newton solve at lambda = 1 on one grid size: a climbed level, or an MMS grid
@@ -404,7 +407,8 @@ def _continue(spec: ProblemSpec, opts: NewtonOptions, step_opts: StepOptions, di
     """The continuation on spec's grid alone, recorded into `trace`: warm-starts every step from the last
     accepted state, halves the step on any Newton failure, grows it after fast steps, and clamps the final
     step to land on lam=1 exactly.  Each accepted state gets a snapshot of the checks `diagnostics.checks`
-    at the moment exponents `diagnostics.r_values`."""
+    at the moment exponents `diagnostics.r_values`.  It stalls once the step underflows or after MAX_ATTEMPTS
+    Newton solves."""
     s, report = newton_solve(spec, 0.0, exact_initial(spec), opts)
     snapshot = make_snapshot(spec, s, 0.0, diagnostics, opts.tol_residual)[0]
     trace.steps.append(ContinuationStep(0.0, report, snapshot, spec.grid.n))
@@ -412,6 +416,9 @@ def _continue(spec: ProblemSpec, opts: NewtonOptions, step_opts: StepOptions, di
     dlam = step_opts.initial_step
 
     while lam < 1.0:
+        if len(trace.steps) + len(trace.failures) >= MAX_ATTEMPTS:
+            trace.reached_lambda = lam
+            raise ContinuationStalled(f"{MAX_ATTEMPTS} Newton solves ended at lambda = {lam:.6f}", trace=trace)
         lam_try = min(lam + dlam, 1.0)
         try:
             s_new, report = newton_solve(spec, lam_try, s, opts)

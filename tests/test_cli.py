@@ -6,7 +6,7 @@ import pytest
 
 from dataclasses import fields
 
-from mfgtorus import NewtonOptions, StepOptions, load_field, save_field
+from mfgtorus import ManufacturedCase, NewtonOptions, StepOptions, TrigForm, load_field, save_field
 from mfgtorus.cli import build_parser, main
 from mfgtorus.config import DiagnosticsConfig, load_config, parse_config
 from mfgtorus.errors import ConfigError
@@ -122,6 +122,13 @@ class TestConfigParsing:
     def test_missing_problem_rejected(self):
         with pytest.raises(ConfigError, match="problem"):
             parse_config({})
+
+    def test_mms_section_holds_the_case_it_validates(self):
+        cfg = parse_config(every_key_config())
+        u, m = TrigForm(0.1, (0.2,), (0.0,)), TrigForm(1.0, (0.25,), (0.1,))
+        assert cfg.mms.case == ManufacturedCase(cfg.problem, u, m)
+        assert cfg.resolved()["mms"] == {"grids": [16, 32, 64], "u": {"const": 0.1, "cos": [0.2], "sin": [0.0]},
+                                         "m": {"const": 1.0, "cos": [0.25], "sin": [0.1]}}
 
 
 class TestSolveCommand:
@@ -798,6 +805,57 @@ class TestConfigHardening:
         cfg = parse_config(base_config(solver={"max_iters": 20.0}, continuation={"grow_iters": 2.0}))
         assert cfg.solver.max_iters == 20
         assert cfg.continuation.grow_iters == 2
+
+
+class TestBoundedWork:
+    """A run the schema accepts ends with bounded work: exit 2 with one line when it cannot finish."""
+
+    @pytest.mark.parametrize("initial_step", [1e-3, 1e-6])
+    def test_step_that_never_grows_stalls_at_the_attempt_cap(self, tmp_path, capsys, initial_step):
+        # without the cap: 1,001 steps at 1e-3, and 10**6 steps (about 24 min and 1.4 GB of trace) at 1e-6
+        doc = edited(("problem.n", 16), ("continuation", {"growth": 1.0, "initial_step": initial_step}))
+        del doc["problem"]["drift"]
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        trace = json.loads((out / "trace.json").read_text())
+        assert (len(trace["steps"]), trace["failures"], trace["success"]) == (1000, [], False)
+        lam = 999 * initial_step
+        assert trace["reached_lambda"] == pytest.approx(lam)
+        assert capsys.readouterr().err.splitlines() == [
+            f"continuation stalled: 1000 Newton solves ended at lambda = {lam:.6f}"]
+        assert not (out / "u.csv").exists()
+
+    def test_failures_between_successes_stall_at_the_attempt_cap(self, tmp_path, capsys):
+        # without the cap: about 15,000 steps and 9,000 failures before the step underflowed
+        strong = {"const": 0.0, "cos": [30.0, 0.0], "sin": [0.0, 30.0]}
+        doc = edited(("problem.dim", 2), ("problem.n", 9), ("problem.alpha", 0.9),
+                     ("problem.potential.a_cos", [0.5, 0.5]), ("problem.potential.a_sin", [0.0, 0.0]),
+                     ("problem.drift.components", [strong, {**strong, "cos": [0.0, 30.0], "sin": [30.0, 0.0]}]),
+                     ("solver", {"max_iters": 1, "positivity_fraction": 0.999, "tol_residual": 1e-3}),
+                     ("continuation", {"max_step": 1}))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        trace = json.loads((out / "trace.json").read_text())
+        assert len(trace["steps"]) > 1 and len(trace["failures"]) > 1
+        assert len(trace["steps"]) + len(trace["failures"]) == 1000
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("continuation stalled: 1000 Newton solves ended at lambda = ")
+
+    @pytest.mark.parametrize("command, solver, error, line", [
+        ("solve", "continuation_solve", MemoryError(), "run failed: out of memory"),
+        ("mms", "convergence_study", MemoryError("Unable to allocate 688. MiB for an array"),
+         "run failed: out of memory: Unable to allocate 688. MiB for an array"),
+    ])
+    def test_out_of_memory_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch, command, solver, error, line):
+        from mfgtorus import cli
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, solver, exhausted)
+        cfg = write_config(tmp_path, every_key_config())
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 class TestUsageErrors:

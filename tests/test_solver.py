@@ -634,6 +634,31 @@ class TestContinuation:
         assert len(trace.failures) >= 1
         assert not trace.success
 
+    def test_newton_solves_are_capped(self, monkeypatch):
+        """Steps that never grow, or failures between successes, end at MAX_ATTEMPTS Newton solves, the
+        lambda = 0 one included: a ContinuationStalled that keeps its trace."""
+        import mfgtorus.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "MAX_ATTEMPTS", 5)
+        with pytest.raises(ContinuationStalled, match="^5 Newton solves ended at lambda = 0.400000$") as exc:
+            continuation_solve(suite_problem(0.5, n=16), step_opts=StepOptions(growth=1.0))
+        trace = exc.value.trace
+        assert [st.lam for st in trace.steps] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+        assert trace.failures == [] and not trace.success and trace.reached_lambda == trace.steps[-1].lam
+
+        forward, calls = solver_mod.newton_solve, []
+
+        def every_other_step_fails(spec, lam, *args, **kwargs):
+            calls.append(lam)
+            if len(calls) % 2 == 0:
+                raise NoDescent("forced")
+            return forward(spec, lam, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "newton_solve", every_other_step_fails)
+        with pytest.raises(ContinuationStalled, match="^5 Newton solves ended") as exc:
+            continuation_solve(suite_problem(0.5, n=16))
+        assert (len(exc.value.trace.steps), len(exc.value.trace.failures), len(calls)) == (3, 2, 5)
+
     def test_refuses_alpha_at_least_one(self):
         pot = PotentialSpec("separable", TrigForm(0.0, (0.0,), (0.0,)), 1.0)
         spec = ProblemSpec(GridSpec(1, 16), 1.2, pot, DriftSpec.zero(1))
