@@ -61,8 +61,7 @@ def cmd_solve(args, cfg, out) -> int:
         s, trace = continuation_solve(cfg.problem, cfg.solver, cfg.continuation, cfg.diagnostics)
     except ContinuationStalled as err:
         print(f"continuation stalled: {err}", file=sys.stderr)
-        if err.trace is not None:
-            _write_json(os.path.join(out, "trace.json"), err.trace.to_dict())
+        _write_json(os.path.join(out, "trace.json"), err.trace.to_dict())
         return EXIT_NUMERICAL
     _write_json(os.path.join(out, "trace.json"), trace.to_dict())
     save_field(s.u, os.path.join(out, "u.csv"))

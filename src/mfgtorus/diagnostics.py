@@ -26,6 +26,7 @@ from .grid import (
 from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
+N_THETA = 11  # the theta samples of `monotonicity_gap`'s derivative curve, endpoints included
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,7 @@ class MonotonicityGapReport:
     i1_trapezoid: float
 
 
-def monotonicity_gap(
-    spec: ProblemSpec, s0: State, s1: State, n_theta: int = 11
-) -> MonotonicityGapReport:
+def monotonicity_gap(spec: ProblemSpec, s0: State, s1: State) -> MonotonicityGapReport:
     """Evaluate the uniqueness pairing for two states and the derivative curve
     along the segment (u_t, m_t) = (1-t) s0 + t s1.
 
@@ -268,7 +267,7 @@ def monotonicity_gap(
     v0, v1 = (effective_potential(spec, grid, m) for m in (m0, m1))
     rhs = integral(grid, (v1 - v0) * (m0 - m1))
 
-    thetas = np.linspace(0.0, 1.0, n_theta)
+    thetas = np.linspace(0.0, 1.0, N_THETA)
     dmi = m1 - m0
     curve = []
     bounds = []

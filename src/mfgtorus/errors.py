@@ -30,7 +30,7 @@ class SolverFailure(MFGError):
 
 
 class LinearSolveFailure(SolverFailure):
-    """The Newton system was singular or too ill-conditioned to solve."""
+    """The band LU met a zero pivot or a non-finite answer, or GMRES missed its forcing term in its restarts."""
 
 
 class NoDescent(SolverFailure):
@@ -46,9 +46,9 @@ class MaxItersExceeded(SolverFailure):
 
 
 class ContinuationStalled(MFGError):
-    """The continuation step underflowed; carries the partial trace for post-mortem."""
+    """The continuation step underflowed, or MAX_ATTEMPTS Newton solves ran out; carries the partial trace."""
 
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, trace):
         super().__init__(message)
         self.trace = trace
 

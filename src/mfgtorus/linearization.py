@@ -19,6 +19,7 @@ from .grid import Field, GridSpec, _diff, _second_diff, _shifted, gradient_array
 from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
 
 FD_TOLERANCE = 1e-6  # largest relative J.w error `fd_max_error` may report for a correct Jacobian
+FD_EPS = 1e-6  # the step of `fd_max_error`'s central differences
 
 
 @dataclass(frozen=True)
@@ -147,17 +148,17 @@ def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSyst
     return LinearizedSystem(matrix=mat, base_state=s)
 
 
-def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_dirs=20, fd_eps=1e-6) -> float:
+def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_dirs=20) -> float:
     """Largest relative gap of J.w from the central difference of `residual` at sys's base state, n_dirs normal w."""
     base = sys.base_state.stacked()
     worst = 0.0
     for _ in range(n_dirs):
         w = rng.standard_normal(2 * spec.grid.size)
-        sp = State.from_stacked(spec.grid, base + fd_eps * w)
-        sm = State.from_stacked(spec.grid, base - fd_eps * w)
+        sp = State.from_stacked(spec.grid, base + FD_EPS * w)
+        sm = State.from_stacked(spec.grid, base - FD_EPS * w)
         rp = np.concatenate([f.values for f in residual(spec, lam, sp)])
         rm = np.concatenate([f.values for f in residual(spec, lam, sm)])
-        fd = (rp - rm) / (2.0 * fd_eps)
+        fd = (rp - rm) / (2.0 * FD_EPS)
         jw = sys.matrix @ w
         worst = max(worst, float(np.max(np.abs(jw - fd)) / np.max(np.abs(jw))))
     return worst

@@ -196,37 +196,28 @@ def _krylov_preconditioner(sys: LinearizedSystem, alpha: float) -> Callable[[np.
     return apply_inverse
 
 
-def _eisenstat_walker(history: list[float]) -> float:
-    """The unclamped forcing term of a Newton call whose sup-norm residuals so far are `history`."""
-    if len(history) < 2:
-        return FORCING_MAX
-    return FORCING_GAMMA * (history[-1] / history[-2]) ** FORCING_POWER
-
-
-def _forcing_term(eta_ew: float, tol: float, b_norm: float) -> float:
-    """The relative residual a Krylov solve stops at: eta_ew within [KRYLOV_RTOL, FORCING_MAX], and not
-    far below what takes |b| to the Newton tolerance tol."""
+def _forcing_term(history: list[float], tol: float, b_norm: float) -> float:
+    """The relative residual a Krylov solve stops at in a Newton call whose sup-norm residuals so far are
+    `history`: Eisenstat & Walker's term within [KRYLOV_RTOL, FORCING_MAX], and not far below what takes
+    |b| to the Newton tolerance tol."""
+    eta_ew = FORCING_MAX if len(history) < 2 else FORCING_GAMMA * (history[-1] / history[-2]) ** FORCING_POWER
     return max(KRYLOV_RTOL, min(FORCING_MAX, max(eta_ew, FORCING_TOL_SHARE * tol / b_norm)))
 
 
-def _solve_krylov(
-    sys: LinearizedSystem, b: np.ndarray, alpha: float, eta_ew: float, tol: float
-) -> tuple[np.ndarray, int, float]:
-    """2-D restarted GMRES on A x = b from x = 0, left-preconditioned by `_krylov_preconditioner`.
+def _solve_krylov(matrix, b: np.ndarray, precond: Callable, rtol: float) -> tuple[np.ndarray, int]:
+    """Restarted GMRES on A x = b from x = 0, left-preconditioned by `precond`, which applies P^-1.
 
-    Step for step it is SciPy's `gmres` (1.17) at rtol eta = `_forcing_term(eta_ew, tol, |b|)`:
-    modified Gram-Schmidt, Givens rotations from LAPACK lartg, its inner tolerance
-    `ptol` across restarts and its back substitution; but P^-1 b is applied once and
-    b - A x once per cycle.  Returns (x, iterations, eta); b = 0 gives (0, 0, 0.0).  Raises
-    LinearSolveFailure unless x is finite and |b - A x| <= eta |b| within KRYLOV_MAX_RESTARTS cycles;
+    Step for step it is SciPy's `gmres` (1.17) at `rtol`: modified Gram-Schmidt,
+    Givens rotations from LAPACK lartg, its inner tolerance `ptol` across restarts
+    and its back substitution; but P^-1 b is applied once and b - A x once per
+    cycle.  Returns (x, iterations); b = 0 gives (0, 0).  Raises LinearSolveFailure
+    unless x is finite and |b - A x| <= rtol |b| within KRYLOV_MAX_RESTARTS cycles;
     a non-finite residual ends the loops at once.
     """
-    matrix, precond = sys.matrix, _krylov_preconditioner(sys, alpha)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
-        return np.zeros_like(b), 0, 0.0
-    eta = _forcing_term(eta_ew, tol, b_norm)
-    atol, eps = eta * b_norm, np.finfo(float).eps
+        return np.zeros_like(b), 0
+    atol, eps = rtol * b_norm, np.finfo(float).eps
     x, r, factor, iterations = np.zeros_like(b), b, 1.0, 0
     v = np.empty((KRYLOV_RESTART + 1, b.size))
     h = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART + 1))  # row j: column j of the rotated Hessenberg matrix
@@ -273,8 +264,8 @@ def _solve_krylov(
         factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
         ptol = presid * min(factor, atol / r_norm)
     if not (r_norm <= atol and np.all(np.isfinite(x))):
-        raise LinearSolveFailure(f"GMRES missed its forcing term eta {eta:.1e} in {iterations} iterations")
-    return x, iterations, eta
+        raise LinearSolveFailure(f"GMRES missed its forcing term eta {rtol:.1e} in {iterations} iterations")
+    return x, iterations
 
 
 def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
@@ -299,22 +290,20 @@ def newton_solve(
     grid = spec.grid
     s = s0
     res = residual(spec, lam, s, sources)
-    res_norm = sup_norm(*res)
-    history = [res_norm]
+    history = [sup_norm(*res)]
     damping: list[float] = []
     paths: list[str] = []
     krylov: list[int] = []
 
     def report(converged: bool) -> NewtonReport:
-        return NewtonReport(converged, it, history, damping, s.min_m(), paths, krylov)
+        return NewtonReport(converged, len(damping), history, damping, s.min_m(), paths, krylov)
 
-    it = 0
     while True:
-        if res_norm <= opts.tol_residual:
+        if history[-1] <= opts.tol_residual:
             return s, report(True)
-        if it >= opts.max_iters:
+        if len(damping) >= opts.max_iters:
             raise MaxItersExceeded(
-                f"no convergence in {opts.max_iters} iterations (residual {res_norm:.3e})",
+                f"no convergence in {opts.max_iters} iterations (residual {history[-1]:.3e})",
                 report=report(False),
             )
 
@@ -325,8 +314,8 @@ def newton_solve(
             if path == "band":
                 delta, krylov_its, eta = _solve_band(sys, rhs), 0, 0.0
             else:
-                delta, krylov_its, eta = _solve_krylov(sys, rhs, spec.alpha, _eisenstat_walker(history),
-                                                       opts.tol_residual)
+                eta = _forcing_term(history, opts.tol_residual, np.linalg.norm(rhs))
+                delta, krylov_its = _solve_krylov(sys.matrix, rhs, _krylov_preconditioner(sys, spec.alpha), eta)
         except LinearSolveFailure as err:
             err.report = report(False)
             raise
@@ -334,32 +323,28 @@ def newton_solve(
         krylov.append(krylov_its)
         dv, dm = delta[: grid.size], delta[grid.size :]
 
-        min_m = s.min_m()
-        floor = opts.positivity_fraction * min_m
+        floor = opts.positivity_fraction * s.min_m()
         t = 1.0
-        accepted = None
         while t >= opts.min_damping:
             trial_m = s.m.values + t * dm
             if np.min(trial_m) >= floor:
                 trial = State(Field(grid, s.u.values + t * dv), Field(grid, trial_m))
                 trial_res = residual(spec, lam, trial, sources)
                 trial_norm = sup_norm(*trial_res)
-                if trial_norm <= (1.0 - opts.armijo_c * t) * res_norm:
-                    accepted = (trial, trial_res, trial_norm)
+                if trial_norm <= (1.0 - opts.armijo_c * t) * history[-1]:
                     break
             t *= 0.5
-        if accepted is None:
+        else:
             raise NoDescent(
-                f"damping underflowed below {opts.min_damping:g} at iteration {it}",
+                f"damping underflowed below {opts.min_damping:g} at iteration {len(damping)}",
                 report=report(False),
             )
 
-        s, res, res_norm = accepted
-        history.append(res_norm)
+        s, res = trial, trial_res
+        history.append(trial_norm)
         damping.append(t)
-        it += 1
         log.debug("newton iteration %d: residual %.3e, t %g, %s solve, %d krylov iterations, eta %.2e",
-                  it, res_norm, t, path, krylov_its, eta)
+                  len(damping), trial_norm, t, path, krylov_its, eta)
 
 
 def ladder_sizes(grid: GridSpec) -> list[int]:
@@ -417,7 +402,6 @@ def _continue(spec: ProblemSpec, opts: NewtonOptions, step_opts: StepOptions, di
 
     while lam < 1.0:
         if len(trace.steps) + len(trace.failures) >= MAX_ATTEMPTS:
-            trace.reached_lambda = lam
             raise ContinuationStalled(f"{MAX_ATTEMPTS} Newton solves ended at lambda = {lam:.6f}", trace=trace)
         lam_try = min(lam + dlam, 1.0)
         try:
@@ -427,20 +411,19 @@ def _continue(spec: ProblemSpec, opts: NewtonOptions, step_opts: StepOptions, di
             trace.failures.append(FailureRecord(lam_try, type(err).__name__, dlam))
             log.info("newton failed at lambda=%.6f (%s); step -> %.3e", lam_try, type(err).__name__, dlam)
             if dlam < step_opts.min_step:
-                trace.reached_lambda = lam
                 raise ContinuationStalled(
                     f"continuation step underflowed at lambda = {lam:.6f}", trace=trace
                 ) from err
             continue
         lam, s = lam_try, s_new
+        trace.reached_lambda = lam
         snapshot = make_snapshot(spec, s, lam, diagnostics, opts.tol_residual)[0]
         trace.steps.append(ContinuationStep(lam, report, snapshot, spec.grid.n))
         log.debug("accepted lambda=%.6f in %d iterations", lam, report.iterations)
         if report.iterations <= step_opts.grow_iters:
             dlam = min(dlam * step_opts.growth, step_opts.max_step)
 
-    trace.reached_lambda = lam
-    trace.success = lam == 1.0
+    trace.success = True  # the loop ends only on lam = 1
     return s, trace
 
 

@@ -13,6 +13,7 @@ from mfgtorus import (
     NoDescent,
     PotentialSpec,
     ProblemSpec,
+    SolverFailure,
     State,
     StepOptions,
     TrigForm,
@@ -28,13 +29,11 @@ from mfgtorus import (
 )
 from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
-from mfgtorus.solver import KRYLOV_RTOL, _solve_band, _solve_krylov
+from mfgtorus.solver import KRYLOV_RTOL, _krylov_preconditioner, _solve_band, _solve_krylov
 
 from conftest import diff_matrix, laplacian_matrix, newton_rhs, problem_2d, reference_gmres, suite_problem
 
 TWO_PI = 2 * np.pi
-# forcing inputs (eta_ew, tol) whose forcing term is KRYLOV_RTOL: the tightest Krylov solve
-TIGHTEST = (0.0, 0.0)
 
 
 def arctan_only_problem(n=64, eps=0.0):
@@ -191,23 +190,24 @@ class TestKrylovSolve:
         from scipy.sparse.linalg import spsolve
 
         spec, sys, b = krylov_system
-        delta, iterations, eta = _solve_krylov(sys, b, spec.alpha, *TIGHTEST)
+        delta, iterations = _solve_krylov(sys.matrix, b, _krylov_preconditioner(sys, spec.alpha), KRYLOV_RTOL)
         direct = spsolve(sys.matrix, b)
-        assert 0 < iterations and eta == KRYLOV_RTOL
+        assert 0 < iterations
         assert np.linalg.norm(delta - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("restart", [40, 6])
     def test_matches_scipy_gmres(self, krylov_system, monkeypatch, restart):
-        """Same inner iterations as SciPy's `gmres` at each forcing term's rtol, and the same answer;
+        """Same inner iterations as SciPy's `gmres` at each rtol a forcing term can take, and the same answer;
         restart 6 forces restarts at the tightest rtol."""
         import mfgtorus.solver as solver_mod
 
         spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
+        precond = _krylov_preconditioner(sys, spec.alpha)
         for rtol in (KRYLOV_RTOL, 1e-2, 1e-5):
             ref, info, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha, rtol)
-            delta, iterations, eta = _solve_krylov(sys, b, spec.alpha, rtol, 0.0)
-            assert info == 0 and eta == rtol
+            delta, iterations = _solve_krylov(sys.matrix, b, precond, rtol)
+            assert info == 0
             assert restart == 40 or rtol != KRYLOV_RTOL or cycles > 1
             assert iterations == ref_iterations, rtol
             assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref), rtol
@@ -220,45 +220,39 @@ class TestKrylovSolve:
         _, info, ref_iterations, _ = reference_gmres(sys, b, spec.alpha, KRYLOV_RTOL)
         assert info == solver_mod.KRYLOV_MAX_RESTARTS
         with pytest.raises(LinearSolveFailure, match=f"forcing term eta 1.0e-10 in {ref_iterations} iterations"):
-            _solve_krylov(sys, b, spec.alpha, *TIGHTEST)
+            _solve_krylov(sys.matrix, b, _krylov_preconditioner(sys, spec.alpha), KRYLOV_RTOL)
 
     @pytest.mark.parametrize("restart", [40, 6])
     def test_each_cycle_applies_matrix_and_preconditioner_once_beyond_its_iterations(
         self, krylov_system, monkeypatch, restart
     ):
         """P^-1 b doubles as the first basis vector, and the cycle's residual is the only extra product."""
-        from dataclasses import replace
-
         import mfgtorus.solver as solver_mod
 
         spec, sys, b = krylov_system
         monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", restart)
         _, _, ref_iterations, cycles = reference_gmres(sys, b, spec.alpha, KRYLOV_RTOL)
         calls = {"matrix": 0, "preconditioner": 0}
-        forward = solver_mod._krylov_preconditioner
+        apply_inverse = _krylov_preconditioner(sys, spec.alpha)
 
         class CountingMatrix:
             def __matmul__(self, x):
                 calls["matrix"] += 1
                 return sys.matrix @ x
 
-        def counting_preconditioner(sys, alpha):
-            apply_inverse = forward(sys, alpha)
+        def counted(r):
+            calls["preconditioner"] += 1
+            return apply_inverse(r)
 
-            def counted(r):
-                calls["preconditioner"] += 1
-                return apply_inverse(r)
-            return counted
-
-        monkeypatch.setattr(solver_mod, "_krylov_preconditioner", counting_preconditioner)
-        delta, iterations, _ = _solve_krylov(replace(sys, matrix=CountingMatrix()), b, spec.alpha, *TIGHTEST)
+        delta, iterations = _solve_krylov(CountingMatrix(), b, counted, KRYLOV_RTOL)
         assert delta is not None and iterations == ref_iterations
         assert calls == {"matrix": iterations + cycles, "preconditioner": iterations + cycles}
 
     def test_zero_right_hand_side_returns_zeros(self, strong_system):
         spec, sys, b = strong_system
-        delta, iterations, eta = _solve_krylov(sys, np.zeros_like(b), spec.alpha, *TIGHTEST)
-        assert (iterations, eta) == (0, 0.0)
+        delta, iterations = _solve_krylov(sys.matrix, np.zeros_like(b), _krylov_preconditioner(sys, spec.alpha),
+                                          KRYLOV_RTOL)
+        assert iterations == 0
         assert np.array_equal(delta, np.zeros_like(b))
 
     @pytest.mark.parametrize("failure", ["info", "nonfinite"])
@@ -270,14 +264,11 @@ class TestKrylovSolve:
         if failure == "info":
             monkeypatch.setattr(solver_mod, "KRYLOV_RESTART", 3)
             monkeypatch.setattr(solver_mod, "KRYLOV_MAX_RESTARTS", 1)
-        else:
-            monkeypatch.setattr(
-                solver_mod, "_krylov_preconditioner", lambda sys, alpha: lambda r: np.full_like(r, np.nan)
-            )
+        precond = _krylov_preconditioner(sys, spec.alpha) if failure == "info" else lambda r: np.full_like(r, np.nan)
         # the caps end the unconverged loop; a NaN residual ends it after its first iteration
         iterations = 3 if failure == "info" else 1
         with pytest.raises(LinearSolveFailure, match=f"forcing term eta 1.0e-10 in {iterations} iterations"):
-            _solve_krylov(sys, b, spec.alpha, *TIGHTEST)
+            _solve_krylov(sys.matrix, b, precond, KRYLOV_RTOL)
 
     def test_rejected_krylov_answer_is_one_continuation_step_failure(self, monkeypatch):
         """A first Krylov solve that misses its forcing term (1 iteration allowed) fails that lambda
@@ -323,7 +314,8 @@ class TestKrylovSolve:
 
     @pytest.mark.parametrize("n", [8, 9, 48])
     def test_preconditioner_inverts_the_stencil_block_operator(self, monkeypatch, n):
-        """The preconditioner of one Krylov solve inverts [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""
+        """The preconditioner of the one Krylov solve of a one-iteration Newton call inverts
+        [[I - L, 0], [-c W, I - L]] built from the grid's matrices."""
         import scipy.sparse as sparse
 
         import mfgtorus.solver as solver_mod
@@ -332,16 +324,16 @@ class TestKrylovSolve:
         grid = spec.grid
         m = 2.0 + 0.25 * np.cos(TWO_PI * mesh(grid)[0]).ravel()
         state = State(constant_field(grid, 0.0), Field(grid, m))
-        sys = assemble_jacobian(spec, 1.0, state)
         preconditioners = []
-        forward = solver_mod._krylov_preconditioner
+        forward = solver_mod._solve_krylov
 
-        def recording_preconditioner(*args):
-            preconditioners.append(forward(*args))
-            return preconditioners[-1]
+        def recording_solve(matrix, b, precond, rtol):
+            preconditioners.append(precond)
+            return forward(matrix, b, precond, rtol)
 
-        monkeypatch.setattr(solver_mod, "_krylov_preconditioner", recording_preconditioner)
-        _solve_krylov(sys, newton_rhs(spec, 1.0, state), spec.alpha, *TIGHTEST)
+        monkeypatch.setattr(solver_mod, "_solve_krylov", recording_solve)
+        with pytest.raises(MaxItersExceeded):
+            newton_solve(spec, 1.0, state, NewtonOptions(max_iters=1))
 
         c = 2.0 ** (1.0 - spec.alpha)
         eye_minus_lap = sparse.identity(grid.size) - laplacian_matrix(grid)
@@ -375,7 +367,7 @@ class TestKrylovSolve:
 
         spec = problem_2d()
         s_k, trace_k = continuation_solve(spec)
-        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda sys, b, *forcing: (spsolve(sys.matrix, b), 0, 0.0))
+        monkeypatch.setattr(solver_mod, "_solve_krylov", lambda matrix, b, *_: (spsolve(matrix, b), 0))
         s_d, trace_d = continuation_solve(spec)
         assert [st.lam for st in trace_k.steps] == [st.lam for st in trace_d.steps]
         for st_k, st_d in zip(trace_k.steps, trace_d.steps):
@@ -385,22 +377,52 @@ class TestKrylovSolve:
         np.testing.assert_allclose(s_k.stacked(), s_d.stacked(), rtol=0, atol=1e-12)
 
 
+class TestPlainGmres:
+    """`_solve_krylov` on an operator that is no Newton Jacobian: a sparse, diagonally dominant and
+    nonsymmetric matrix, with a Jacobi preconditioner."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        import scipy.sparse as sparse
+
+        rng = np.random.default_rng(7)
+        n = 300
+        diag = 4.0 + 4.0 * rng.random(n)
+        bands = sparse.diags([-1.0 - rng.random(n - 1), diag, 0.5 * rng.random(n - 1)], [-1, 0, 1])
+        matrix = (bands + sparse.random(n, n, density=0.01, random_state=rng)).tocsr()
+        return matrix, lambda r: r / diag, rng.standard_normal(n)
+
+    def test_meets_its_rtol_and_a_looser_one_takes_no_more_iterations(self, system):
+        matrix, jacobi, b = system
+        iterations = []
+        for rtol in (KRYLOV_RTOL, 1e-4):
+            x, its = _solve_krylov(matrix, b, jacobi, rtol)
+            assert np.linalg.norm(b - matrix @ x) <= rtol * np.linalg.norm(b), rtol
+            iterations.append(its)
+        assert 0 < iterations[1] <= iterations[0]
+
+    def test_zero_right_hand_side_returns_zeros(self, system):
+        matrix, jacobi, b = system
+        x, iterations = _solve_krylov(matrix, np.zeros_like(b), jacobi, KRYLOV_RTOL)
+        assert iterations == 0 and np.array_equal(x, np.zeros_like(b))
+
+
 class TestInexactNewton:
     """Each 2-D GMRES solve stops at the forcing term, and Newton keeps its quadratic tail."""
 
     def test_forcing_rule(self):
-        from mfgtorus.solver import FORCING_MAX, _eisenstat_walker, _forcing_term
+        from mfgtorus.solver import FORCING_MAX, _forcing_term
 
         tol = NewtonOptions().tol_residual
-        assert _eisenstat_walker([0.5]) == FORCING_MAX
-        assert _forcing_term(_eisenstat_walker([0.5]), tol, 3.0) == 1e-2
-        assert _eisenstat_walker([1e-2, 1e-4]) == pytest.approx(0.9e-4, rel=1e-14)
+        # the first iteration's term is FORCING_MAX
+        assert _forcing_term([0.5], tol, 3.0) == FORCING_MAX == 1e-2
+        assert _forcing_term([1e-2, 1e-4], tol, 1.0) == pytest.approx(0.9e-4, rel=1e-14)
         # near convergence, at |b| = 1e-7: 0.9 (1e-8 / 1e-4)^2 is far below 0.5 tol / |b| = 5e-4
-        eta_ew = _eisenstat_walker([1e-4, 1e-8])
-        assert _forcing_term(eta_ew, tol, 1e-7) == 0.5 * tol / 1e-7 > 1e3 * eta_ew
-        assert _forcing_term(0.0, tol, 1.0) == KRYLOV_RTOL
-        assert _forcing_term(_eisenstat_walker([1.0, 1e-12]), 0.0, 1.0) == KRYLOV_RTOL
-        assert _forcing_term(0.5, tol, 1e-12) == FORCING_MAX
+        assert _forcing_term([1e-4, 1e-8], tol, 1e-7) == 0.5 * tol / 1e-7 > 1e3 * 0.9 * (1e-8 / 1e-4) ** 2
+        assert _forcing_term([1.0, 0.0], tol, 1.0) == KRYLOV_RTOL
+        assert _forcing_term([1.0, 1e-12], 0.0, 1.0) == KRYLOV_RTOL
+        # a tolerance floor above FORCING_MAX, with the Eisenstat-Walker term 0.9e-6 below it
+        assert _forcing_term([1.0, 1e-3], tol, 1e-12) == FORCING_MAX
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
     def test_quadratic_tail_in_two_dimensions(self, alpha):
@@ -537,25 +559,31 @@ class TestBandSolve:
 class TestNewtonSystem:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_right_hand_side_is_the_negated_augmented_residual(self, monkeypatch, dim):
-        """Every b the linear solve gets in an MMS Newton solve is -(F - S) at that iterate, bit for bit."""
+        """Every b the linear solve gets in an MMS Newton solve is -(F - S) at the iterate its Jacobian
+        was assembled at, bit for bit."""
         import mfgtorus.solver as solver_mod
 
         spec = suite_problem(0.5, n=32) if dim == 1 else problem_2d(n=16)
         zero = (0.0,) * dim
         case = ManufacturedCase(spec, TrigForm(0.0, zero, (0.1,) * dim), TrigForm(1.0, (0.25,) * dim, zero))
         sources = mms_source(case, spec.grid)
-        received = []
+        states, received = [], []
         name = "_solve_band" if dim == 1 else "_solve_krylov"
-        forward = getattr(solver_mod, name)
+        forward, forward_assemble = getattr(solver_mod, name), solver_mod.assemble_jacobian
 
-        def recording_solve(sys, b, *forcing):
-            received.append((sys.base_state, b.copy()))
-            return forward(sys, b, *forcing)
+        def recording_assemble(spec, lam, s):
+            states.append(s)
+            return forward_assemble(spec, lam, s)
 
+        def recording_solve(operator, b, *rest):
+            received.append(b.copy())
+            return forward(operator, b, *rest)
+
+        monkeypatch.setattr(solver_mod, "assemble_jacobian", recording_assemble)
         monkeypatch.setattr(solver_mod, name, recording_solve)
         _, report = newton_solve(spec, 1.0, exact_initial(spec), sources=sources)
-        assert report.converged and len(received) == report.iterations > 0
-        for state, b in received:
+        assert report.converged and len(received) == len(states) == report.iterations > 0
+        for state, b in zip(states, received):
             assert np.array_equal(b, newton_rhs(spec, 1.0, state, sources))
 
     def test_failed_linear_solve_is_a_continuation_step_failure(self, monkeypatch):
@@ -574,6 +602,67 @@ class TestNewtonSystem:
         _, trace = continuation_solve(suite_problem(0.5, n=32))
         assert trace.success
         assert [f.error for f in trace.failures] == ["LinearSolveFailure"]
+
+
+class TestNewtonExits:
+    """On every exit of `newton_solve` its report counts one iteration per damping factor and per residual
+    after the first, and one linear solve per iteration, plus the rejected one on NoDescent."""
+
+    @staticmethod
+    def assert_consistent(report, error=None):
+        assert report.converged == (error is None)
+        assert report.iterations == len(report.damping_history) == len(report.residual_history) - 1
+        rejected = 1 if isinstance(error, NoDescent) else 0
+        assert len(report.linear_paths) == len(report.krylov_iterations) == report.iterations + rejected
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+    def test_converged_max_iters_and_no_descent_exits(self, monkeypatch, dim, n):
+        """The strong set in unit steps, with 3 iterations and a tight positivity guard: its Newton
+        solves converge, run out of iterations and lose descent."""
+        import mfgtorus.solver as solver_mod
+
+        forward, exits = solver_mod.newton_solve, []
+
+        def recording_solve(*args, **kwargs):
+            try:
+                s, report = forward(*args, **kwargs)
+            except SolverFailure as err:
+                exits.append((err, err.report))
+                raise
+            exits.append((None, report))
+            return s, report
+
+        monkeypatch.setattr(solver_mod, "newton_solve", recording_solve)
+        spec = one_d_problem(n, 4.0, 4.0) if dim == 1 else coefficient_set_2d(4.0, 4.0, n)
+        _, trace = continuation_solve(spec, NewtonOptions(max_iters=3, positivity_fraction=0.9, min_damping=0.2),
+                                      StepOptions(initial_step=1.0, max_step=1.0))
+        assert trace.success
+        assert {type(err) for err, _ in exits} == {type(None), MaxItersExceeded, NoDescent}
+        assert {report.iterations for err, report in exits if isinstance(err, MaxItersExceeded)} == {3}
+        for err, report in exits:
+            self.assert_consistent(report, err)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_linear_solve_failure_exit(self, monkeypatch, dim):
+        """A linear solve that fails at the second iteration leaves the accepted first one in the report."""
+        import mfgtorus.solver as solver_mod
+
+        name = "_solve_band" if dim == 1 else "_solve_krylov"
+        forward, calls = getattr(solver_mod, name), []
+
+        def second_solve_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise LinearSolveFailure("forced")
+            return forward(*args)
+
+        monkeypatch.setattr(solver_mod, name, second_solve_fails)
+        spec = suite_problem(0.5, n=32) if dim == 1 else problem_2d(n=16)
+        s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
+        with pytest.raises(LinearSolveFailure) as exc:
+            newton_solve(spec, 1.0, s0)
+        assert exc.value.report.iterations == 1
+        self.assert_consistent(exc.value.report, exc.value)
 
 
 class TestContinuation:
@@ -658,6 +747,27 @@ class TestContinuation:
         with pytest.raises(ContinuationStalled, match="^5 Newton solves ended") as exc:
             continuation_solve(suite_problem(0.5, n=16))
         assert (len(exc.value.trace.steps), len(exc.value.trace.failures), len(calls)) == (3, 2, 5)
+
+    @pytest.mark.parametrize("cause, message", [("underflow", "step underflowed"), ("attempts", "Newton solves ended")])
+    def test_stalled_trace_reached_its_last_step(self, monkeypatch, cause, message):
+        """Whichever cause stalls a continuation that made progress, reached_lambda is its last step's lambda."""
+        import mfgtorus.solver as solver_mod
+
+        forward = solver_mod.newton_solve
+
+        def refuses_beyond(spec, lam, *args, **kwargs):
+            if lam > 0.35:
+                raise NoDescent("forced")
+            return forward(spec, lam, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "newton_solve", refuses_beyond)
+        if cause == "attempts":
+            monkeypatch.setattr(solver_mod, "MAX_ATTEMPTS", 8)
+        with pytest.raises(ContinuationStalled, match=message) as exc:
+            continuation_solve(suite_problem(0.5, n=16), step_opts=StepOptions(min_step=1e-3))
+        trace = exc.value.trace
+        assert trace.failures and 0.25 <= trace.steps[-1].lam <= 0.35
+        assert not trace.success and trace.reached_lambda == trace.steps[-1].lam
 
     def test_refuses_alpha_at_least_one(self):
         pot = PotentialSpec("separable", TrigForm(0.0, (0.0,), (0.0,)), 1.0)

@@ -16,7 +16,12 @@ and epsilon_monotone = 0.2 and a 2-D n = 16 solve with a `saturating` potential
 (the one 2-D run whose m-part is not arctan); two solves of the reference problem with
 kappa = 0 (1-D n = 64 and 2-D n = 16), whose Jacobians at lambda = 1 hold exact
 zeros, so that the band solve and GMRES on explicitly stored zeros are compared
-through full fields and traces, and a third at 1-D n = 128; and four `verify`
+through full fields and traces, and a third at 1-D n = 128; two solves of the
+workloads' strong set (1-D n = 64 and 2-D n = 32) in unit continuation steps
+with 3 Newton iterations, positivity fraction 0.9 and minimum damping 0.2,
+whose Newton solves fail by NoDescent and MaxItersExceeded before the
+continuation reaches lambda = 1 (no workload records a failed 2-D step), so
+that the failure exits of Newton are compared through the traces; and four `verify`
 operations on the written 1-D states: the saturating state, the two 1-D
 kappa = 0 states as a refinement series (which writes `refinement.csv`), the
 n = 64 kappa = 0 state with a subset of the checks at other exponents and
@@ -68,6 +73,10 @@ BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
                  "solve-kappa0-1d": (1, 64, "separable", 0.0, 0.0),
                  "solve-kappa0-1d-128": (1, 128, "separable", 0.0, 0.0),
                  "solve-kappa0-2d": (2, 16, "separable", 0.0, 0.0)}
+# (dim, n) of each solve of the strong set whose Newton solves fail on the way, under these options
+FAILURE_SOLVES = {"solve-failures-1d": (1, 64), "solve-failures-2d": (2, 32)}
+FAILURE_OPTIONS = {"continuation": {"initial_step": 1.0, "max_step": 1.0},
+                   "solver": {"max_iters": 3, "positivity_fraction": 0.9, "min_damping": 0.2}}
 # (config, solves whose states it reads) of each verify operation: a solution, a two-state
 # refinement series (refinement.csv), a subset of the checks at other exponents and budget,
 # and a state that does not solve the configured problem (failed identity rows with their note)
@@ -133,13 +142,19 @@ def sweep_ops(config_dir: Path) -> list[dict]:
 
 
 def branch_ops(config_dir: Path) -> list[dict]:
-    """Write the configs of the BRANCH_SOLVES into config_dir; return their operations, the VERIFIES and the ERROR_EXITS."""
-    ops = []
+    """Write the configs of the BRANCH_SOLVES and FAILURE_SOLVES into config_dir; return their operations, the
+    VERIFIES and the ERROR_EXITS."""
+    configs = {}
     for op_id, (dim, n, form, kappa, eps) in BRANCH_SOLVES.items():
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
         problem["potential"].update(form=form, kappa=kappa)
         problem["epsilon_monotone"] = eps
-        (config_dir / f"{op_id}.json").write_text(json.dumps({"problem": problem}))
+        configs[op_id] = {"problem": problem}
+    for op_id, (dim, n) in FAILURE_SOLVES.items():
+        configs[op_id] = {"problem": workloads._problem(dim, n, workloads.STRONG_SET, [0] * dim), **FAILURE_OPTIONS}
+    ops = []
+    for op_id, config in configs.items():
+        (config_dir / f"{op_id}.json").write_text(json.dumps(config))
         ops.append({"id": op_id, "argv": ["solve", "--config", str(config_dir / f"{op_id}.json"), "--out", op_id]})
     subset = json.loads((config_dir / "solve-kappa0-1d.json").read_text())
     (config_dir / "verify-subset-1d.json").write_text(json.dumps({**subset, "diagnostics": SUBSET_DIAGNOSTICS}))
