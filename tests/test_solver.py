@@ -421,6 +421,10 @@ class TestInexactNewton:
         assert _forcing_term([1e-4, 1e-8], tol, 1e-7) == 0.5 * tol / 1e-7 > 1e3 * 0.9 * (1e-8 / 1e-4) ** 2
         assert _forcing_term([1.0, 0.0], tol, 1.0) == KRYLOV_RTOL
         assert _forcing_term([1.0, 1e-12], 0.0, 1.0) == KRYLOV_RTOL
+        # an Eisenstat-Walker term 0.9 (0.75)^2 ≈ 0.506 above FORCING_MAX is capped, with the floor above
+        # the cap too and with it below
+        assert _forcing_term([1.0, 0.75], tol, 1e-12) == FORCING_MAX
+        assert _forcing_term([1.0, 0.75], tol, 1.0) == FORCING_MAX
         # a tolerance floor above FORCING_MAX, with the Eisenstat-Walker term 0.9e-6 below it
         assert _forcing_term([1.0, 1e-3], tol, 1e-12) == FORCING_MAX
 
