@@ -16,14 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadExponent, MFGError, NonPositiveDensity, NotASolution
-from .grid import (
-    divergence_arrays,
-    gradient_and_laplacian,
-    gradient_arrays,
-    integral,
-    sup_norm,
-)
-from .problem import ProblemSpec, State, _drift_arrays, effective_potential, residual
+from .grid import divergence_arrays, gradient_arrays, integral, sup_norm
+from .problem import ProblemSpec, State, _drift_arrays, _state_terms, effective_potential, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
 N_THETA = 11  # the theta samples of `monotonicity_gap`'s derivative curve, endpoints included
@@ -139,7 +133,7 @@ def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[fl
 
 
 def cancellation_check(spec: ProblemSpec, s: State):
-    """The cancellation defect of s as a function of r > alpha; the r-free arrays are built once.
+    """The cancellation defect of s as a function of r > alpha; the r-free arrays are the state's residual terms.
 
         at(r) = integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a)))
 
@@ -151,9 +145,8 @@ def cancellation_check(spec: ProblemSpec, s: State):
     m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity("cancellation check needs m > 0")
-    du, lap_u = gradient_and_laplacian(s.u.reshaped(), grid)
-    m_flux = m ** (1.0 - a)
-    flux_div = divergence_arrays([m_flux * d for d in du], grid)
+    terms = _state_terms(spec, s)
+    lap_u, flux_div = terms.lap_u, terms.flux_div
 
     def at(r: float) -> float:
         if r <= a:
@@ -174,7 +167,8 @@ def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
               + int m^-(r-a)/(r+1-a) - int div(b) m^-(r-a)/(r-a)
 
     at(r) returns (lhs, rhs, defect).  Only holds on solutions: raises NotASolution
-    above 100x the Newton tolerance `tol`; the residual test and the r-free arrays run once.
+    above 100x the Newton tolerance `tol`.  The residual test runs once, and the r-free
+    arrays take Du, |Du|^2, b.Du and V_eff from the state's residual terms.
     The defect is O(h^2): the discrete chain rule behind the |Dm|^2 term is not
     exact, so the identity is verified by refinement, not equality.
     """
@@ -188,14 +182,10 @@ def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
         raise NotASolution(f"residual sup-norm {res:.3e} exceeds {100 * tol:.1e}")
 
     u = s.u.reshaped()
-    du = gradient_arrays(s.u)
-    dm = gradient_arrays(s.m)
-    du_sq = sum(d * d for d in du)
-    dm_sq = sum(d * d for d in dm)
-    bvals = _drift_arrays(spec.drift, grid)
-    b_dot_du = sum(b * d for b, d in zip(bvals, du))
-    div_b = divergence_arrays(list(bvals), grid)
-    v_eff = effective_potential(spec, grid, m)
+    terms = _state_terms(spec, s)
+    du_sq, b_dot_du, v_eff = terms.du_sq, terms.b_dot_du, terms.v_eff
+    dm_sq = sum(d * d for d in gradient_arrays(s.m))
+    div_b = divergence_arrays(list(_drift_arrays(spec.drift, grid)), grid)
 
     def at(r: float) -> tuple[float, float, float]:
         if r <= a:

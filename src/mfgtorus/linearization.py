@@ -3,20 +3,22 @@
 The Jacobian differentiates the *discrete* residual (all nonlinearity is
 pointwise, so differentiate-then-discretize and discretize-then-differentiate
 coincide term by term).  That makes Newton quadratically convergent and the
-finite-difference consistency check exact in the limit.
+finite-difference consistency check exact in the limit.  The assembly reuses the
+state's cached residual terms and keeps its values in the pattern's order: the 1-D
+band solve scatters them into band storage, and a CSR matrix is built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import NonPositiveDensity
 from .grid import Field, GridSpec, _diff, _second_diff, _shifted, gradient_arrays, read_only
-from .problem import ProblemSpec, State, _drift_arrays, potential_term_dm, residual
+from .problem import ProblemSpec, State, _drift_arrays, _state_terms, potential_term_dm, residual
 
 FD_TOLERANCE = 1e-6  # largest relative J.w error `fd_max_error` may report for a correct Jacobian
 FD_EPS = 1e-6  # the step of `fd_max_error`'s central differences
@@ -24,14 +26,22 @@ FD_EPS = 1e-6  # the step of `fd_max_error`'s central differences
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Sparse 2N x 2N block operator [[A_vv, A_vf], [A_fv, A_ff]] on stacked (v, f)."""
+    """Sparse 2N x 2N block operator [[A_vv, A_vf], [A_fv, A_ff]] on stacked (v, f).
 
-    matrix: sparse.csr_matrix
+    `fill` lists its values in `_jacobian_pattern`'s order; `matrix` is built from it on first use.
+    """
+
+    fill: np.ndarray
     base_state: State
 
     @property
     def grid(self) -> GridSpec:
         return self.base_state.grid
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        pattern, size = _jacobian_pattern(self.grid), 2 * self.grid.size
+        return sparse.csr_matrix((self.fill[pattern.order], pattern.indices, pattern.indptr), shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,8 @@ def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.n
 
     The ring of nodes is folded as 0, n-1, 1, n-2, ..., with v_i and f_i of each node
     adjacent: unknown k of the band is unknown `order[k]` of the stacked (v, f), and
-    `inverse` maps back.  kl/ku are the widths the pattern needs, `slots` the `gbsv` band index of each CSR slot.
+    `inverse` maps back.  kl/ku are the widths the pattern needs, and `slots` the `gbsv` band index of each
+    value of a `LinearizedSystem.fill`: the pattern's `order` is composed in, so a fill scatters in one step.
     """
     n = grid.n
     node = np.arange(n)
@@ -89,7 +100,7 @@ def _band_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, int, int, np.n
     offsets = inverse[np.repeat(np.arange(2 * n), np.diff(pattern.indptr))] - inverse[pattern.indices]
     kl, ku = int(offsets.max()), -int(offsets.min())
     slots = kl + ku + offsets + inverse[pattern.indices] * (2 * kl + ku + 1)
-    return read_only(order), read_only(inverse), kl, ku, read_only(slots)
+    return read_only(order), read_only(inverse), kl, ku, read_only(slots[np.argsort(pattern.order)])
 
 
 def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSystem:
@@ -99,13 +110,14 @@ def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSyst
                   - d/dm[lam V_eff + (1-lam) arctan(m)] f
     Row block 2:  f - lap(f) - div(m^(1-a) Dv) - (1-a) div(m^(-a) f Du) - lam div(b f)
 
-    Every differential term reuses the stencils of `residual` exactly.  Each
-    block is one length-N array per stencil offset, a pointwise product of
-    shifted state arrays; the cached `_jacobian_pattern` permutes their
-    concatenation into CSR order.  A slot with several terms adds them in the
-    order of the expression.  Exact zeros stay in the structure, so every
-    matrix on a grid has that one structure.  MMS sources are constant in the
-    unknowns, so they do not enter.
+    Every differential term reuses the stencils of `residual` exactly, and Du,
+    |Du|^2, m^a and m^(1-a) are the state's cached residual terms.  Each block
+    is one length-N array per stencil offset, a pointwise product of shifted
+    state arrays; their concatenation is the system's `fill`, which the cached
+    `_jacobian_pattern` permutes into CSR order.  A slot with several terms adds
+    them in the order of the expression.  Exact zeros stay in the structure, so
+    every matrix on a grid has that one structure.  MMS sources are constant in
+    the unknowns, so they do not enter.
     """
     grid = spec.grid
     m = s.m.values
@@ -115,10 +127,11 @@ def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSyst
     pattern = _jacobian_pattern(grid)
     n = grid.size
 
-    du = [g.ravel() for g in gradient_arrays(s.u)]
-    du_sq = sum(d * d for d in du)
+    terms = _state_terms(spec, s)
+    du = [g.ravel() for g in terms.du]
+    du_sq, m_alpha, m_flux = terms.du_sq.ravel(), terms.m_alpha.ravel(), terms.m_flux.ravel()
     bvals = [b.ravel() for b in _drift_arrays(spec.drift, grid)]
-    m_alpha, m_neg_alpha, m_flux = m**alpha, m**-alpha, m ** (1.0 - alpha)
+    m_neg_alpha = m**-alpha
     pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
 
     # the stencils' weights, each the stencil of a unit value at one node: D's on the next node, L's on a
@@ -143,9 +156,7 @@ def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSyst
             ff.append((-lap_side - ((1.0 - alpha) * d) * w[j]) - (lam * d) * bvals[ax][j])
     vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm + 0.0  # an exact zero stored as +0.0
 
-    data = np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff])[pattern.order]
-    mat = sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(2 * n, 2 * n))
-    return LinearizedSystem(matrix=mat, base_state=s)
+    return LinearizedSystem(np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff]), s)
 
 
 def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_dirs=20) -> float:

@@ -19,7 +19,8 @@ merely nondecreasing V).  At lam = 0 the family has the explicit solution
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -190,6 +191,7 @@ class State:
 
     u: Field
     m: Field
+    _terms: StateTerms | None = field(default=None, init=False, repr=False, compare=False)  # see `_state_terms`
 
     def __post_init__(self):
         if self.u.grid != self.m.grid:
@@ -236,36 +238,53 @@ def potential_term_dm(spec: ProblemSpec, lam: float, m: np.ndarray) -> np.ndarra
     return lam * v_eff_dm + (1.0 - lam) * arctan_dm
 
 
-def _residual_arrays(spec: ProblemSpec, lam: float, u: np.ndarray, m: np.ndarray):
-    """Both components of F(lam, u, m) on arrays of grid shape, of any float or complex dtype.
+# The lam-free terms of F at one state under `spec`: Du, Lu, |Du|^2, m^alpha, m^(1-alpha), arctan(m), V_eff,
+# b.Du, div(m^(1-alpha) Du), div(b m), and the partial sums u - Lu + |Du|^2/(2 m^alpha) and m - Lm - div(...)
+StateTerms = namedtuple("StateTerms", "spec du lap_u du_sq m_alpha m_flux arctan_m v_eff b_dot_du flux_div div_bm "
+                                      "u_part m_part")
 
-    The body of `residual`, with no checks and no `Field`: the shifted copies of u
-    feed both its gradient and its Laplacian, and arctan(m) is evaluated once.
-    """
+
+def _terms_arrays(spec: ProblemSpec, u: np.ndarray, m: np.ndarray) -> StateTerms:
+    """The `StateTerms` of (u, m), arrays of grid shape of any float or complex dtype: the shifted copies of
+    u feed both its gradient and its Laplacian, and arctan(m) is evaluated once."""
     grid = spec.grid
-    alpha = spec.alpha
     du, lap_u = gradient_and_laplacian(u, grid)
     du_sq = sum(d * d for d in du)
     bvals = _drift_arrays(spec.drift, grid)
     arctan_m = np.arctan(m)
-
-    r1 = (
-        u
-        - lap_u
-        + du_sq / (2.0 * m**alpha)
-        + lam * sum(b * d for b, d in zip(bvals, du))
-        - (lam * effective_potential(spec, grid, m, arctan_m) + (1.0 - lam) * arctan_m)
+    m_alpha, m_flux = m**spec.alpha, m ** (1.0 - spec.alpha)
+    flux_div = divergence_arrays([m_flux * d for d in du], grid)
+    return StateTerms(
+        spec, tuple(du), lap_u, du_sq, m_alpha, m_flux, arctan_m, effective_potential(spec, grid, m, arctan_m),
+        sum(b * d for b, d in zip(bvals, du)), flux_div, divergence_arrays([b * m for b in bvals], grid),
+        u - lap_u + du_sq / (2.0 * m_alpha), m - laplacian_array(m, grid) - flux_div,
     )
 
-    m_flux = m ** (1.0 - alpha)
-    r2 = (
-        m
-        - laplacian_array(m, grid)
-        - divergence_arrays([m_flux * d for d in du], grid)
-        - lam * divergence_arrays([b * m for b in bvals], grid)
-        - 1.0
-    )
-    return r1, r2
+
+def _at_lambda(t: StateTerms, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both components of F(lam, u, m) from the terms of (u, m), each sum in the order of the module docstring."""
+    return t.u_part + lam * t.b_dot_du - (lam * t.v_eff + (1.0 - lam) * t.arctan_m), t.m_part - lam * t.div_bm - 1.0
+
+
+def _residual_arrays(spec: ProblemSpec, lam: float, u: np.ndarray, m: np.ndarray):
+    """`residual` on arrays of grid shape, of any float or complex dtype: no checks, no `Field`, no cache."""
+    return _at_lambda(_terms_arrays(spec, u, m), lam)
+
+
+def _state_terms(spec: ProblemSpec, s: State) -> StateTerms:
+    """The terms of s under spec (m > 0 required), flagged read-only and kept with s, tagged with the spec
+    object: a call with any other spec object, even an equal one, computes them again."""
+    t = s._terms
+    if t is None or t.spec is not spec:
+        m = s.m.reshaped()
+        if m.min() <= 0.0:
+            raise NonPositiveDensity(f"min(m) = {m.min():g} <= 0 in residual")
+        with np.errstate(all="ignore"):  # as in `residual`
+            t = _terms_arrays(spec, s.u.reshaped(), m)
+        for a in (*t.du, *t[2:]):
+            read_only(a)
+        object.__setattr__(s, "_terms", t)
+    return t
 
 
 def residual(
@@ -276,17 +295,15 @@ def residual(
 ) -> tuple[Field, Field]:
     """Both components of F(lam, u, m); zero at lam=1, eps=0 certifies a discrete solution.
 
-    `sources` subtracts manufactured right-hand sides (verification harness).
-    Raises NonPositiveDensity when min(m) <= 0: the caller must damp its step;
-    NonFiniteResidual when a term overflows.
+    The lam-free terms of s are kept with it (`_state_terms`): its residual at another lam,
+    its Jacobian and its certificates reuse them.  `sources` subtracts manufactured right-hand
+    sides (verification harness).  Raises NonPositiveDensity when min(m) <= 0: the caller must
+    damp its step; NonFiniteResidual when a term overflows.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    m = s.m.reshaped()
-    if m.min() <= 0.0:
-        raise NonPositiveDensity(f"min(m) = {m.min():g} <= 0 in residual")
     with np.errstate(all="ignore"):  # an overflow is reported by _finite_pair, not warned about
-        r1, r2 = _residual_arrays(spec, lam, s.u.reshaped(), m)
+        r1, r2 = _at_lambda(_state_terms(spec, s), lam)
     if sources is not None:
         r1 = r1 - sources[0].reshaped()
         r2 = r2 - sources[1].reshaped()

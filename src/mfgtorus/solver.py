@@ -269,10 +269,10 @@ def _solve_krylov(matrix, b: np.ndarray, precond: Callable, rtol: float) -> tupl
 
 
 def _solve_band(sys: LinearizedSystem, b: np.ndarray) -> np.ndarray:
-    """Banded LU (LAPACK gbsv) of a matrix on the cached pattern; LinearSolveFailure on a zero pivot or non-finite x."""
+    """Banded LU (LAPACK gbsv) of a system's fill; LinearSolveFailure on a zero pivot or non-finite x."""
     order, inverse, kl, ku, slots = _band_layout(sys.grid)
     band = np.zeros((order.size, 2 * kl + ku + 1))
-    band.ravel()[slots] = sys.matrix.data
+    band.ravel()[slots] = sys.fill
     _, _, x, info = dgbsv(kl, ku, band.T, b[order, None], overwrite_ab=True, overwrite_b=True)
     if info != 0 or not np.all(np.isfinite(x)):
         raise LinearSolveFailure(f"singular or overflowing band LU (gbsv info {info})")

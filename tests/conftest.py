@@ -17,6 +17,7 @@ from mfgtorus import (
     residual,
 )
 from mfgtorus.grid import _diff, _second_diff
+from mfgtorus.linearization import LinearizedSystem, _jacobian_pattern
 
 # The stencils as sparse matrices on flat fields (row-major, axis 0 slowest): the
 # reference that the stencil arrays, the Jacobian and the preconditioner are tested against.
@@ -57,6 +58,19 @@ def laplacian_matrix(grid: GridSpec) -> sparse.csr_matrix:
         return l1
     eye = sparse.identity(grid.n, format="csr")
     return (sparse.kron(l1, eye) + sparse.kron(eye, l1)).tocsr()
+
+
+def system_of(matrix: sparse.spmatrix, base_state) -> LinearizedSystem:
+    """The `LinearizedSystem` at base_state whose CSR matrix is `matrix`: its values at the Jacobian
+    pattern's positions, in the pattern's order.  `matrix` must vanish off the pattern."""
+    pattern = _jacobian_pattern(base_state.grid)
+    rows = np.repeat(np.arange(pattern.indptr.size - 1), np.diff(pattern.indptr))
+    dense = matrix.toarray()
+    fill = np.empty(pattern.indices.size)
+    fill[pattern.order] = dense[rows, pattern.indices]
+    dense[rows, pattern.indices] = 0.0
+    assert not dense.any(), "the matrix has entries off the Jacobian pattern"
+    return LinearizedSystem(fill, base_state)
 
 
 def newton_rhs(spec: ProblemSpec, lam: float, s, sources=None) -> np.ndarray:

@@ -620,18 +620,18 @@ class TestJacobianCheckCommand:
 
     def test_wrong_jacobian_fails_the_fd_check(self, tmp_path, monkeypatch):
         """An A_fv block off by a factor 1 + 1e-3 exceeds FD_TOLERANCE, and the command exits 2."""
-        from dataclasses import replace
-
         import mfgtorus.cli as cli
         from mfgtorus import exact_initial
         from mfgtorus.linearization import FD_TOLERANCE, assemble_jacobian, fd_max_error
+
+        from conftest import system_of
 
         def wrong_jacobian(spec, lam, s):
             sys_ = assemble_jacobian(spec, lam, s)
             matrix, n = sys_.matrix.copy(), spec.grid.size
             rows = np.repeat(np.arange(2 * n), np.diff(matrix.indptr))
             matrix.data[(rows >= n) & (matrix.indices < n)] *= 1.0 + 1e-3
-            return replace(sys_, matrix=matrix)
+            return system_of(matrix, s)
 
         doc = base_config()
         doc["problem"]["n"] = 32

@@ -15,10 +15,10 @@ from mfgtorus import (
     residual,
 )
 from mfgtorus.grid import mesh
-from mfgtorus.linearization import LinearizedSystem, fd_max_error
+from mfgtorus.linearization import fd_max_error
 from mfgtorus.problem import potential_term_dm
 
-from conftest import diff_matrix, laplacian_matrix, suite_problem
+from conftest import diff_matrix, laplacian_matrix, suite_problem, system_of
 
 TWO_PI = 2 * np.pi
 
@@ -134,6 +134,28 @@ class TestPatternFill:
                     for attr in ("indptr", "indices", "data"):
                         a, b = getattr(stored, attr), getattr(want, attr)
                         assert a.dtype == b.dtype and np.array_equal(a, b), (attr, alpha, lam)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 16), (2, 8)])
+    def test_matrix_built_on_first_use_has_the_eager_bits(self, dim, n):
+        """`matrix`, built once from the fill, has the pattern's int32 indptr and indices and, at every
+        position, the reference's value with its sign bit: +0.0 where the reference stores nothing."""
+        from mfgtorus.linearization import _jacobian_pattern
+
+        pattern = _jacobian_pattern(GridSpec(dim, n))
+        rows = np.repeat(np.arange(pattern.indptr.size - 1), np.diff(pattern.indptr))
+        for case, alpha in (("flat", 0.0), ("kappa0", 0.5), ("sources", 0.9)):
+            spec = coefficient_case(dim, n, case, alpha)
+            for s in (exact_initial(spec), random_positive_state(spec.grid, seed=n)):
+                for lam in (0.0, 0.5, 1.0):
+                    sys_ = assemble_jacobian(spec, lam, s)
+                    mat = sys_.matrix
+                    assert sys_.matrix is mat
+                    for attr in ("indptr", "indices"):
+                        got, want = getattr(mat, attr), getattr(pattern, attr)
+                        assert got.dtype == np.int32 and np.array_equal(got, want)
+                    want = reference_jacobian(spec, lam, s).toarray()[rows, pattern.indices]
+                    assert mat.data.dtype == np.float64
+                    assert np.array_equal(mat.data.view(np.uint64), want.view(np.uint64)), (case, lam)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_exact_zeros_stay_in_the_pattern(self, dim):
@@ -269,8 +291,8 @@ class TestRotatedPairing:
         grid = GridSpec(1, 16)
         rng = np.random.default_rng(2)
         w = (Field(grid, rng.standard_normal(16)), Field(grid, rng.standard_normal(16)))
-        identity = LinearizedSystem(matrix=sparse.identity(2 * grid.size, format="csr"),
-                                    base_state=State(constant_field(grid, 0.0), constant_field(grid, 1.0)))
+        identity = system_of(sparse.identity(2 * grid.size, format="csr"),
+                             State(constant_field(grid, 0.0), constant_field(grid, 1.0)))
         assert bilinear_form(identity, w, w) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -450,7 +472,7 @@ class TestCoercivity:
     def test_degenerate_base_state_rejected(self):
         grid = GridSpec(1, 16)
         bad = State(constant_field(grid, 0.0), constant_field(grid, -1.0))
-        sys_ = LinearizedSystem(matrix=sparse.identity(2 * grid.size, format="csr"), base_state=bad)
+        sys_ = system_of(sparse.identity(2 * grid.size, format="csr"), bad)
         with pytest.raises(NonPositiveDensity):
             coercivity_check(sys_, n_samples=2, seed=0)
 

@@ -18,7 +18,7 @@ from mfgtorus import (
     sup_norm,
 )
 from mfgtorus.grid import _neighbours, divergence_arrays, gradient_arrays, harmonics, laplacian_array, mesh
-from mfgtorus.problem import _drift_arrays, _on_grid, _residual_arrays, effective_potential
+from mfgtorus.problem import _drift_arrays, _on_grid, _residual_arrays, _state_terms, effective_potential
 
 from conftest import suite_problem
 
@@ -205,6 +205,87 @@ class TestResidualKernel:
             jw = np.concatenate([r.imag.ravel() for r in _residual_arrays(spec, lam, z[0], z[1])]) / t
             exact = assemble_jacobian(spec, lam, State.from_stacked(spec.grid, x)).matrix @ w
             assert np.max(np.abs(jw - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def fresh_copy(s):
+    """s with its own arrays and no cached terms."""
+    return State(Field(s.grid, s.u.values.copy()), Field(s.grid, s.m.values.copy()))
+
+
+def spec_variants(spec):
+    """spec with one coefficient changed at a time: alpha, kappa, epsilon_monotone, the drift's scale."""
+    from dataclasses import replace
+
+    return [
+        replace(spec, alpha=0.3),
+        replace(spec, potential=replace(spec.potential, kappa=2.0)),
+        replace(spec, epsilon_monotone=0.2),
+        replace(spec, drift=spec.drift.scaled(3.0)),
+        replace(spec),  # equal, but another object
+    ]
+
+
+class TestStateTerms:
+    """`residual` keeps the lam-free terms with the state; whatever reuses them gets the uncached bits."""
+
+    @pytest.mark.parametrize("spec", [s for s in catalog_battery() if s.alpha == 0.5])
+    def test_cached_residual_equals_the_kernel(self, spec):
+        rng = np.random.default_rng(spec.grid.size)
+        s = State(Field(spec.grid, 0.3 * rng.standard_normal(spec.grid.size)),
+                  Field(spec.grid, 1.0 + 0.5 * rng.uniform(-1, 1, spec.grid.size)))
+        residual(spec, 0.5, s)
+        terms = s._terms
+        for lam in (0.0, 0.3, 1.0):
+            got = residual(spec, lam, s)
+            want = _residual_arrays(spec, lam, s.u.reshaped(), s.m.reshaped())
+            for field, arr in zip(got, want):
+                assert np.array_equal(field.values.view(np.uint64), arr.ravel().view(np.uint64)), lam
+        assert s._terms is terms  # computed once, at the first lam
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_terms_never_cross_specs(self, dim, n):
+        """Evaluated under one spec, a state's residual and Jacobian under a changed spec, with and without
+        MMS sources, are those of a fresh copy of it, bit for bit."""
+        from mfgtorus.linearization import assemble_jacobian
+
+        grid = GridSpec(dim, n)
+        drift = DriftSpec(tuple(TrigForm(0.1, (0.2,) * dim, (0.5,) * dim) for _ in range(dim)))
+        spec = ProblemSpec(grid, 0.6, PotentialSpec("separable", TrigForm(0.2, (0.4,) * dim, (-0.3,) * dim), 1.3),
+                           drift)
+        rng = np.random.default_rng(n)
+        sources = (Field(grid, rng.standard_normal(grid.size)), Field(grid, rng.standard_normal(grid.size)))
+        base = State(Field(grid, 0.3 * rng.standard_normal(grid.size)),
+                     Field(grid, 1.0 + 0.5 * rng.uniform(-1, 1, grid.size)))
+        for other in spec_variants(spec):
+            for src in (None, sources):
+                s = fresh_copy(base)
+                residual(spec, 0.5, s, src)
+                for lam in (0.3, 1.0):
+                    got, want = residual(other, lam, s, src), residual(other, lam, fresh_copy(base), src)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+                    s = fresh_copy(base)
+                    residual(spec, 0.5, s, src)
+                    got, want = assemble_jacobian(other, lam, s), assemble_jacobian(other, lam, fresh_copy(base))
+                    assert np.array_equal(got.fill.view(np.uint64), want.fill.view(np.uint64))
+                assert s._terms.spec is other
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_cached_terms_are_read_only(self, dim, n):
+        spec = next(s for s in catalog_battery() if s.grid.dim == dim)
+        s = State(Field(spec.grid, np.linspace(0.0, 1.0, spec.grid.size)), constant_field(spec.grid, 1.5))
+        residual(spec, 0.5, s)
+        terms = _state_terms(spec, s)
+        arrays = [*terms.du, *terms[2:]]
+        assert len(arrays) == len(terms._fields) - 2 + dim
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+            with pytest.raises(ValueError):
+                arr.ravel()[0] = 0.0
+        # no term aliases the state's own arrays, which stay writeable
+        assert s.u.values.flags.writeable and s.m.values.flags.writeable
 
 
 class TestExactInitial:

@@ -31,7 +31,15 @@ from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
 from mfgtorus.solver import KRYLOV_RTOL, _krylov_preconditioner, _solve_band, _solve_krylov
 
-from conftest import diff_matrix, laplacian_matrix, newton_rhs, problem_2d, reference_gmres, suite_problem
+from conftest import (
+    diff_matrix,
+    laplacian_matrix,
+    newton_rhs,
+    problem_2d,
+    reference_gmres,
+    suite_problem,
+    system_of,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -521,6 +529,46 @@ class TestBandSolve:
         assert rep.linear_paths == ["band"] * rep.iterations
         assert rep.krylov_iterations == [0] * rep.iterations
 
+    def test_one_dimensional_solves_build_no_csr_matrix(self, monkeypatch):
+        """The band solve scatters the fill itself: a 1-D Newton solve and continuation never build the CSR."""
+        import mfgtorus.linearization as linearization
+
+        def no_csr(*args, **kwargs):
+            raise AssertionError("a CSR matrix was built")
+
+        spec = suite_problem(0.5, n=64)
+        monkeypatch.setattr(linearization.sparse, "csr_matrix", no_csr)
+        _, rep = newton_solve(spec, 1.0, State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0)))
+        assert rep.converged and rep.linear_paths == ["band"] * rep.iterations
+        assert continuation_solve(spec)[1].success
+        with pytest.raises(AssertionError, match="CSR"):  # the patch does reach the matrix built on first use
+            assemble_jacobian(spec, 1.0, exact_initial(spec)).matrix
+
+    def test_terms_are_computed_once_per_state(self, monkeypatch):
+        """In a 1-D continuation every state's lam-free terms are computed once: at its first residual, which
+        every Newton start and trial gets; the next lam, the Jacobian and the snapshot reuse them."""
+        import mfgtorus.problem as problem
+        import mfgtorus.solver as solver_mod
+
+        def spy(call, seen):
+            def record(*args):
+                seen.append(next(a for a in args if isinstance(a, State)))
+                return call(*args)
+            return record
+
+        computed, evaluated, reused = [], [], []
+        forward = problem._terms_arrays
+        monkeypatch.setattr(problem, "_terms_arrays", lambda *args: computed.append(args) or forward(*args))
+        monkeypatch.setattr(solver_mod, "residual", spy(solver_mod.residual, evaluated))
+        for name in ("assemble_jacobian", "make_snapshot"):
+            monkeypatch.setattr(solver_mod, name, spy(getattr(solver_mod, name), reused))
+        # Newton capped at 3 iterations: failed steps are retried at a halved step from the same state
+        _, trace = continuation_solve(one_d_problem(64, 12.0, 12.0), NewtonOptions(max_iters=3),
+                                      StepOptions(initial_step=0.25))
+        assert trace.success and len(trace.steps) > 2 and trace.failures
+        states = {id(s) for s in evaluated}  # every state stays referenced, so no id is reused
+        assert len(computed) == len(states) and all(id(s) in states for s in reused)
+
     @pytest.mark.parametrize("failure", ["info", "nonfinite"])
     def test_failed_band_solve_fails_the_newton_step(self, monkeypatch, failure):
         import mfgtorus.solver as solver_mod
@@ -542,8 +590,6 @@ class TestBandSolve:
         assert direct_calls == []
 
     def test_singular_system_fails_the_newton_step(self, monkeypatch):
-        from dataclasses import replace
-
         import mfgtorus.solver as solver_mod
 
         spec = one_d_problem(16, 0.5, 0.3)
@@ -551,7 +597,7 @@ class TestBandSolve:
         sys, b = assemble_jacobian(spec, 1.0, state), newton_rhs(spec, 1.0, state)
         matrix = sys.matrix.copy()
         matrix.data[matrix.indptr[0] : matrix.indptr[1]] = 0.0  # a zero v row, kept in the structure
-        singular = replace(sys, matrix=matrix)
+        singular = system_of(matrix, state)
         with pytest.raises(LinearSolveFailure, match="singular"):  # gbsv meets the zero pivot
             _solve_band(singular, b)
         monkeypatch.setattr(solver_mod, "assemble_jacobian", lambda *args: singular)
@@ -813,6 +859,17 @@ class TestPerturbationPath:
         # Richardson-style fit: distances shrink like eps^p with p >= 1
         rates = [np.log10(d1 / d2) for d1, d2 in zip(dists, dists[1:])]
         assert all(r >= 0.9 for r in rates), (dists, rates)
+
+    def test_warm_start_at_a_new_eps_uses_none_of_the_old_terms(self):
+        """Each solve after the first restarts Newton at a new epsilon_monotone from the last state, which
+        holds the terms of the previous spec: it gives what a fresh copy of that state gives, bit for bit."""
+        from dataclasses import replace
+
+        spec = suite_problem(0.5, n=64)
+        (_, s1), (eps, s2) = perturbation_solve(spec, [1e-1, 1e-2])
+        fresh = State(Field(spec.grid, s1.u.values.copy()), Field(spec.grid, s1.m.values.copy()))
+        want, _ = newton_solve(replace(spec, epsilon_monotone=eps), 1.0, fresh)
+        assert np.array_equal(s2.stacked(), want.stacked())
 
     def test_validates_sequence(self):
         spec = arctan_only_problem(n=16)
