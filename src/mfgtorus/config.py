@@ -17,8 +17,8 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .diagnostics import DiagnosticsConfig
-from .errors import ConfigError, NonPositiveDensity
+from .diagnostics import DiagnosticsConfig, moment_majorant
+from .errors import ConfigError, MFGError, NonPositiveDensity
 from .grid import GridSpec
 from .problem import DriftSpec, PotentialSpec, ProblemSpec, TrigForm
 from .solver import NewtonOptions, StepOptions
@@ -231,6 +231,11 @@ def parse_config(doc: dict) -> RunConfig:
     diagnostics = _options(DiagnosticsConfig, doc.get("diagnostics", {}), "diagnostics")
     if any(r <= problem.alpha for r in diagnostics.r_values):
         raise ConfigError("diagnostics.r_values: every r must exceed alpha")
+    for r in diagnostics.r_values if "moment" in diagnostics.checks else ():
+        try:  # the majorant depends on (problem, r) alone: no grid or continuation can rescue an overflow
+            moment_majorant(problem, r)
+        except MFGError as err:
+            raise ConfigError(f"diagnostics.r_values: {err}") from err
 
     out_obj = doc.get("output", {})
     _check_keys(out_obj, {"dump_matrix"}, "output")

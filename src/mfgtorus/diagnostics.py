@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadExponent, MFGError, NonPositiveDensity, NotASolution
 from .grid import divergence_arrays, gradient_arrays, integral, sup_norm
-from .problem import ProblemSpec, State, _drift_arrays, _state_terms, effective_potential, residual
+from .problem import ProblemSpec, State, _drift_arrays, _state_terms, residual
 
 SUP_TOL = 1e-8  # roundoff slack on certified sup bounds
 N_THETA = 11  # the theta samples of `monotonicity_gap`'s derivative curve, endpoints included
@@ -132,31 +132,25 @@ def _finite(check: str, spec: ProblemSpec, r: float, *values: float) -> tuple[fl
     return values
 
 
-def cancellation_check(spec: ProblemSpec, s: State):
-    """The cancellation defect of s as a function of r > alpha; the r-free arrays are the state's residual terms.
+def cancellation_check(spec: ProblemSpec, s: State, r: float) -> float:
+    """The cancellation defect of s at r > alpha; Lu and div(m^(1-a) Du) are the state's residual terms.
 
-        at(r) = integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a)))
+        integral(lap(u) / (r m^r)) - integral(div(m^(1-a) Du) / ((r+1-a) m^(r+1-a)))
 
     Zero in the continuum for any smooth pair with m > 0 (both sides integrate
     by parts to integral(Du.Dm / m^(r+1))); discretely O(h^2).
     """
-    grid = spec.grid
     a = spec.alpha
     m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity("cancellation check needs m > 0")
+    if r <= a:
+        raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
     terms = _state_terms(spec, s)
-    lap_u, flux_div = terms.lap_u, terms.flux_div
-
-    def at(r: float) -> float:
-        if r <= a:
-            raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            term1 = integral(grid, lap_u / (r * m**r))
-            term2 = integral(grid, flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
-        return _finite("cancellation", spec, r, term1 - term2)[0]
-
-    return at
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        term1 = integral(spec.grid, terms.lap_u / (r * m**r))
+        term2 = integral(spec.grid, terms.flux_div / ((r + 1.0 - a) * m ** (r + 1.0 - a)))
+    return _finite("cancellation", spec, r, term1 - term2)[0]
 
 
 def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
@@ -167,8 +161,9 @@ def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
               + int m^-(r-a)/(r+1-a) - int div(b) m^-(r-a)/(r-a)
 
     at(r) returns (lhs, rhs, defect).  Only holds on solutions: raises NotASolution
-    above 100x the Newton tolerance `tol`.  The residual test runs once, and the r-free
-    arrays take Du, |Du|^2, b.Du and V_eff from the state's residual terms.
+    above 100x the Newton tolerance `tol`.  A factory, unlike `cancellation_check`: its
+    per-state work (the residual test, |Dm|^2 and div b) is not among the state's residual
+    terms, so it runs once here; |Du|^2, b.Du and V_eff are taken from those terms.
     The defect is O(h^2): the discrete chain rule behind the |Dm|^2 term is not
     exact, so the identity is verified by refinement, not equality.
     """
@@ -241,21 +236,18 @@ def monotonicity_gap(spec: ProblemSpec, s0: State, s1: State) -> MonotonicityGap
     m1 = s1.m.reshaped()
     if min(m0.min(), m1.min()) <= 0.0:
         raise NonPositiveDensity("both states need m > 0")
-    du0 = gradient_arrays(s0.u)
-    du1 = gradient_arrays(s1.u)
+    t0, t1 = _state_terms(spec, s0), _state_terms(spec, s1)
+    du0, du1 = t0.du, t1.du
     ddiff = [g1 - g0 for g0, g1 in zip(du0, du1)]  # D(u1 - u0)
     ddiff_sq = sum(d * d for d in ddiff)
-    du0_sq = sum(d * d for d in du0)
-    du1_sq = sum(d * d for d in du1)
 
     lhs = integral(
-        grid, (du1_sq / (2.0 * m1**a) - du0_sq / (2.0 * m0**a)) * (m0 - m1)
+        grid, (t1.du_sq / (2.0 * t1.m_alpha) - t0.du_sq / (2.0 * t0.m_alpha)) * (m0 - m1)
     ) + integral(
         grid,
-        sum((m0 ** (1.0 - a) * g0 - m1 ** (1.0 - a) * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0,
+        sum((t0.m_flux * g0 - t1.m_flux * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0,
     )
-    v0, v1 = (effective_potential(spec, grid, m) for m in (m0, m1))
-    rhs = integral(grid, (v1 - v0) * (m0 - m1))
+    rhs = integral(grid, (t1.v_eff - t0.v_eff) * (m0 - m1))
 
     thetas = np.linspace(0.0, 1.0, N_THETA)
     dmi = m1 - m0
@@ -306,8 +298,8 @@ def make_snapshot(
 
     A row is one verdict {check, r, value, threshold, passed, note}, with r None for
     the scalar checks.  The snapshot's scalar fields are always recorded; the per-r
-    checks are built once per state and run at each r > alpha, so what does not depend
-    on r (the r-free arrays, the identity's residual test) is computed once.  Off a lam = 1
+    checks run at each r > alpha on the state's residual terms, computed at most once per
+    state, and the identity check is built once per state for its residual test.  Off a lam = 1
     solution (to 100x `newton_tol`) no identity defect is recorded and each identity row
     fails with the reason; where m > 0 fails, so does every per-r row and no per-r value is recorded.
     """
@@ -335,10 +327,8 @@ def make_snapshot(
                 if check in checks:
                     row(check, r, math.inf, 0.0, False, "needs m > 0")
         return DiagnosticsSnapshot(sup_u, bound, min_m, mass_defect, (), (), ()), rows
-    cancellation = identity = None
+    identity = None
     not_a_solution = ""
-    if r_values and "cancellation" in checks:
-        cancellation = cancellation_check(spec, s)
     if r_values and "identity" in checks and lam == 1.0:
         try:
             identity = moment_identity_check(spec, s, newton_tol)
@@ -350,8 +340,8 @@ def make_snapshot(
             value, majorant = inverse_moment(spec, s, r)
             moments.append((r, value, majorant))
             row("moment", r, value, majorant, value <= majorant)
-        if cancellation is not None:
-            value = cancellation(r)
+        if "cancellation" in checks:
+            value = cancellation_check(spec, s, r)
             cancels.append((r, value))
             row("cancellation", r, abs(value), budget, abs(value) <= budget)
         if identity is not None:

@@ -223,10 +223,8 @@ def _drift_arrays(drift: DriftSpec, grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(_on_grid(c, grid) for c in drift.components)
 
 
-def effective_potential(spec: ProblemSpec, grid: GridSpec, m, arctan_m=None):
+def effective_potential(spec: ProblemSpec, grid: GridSpec, m, arctan_m):
     """V_eff = V + epsilon_monotone * arctan(m) on the grid, the lam = 1 coupling; arctan_m is arctan(m)."""
-    if arctan_m is None:
-        arctan_m = np.arctan(m)
     v = spec.potential.value_given_a(_on_grid(spec.potential.a, grid), m, arctan_m)
     return v + spec.epsilon_monotone * arctan_m
 
@@ -264,11 +262,6 @@ def _terms_arrays(spec: ProblemSpec, u: np.ndarray, m: np.ndarray) -> StateTerms
 def _at_lambda(t: StateTerms, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Both components of F(lam, u, m) from the terms of (u, m), each sum in the order of the module docstring."""
     return t.u_part + lam * t.b_dot_du - (lam * t.v_eff + (1.0 - lam) * t.arctan_m), t.m_part - lam * t.div_bm - 1.0
-
-
-def _residual_arrays(spec: ProblemSpec, lam: float, u: np.ndarray, m: np.ndarray):
-    """`residual` on arrays of grid shape, of any float or complex dtype: no checks, no `Field`, no cache."""
-    return _at_lambda(_terms_arrays(spec, u, m), lam)
 
 
 def _state_terms(spec: ProblemSpec, s: State) -> StateTerms:

@@ -76,7 +76,7 @@ def mms_source(case: ManufacturedCase, grid: GridSpec) -> tuple[Field, Field]:
         bvals = _drift_arrays(spec.drift, grid)
         db = [spec.drift.components[ax].deriv(grid, ax) for ax in range(dim)]
 
-        v_eff = effective_potential(spec, grid, m)
+        v_eff = effective_potential(spec, grid, m, np.arctan(m))
         s1 = u - lap_u + du_sq / (2.0 * m**a) + sum(b * d for b, d in zip(bvals, du)) - v_eff
 
         # div(m^(1-a) Du) by the chain rule, then div(b m) likewise

@@ -158,7 +158,7 @@ def test_criterion_07_identity_refinement(refined_solutions):
     cancel, ident = [], []
     for n in (64, 128, 256):
         spec, s = refined_solutions[n]
-        cancel.append(abs(cancellation_check(spec, s)(2.0)))
+        cancel.append(abs(cancellation_check(spec, s, 2.0)))
         ident.append(moment_identity_check(spec, s, NewtonOptions().tol_residual)(2.0)[2])
     orders_c = [np.log2(a / b) for a, b in zip(cancel, cancel[1:])]
     orders_i = [np.log2(a / b) for a, b in zip(ident, ident[1:])]

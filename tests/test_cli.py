@@ -27,6 +27,22 @@ def base_config(**overrides):
     return doc
 
 
+def reference_2d_config(n, **overrides):
+    """The 2-D reference problem: a(x) = 0.5 (cos 2 pi x + cos 2 pi y), b = 0.3 (sin 2 pi x, sin 2 pi y)."""
+    doc = {
+        "problem": {
+            "dim": 2,
+            "n": n,
+            "alpha": 0.5,
+            "potential": {"form": "separable", "kappa": 1.0, "a_cos": [0.5, 0.5], "a_sin": [0.0, 0.0]},
+            "drift": {"components": [{"const": 0.0, "cos": [0.0, 0.0], "sin": [0.3, 0.0]},
+                                     {"const": 0.0, "cos": [0.0, 0.0], "sin": [0.0, 0.3]}]},
+        }
+    }
+    doc.update(overrides)
+    return doc
+
+
 def every_key_config():
     """mms and sweep sections, and a non-default value in every solver, continuation and diagnostics key."""
     return base_config(
@@ -271,14 +287,16 @@ class TestSolveCommand:
         errors = {f["error"] for f in trace["failures"]}  # the band LU's step can overflow before the residual
         assert trace["failures"] and errors == {"NonFiniteResidual", "LinearSolveFailure"}
 
-    def test_majorant_overflow_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
+    def test_majorant_overflow_in_solve_exits_one_with_one_line(self, tmp_path, capsys):
         doc = base_config()
         doc["problem"].update(n=16, potential={"form": "separable", "kappa": 1e40, "a_cos": [0.5]})
         cfg = write_config(tmp_path, doc)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("run failed: the moment majorant overflows at r = ")
+        assert lines[0].startswith("config error: diagnostics.r_values: the moment majorant overflows at r = 4, "
+                                   "alpha = 0.5")
+        assert not (tmp_path / "x").exists()
 
 
 class TestVerifyCommand:
@@ -465,7 +483,7 @@ class TestVerifyCommand:
         }
         assert all(not row["passed"] and row["note"] == "needs m > 0" for row in per_r)
 
-    def test_majorant_overflow_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
+    def test_majorant_overflow_in_verify_exits_one_with_one_line(self, tmp_path, capsys):
         from mfgtorus import GridSpec, constant_field
 
         doc = base_config(diagnostics={"r_values": [400]})
@@ -475,10 +493,12 @@ class TestVerifyCommand:
         save_field(constant_field(GridSpec(1, 16), 1.0), tmp_path / "m.csv")
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "ver"),
                      "--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")])
-        assert code == 2
+        assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("run failed: the moment majorant overflows at r = 400, alpha = 0.5")
+        assert lines[0].startswith("config error: diagnostics.r_values: the moment majorant overflows at r = 400, "
+                                   "alpha = 0.5")
+        assert not (tmp_path / "ver").exists()
 
     def test_overflowing_residual_in_verify_exits_two_with_one_line(self, tmp_path, capsys):
         from mfgtorus import Field, GridSpec, constant_field
@@ -800,6 +820,29 @@ class TestConfigHardening:
         assert len(lines) == 1
         assert lines[0].startswith("config error: " + message.format(config=cfg))
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_majorant_exits_one_before_any_solve(self, tmp_path, capsys, command):
+        # the majorant depends on (problem, r) alone, so no grid of the ladder and no retry can rescue it
+        from mfgtorus import GridSpec, constant_field
+
+        doc = reference_2d_config(32, diagnostics={"r_values": [1.0, 400.0]})
+        cfg = write_config(tmp_path, doc)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command == "verify":
+            save_field(constant_field(GridSpec(2, 32), np.pi / 4), tmp_path / "u.csv")
+            save_field(constant_field(GridSpec(2, 32), 1.0), tmp_path / "m.csv")
+            argv += ["--state", str(tmp_path / "u.csv"), str(tmp_path / "m.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: diagnostics.r_values: the moment majorant overflows at r = 400, alpha = 0.5, "
+            "constant C = 6.32409"]
+        assert not (tmp_path / "x").exists()
+
+    def test_overflowing_majorant_allowed_without_the_moment_check(self):
+        checks = [c for c in DiagnosticsConfig.checks if c != "moment"]
+        cfg = parse_config(reference_2d_config(32, diagnostics={"r_values": [1.0, 400.0], "checks": checks}))
+        assert cfg.diagnostics.r_values == (1.0, 400.0)
 
     def test_integral_float_counts_still_accepted(self):
         cfg = parse_config(base_config(solver={"max_iters": 20.0}, continuation={"grow_iters": 2.0}))

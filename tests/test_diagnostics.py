@@ -29,7 +29,8 @@ from mfgtorus import (
 )
 from mfgtorus import diagnostics
 from mfgtorus.diagnostics import DiagnosticsConfig, DiagnosticsSnapshot
-from mfgtorus.grid import mesh, sup_norm
+from mfgtorus.grid import gradient_arrays, integral, mesh, sup_norm
+from mfgtorus.problem import effective_potential
 
 from conftest import problem_2d, suite_problem
 
@@ -153,34 +154,34 @@ class TestCancellation:
         spec = suite_problem(0.5, n=32)
         x = mesh(spec.grid)[0]
         s = State(constant_field(spec.grid, 1.0), Field(spec.grid, 1.0 + 0.4 * np.cos(TWO_PI * x)))
-        assert cancellation_check(spec, s)(2.0) == 0.0
+        assert cancellation_check(spec, s, 2.0) == 0.0
 
     def test_unit_density_telescopes_to_roundoff(self):
         spec = suite_problem(0.5, n=64)
         x = mesh(spec.grid)[0]
         s = State(Field(spec.grid, 0.3 * np.sin(TWO_PI * x)), constant_field(spec.grid, 1.0))
-        assert abs(cancellation_check(spec, s)(2.0)) <= 1e-13
+        assert abs(cancellation_check(spec, s, 2.0)) <= 1e-13
 
     def test_second_order_refinement_on_converged_solutions(self, refined_solutions):
         defects = []
         for n in (64, 128, 256):
             spec, s = refined_solutions[n]
-            defects.append(abs(cancellation_check(spec, s)(2.0)))
+            defects.append(abs(cancellation_check(spec, s, 2.0)))
         ratios = [a / b for a, b in zip(defects, defects[1:])]
         assert all(r >= 3.5 for r in ratios), (defects, ratios)
 
     def test_rejects_bad_exponent(self):
         spec = suite_problem(0.9, n=32)
         with pytest.raises(BadExponent):
-            cancellation_check(spec, exact_initial(spec))(0.9)
+            cancellation_check(spec, exact_initial(spec), 0.9)
 
     def test_overflowing_powers_raise_one_error(self):
         # m^r leaves the float range both ways: inf where m > 1, 0 (then x / 0) where m < 1
         spec = suite_problem(0.5, n=32)
         s = wavy_state(spec.grid)
-        assert np.isfinite(cancellation_check(spec, s)(400.0))
+        assert np.isfinite(cancellation_check(spec, s, 400.0))
         with pytest.raises(MFGError, match="cancellation check overflows at r = 100000, alpha = 0.5"):
-            cancellation_check(spec, s)(1e5)
+            cancellation_check(spec, s, 1e5)
 
 
 class TestMomentIdentity:
@@ -244,7 +245,7 @@ class TestMomentIdentity:
         spec = suite_problem(0.5, n=32)
         s = State(constant_field(spec.grid, 0.8), Field(spec.grid, np.linspace(-0.5, 2.5, 32)))
         with pytest.raises(NonPositiveDensity, match=f"{check} check needs m > 0"):
-            cancellation_check(spec, s) if check == "cancellation" else moment_identity_check(spec, s, NEWTON_TOL)
+            cancellation_check(spec, s, 2.0) if check == "cancellation" else moment_identity_check(spec, s, NEWTON_TOL)
 
 
 class TestMonotonicityGap:
@@ -308,6 +309,64 @@ class TestMonotonicityGap:
         s_bad = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, -0.5))
         with pytest.raises(NonPositiveDensity):
             monotonicity_gap(spec, s_good, s_bad)
+
+
+def monotonicity_gap_reference(spec, s0, s1):
+    """(lhs, rhs, di_dtheta, lower_bounds, i1_trapezoid) of `monotonicity_gap`, each state evaluated here."""
+    grid, a = spec.grid, spec.alpha
+    m0, m1 = s0.m.reshaped(), s1.m.reshaped()
+    du0, du1 = gradient_arrays(s0.u), gradient_arrays(s1.u)
+    ddiff = [g1 - g0 for g0, g1 in zip(du0, du1)]
+    ddiff_sq = sum(d * d for d in ddiff)
+    du0_sq, du1_sq = sum(d * d for d in du0), sum(d * d for d in du1)
+    lhs = integral(grid, (du1_sq / (2.0 * m1**a) - du0_sq / (2.0 * m0**a)) * (m0 - m1)) + integral(
+        grid, sum((m0 ** (1.0 - a) * g0 - m1 ** (1.0 - a) * g1) * d for g0, g1, d in zip(du0, du1, ddiff)) * -1.0)
+    v0, v1 = (effective_potential(spec, grid, m, np.arctan(m)) for m in (m0, m1))
+    rhs = integral(grid, (v1 - v0) * (m0 - m1))
+    thetas = np.linspace(0.0, 1.0, diagnostics.N_THETA)
+    dmi = m1 - m0
+    curve, bounds = [], []
+    for th in thetas:
+        m_t = m0 + th * dmi
+        du_t = [(1.0 - th) * g0 + th * g1 for g0, g1 in zip(du0, du1)]
+        du_t_dot = sum(g * d for g, d in zip(du_t, ddiff))
+        du_t_sq = sum(g * g for g in du_t)
+        main = integral(grid, m_t ** (1.0 - a) * ddiff_sq)
+        curve.append(-a * integral(grid, du_t_dot * dmi * m_t**-a)
+                     + 0.5 * a * integral(grid, du_t_sq * dmi * dmi * m_t ** -(1.0 + a)) + main)
+        bounds.append((1.0 - 0.5 * a) * main)
+    y = np.asarray(curve)
+    return lhs, rhs, curve, bounds, float((np.diff(thetas) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+@pytest.fixture(scope="module")
+def gap_pairs():
+    """Solutions at kappa = 1 and 1.0001 at 1-D n = 64 and at 2-D n = 16, each pair under its first problem,
+    and two manufactured states at alpha = 1.5, beyond the solvable range.  The solutions lie close, so the
+    differences of the pairing cancel and an ulp moved in one state's terms survives the integrals."""
+    pairs = {}
+    for key, specs in (("1d", (suite_problem(0.5, n=64), suite_problem(0.5, kappa=1.0001, n=64))),
+                       ("2d", (problem_2d(n=16), problem_2d(kappa=1.0001, n=16)))):
+        pairs[key] = (specs[0], *(continuation_solve(spec)[0] for spec in specs))
+    pot = PotentialSpec("saturating", TrigForm(0.1, (0.2,), (0.3,)), 0.7)
+    spec = ProblemSpec(GridSpec(1, 64), 1.5, pot, DriftSpec((TrigForm(0.0, (0.0,), (0.3,)),)), 0.05)
+    x = mesh(spec.grid)[0]
+    pairs["alpha-1.5"] = (spec, wavy_state(spec.grid),
+                          State(Field(spec.grid, -0.1 * np.cos(TWO_PI * x)),
+                                Field(spec.grid, 1.3 + 0.5 * np.sin(TWO_PI * x))))
+    return pairs
+
+
+class TestMonotonicityGapPinned:
+    @pytest.mark.parametrize("key", ["1d", "2d", "alpha-1.5"])
+    def test_bitwise_equal_to_the_evaluation_of_each_state(self, gap_pairs, key):
+        spec, s0, s1 = gap_pairs[key]
+        rep = monotonicity_gap(spec, s0, s1)
+        got = (rep.lhs, rep.rhs, *rep.di_dtheta, *rep.lower_bounds, rep.i1_trapezoid)
+        lhs, rhs, curve, bounds, i1 = monotonicity_gap_reference(spec, s0, s1)
+        want = (lhs, rhs, *curve, *bounds, i1)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert rep.lhs != 0.0 and rep.rhs != 0.0
 
 
 class TestQuadratureDoubleEntry:
@@ -413,7 +472,7 @@ def snapshot_from_checks(spec, s, lam, r_values, tol):
     return DiagnosticsSnapshot(
         sup_u, bound, min_m, mass_defect,
         tuple((r, *inverse_moment(spec, s, r)) for r in rs),
-        tuple((r, cancellation_check(spec, s)(r)) for r in rs),
+        tuple((r, cancellation_check(spec, s, r)) for r in rs),
         identities,
     )
 
@@ -457,6 +516,35 @@ class TestSnapshotEqualsChecks:
         assert seen == [1.0] * calls
 
 
+class TestSnapshotReadsTheStateTerms:
+    """A snapshot evaluates its state at most once: every check reads the terms kept with the state."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("fresh, calls", [(False, 0), (True, 1)], ids=["newton-state", "fresh-state"])
+    def test_terms_computed_at_most_once(self, snapshot_solutions, monkeypatch, lam, fresh, calls):
+        from mfgtorus import newton_solve, problem
+
+        spec, s = snapshot_solutions["1d"]
+        x = mesh(spec.grid)[0]
+        start = State(Field(spec.grid, s.u.values + 0.01 * np.sin(TWO_PI * x)), s.m)
+        s, report = newton_solve(spec, lam, start)
+        assert report.converged
+        if fresh:
+            s = State(Field(spec.grid, s.u.values.copy()), Field(spec.grid, s.m.values.copy()))
+        original = problem._terms_arrays
+        seen = []
+
+        def counting(*args):
+            seen.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(problem, "_terms_arrays", counting)
+        snap, _ = make_snapshot(spec, s, lam, DiagnosticsConfig(), NEWTON_TOL)
+        assert len(snap.inverse_moments) == len(snap.cancellation_residuals) == 3
+        assert len(snap.moment_identity_defects) == (3 if lam == 1.0 else 0)
+        assert seen == [spec] * calls
+
+
 def rows_from_checks(spec, s, dcfg, tol):
     """The rows `verify` printed when it called the public checks once per r, thresholds worked out here."""
     h2 = spec.grid.h ** 2
@@ -479,7 +567,7 @@ def rows_from_checks(spec, s, dcfg, tol):
             value, majorant = inverse_moment(spec, s, r)
             add("moment", r, value, majorant, value <= majorant)
         if "cancellation" in dcfg.checks:
-            value = cancellation_check(spec, s)(r)
+            value = cancellation_check(spec, s, r)
             budget = dcfg.identity_budget_factor * h2
             add("cancellation", r, abs(value), budget, abs(value) <= budget)
         if "identity" in dcfg.checks:

@@ -18,7 +18,7 @@ from mfgtorus import (
     sup_norm,
 )
 from mfgtorus.grid import _neighbours, divergence_arrays, gradient_arrays, harmonics, laplacian_array, mesh
-from mfgtorus.problem import _drift_arrays, _on_grid, _residual_arrays, _state_terms, effective_potential
+from mfgtorus.problem import _at_lambda, _drift_arrays, _on_grid, _state_terms, _terms_arrays, effective_potential
 
 from conftest import suite_problem
 
@@ -179,7 +179,7 @@ class TestResidualKernel:
                   Field(grid, 1.0 + 0.5 * rng.uniform(-1, 1, grid.size)))
         sources = (Field(grid, rng.standard_normal(grid.size)), Field(grid, rng.standard_normal(grid.size)))
         for lam in (0.0, 0.37, 1.0):
-            kernel = _residual_arrays(spec, lam, s.u.reshaped(), s.m.reshaped())
+            kernel = _at_lambda(_terms_arrays(spec, s.u.reshaped(), s.m.reshaped()), lam)
             for got, want in zip(kernel, residual_reference(spec, lam, s.u.reshaped(), s.m.reshaped(), None)):
                 assert np.array_equal(got, want)
             for src in (None, sources):
@@ -202,7 +202,7 @@ class TestResidualKernel:
         t = 1e-30
         z = (x + 1j * t * w).reshape((2, *spec.grid.shape))
         for lam in (0.37, 1.0):
-            jw = np.concatenate([r.imag.ravel() for r in _residual_arrays(spec, lam, z[0], z[1])]) / t
+            jw = np.concatenate([r.imag.ravel() for r in _at_lambda(_terms_arrays(spec, z[0], z[1]), lam)]) / t
             exact = assemble_jacobian(spec, lam, State.from_stacked(spec.grid, x)).matrix @ w
             assert np.max(np.abs(jw - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -237,7 +237,7 @@ class TestStateTerms:
         terms = s._terms
         for lam in (0.0, 0.3, 1.0):
             got = residual(spec, lam, s)
-            want = _residual_arrays(spec, lam, s.u.reshaped(), s.m.reshaped())
+            want = _at_lambda(_terms_arrays(spec, s.u.reshaped(), s.m.reshaped()), lam)
             for field, arr in zip(got, want):
                 assert np.array_equal(field.values.view(np.uint64), arr.ravel().view(np.uint64)), lam
         assert s._terms is terms  # computed once, at the first lam
@@ -349,7 +349,7 @@ class TestPerGridArrays:
         m = 1.0 + 0.5 * np.cos(2 * np.pi * mesh(spec.grid)[0])
         pot = spec.potential
         expected = pot.value_given_a(pot.a.value(spec.grid), m, np.arctan(m)) + spec.epsilon_monotone * np.arctan(m)
-        assert np.array_equal(effective_potential(spec, spec.grid, m), expected)
+        assert np.array_equal(effective_potential(spec, spec.grid, m, np.arctan(m)), expected)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cached_arrays_are_read_only(self, dim):
