@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics as diag
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, sweep_cell_problem
 from .errors import ContinuationStalled, MFGError, SolverFailure
 from .grid import load_field, save_field, sup_norm
 from .linearization import FD_TOLERANCE, assemble_jacobian, coercivity_check, fd_max_error
@@ -177,11 +177,9 @@ def cmd_jacobian_check(args, cfg, out) -> int:
 
 def _sweep_cell(payload) -> dict:
     cfg, alpha, kappa, scale = payload
-    base = cfg.problem
     row = {"alpha": alpha, "kappa": kappa, "drift_scale": scale}
     try:
-        pot = replace(base.potential, kappa=kappa)
-        spec = replace(base, alpha=alpha, potential=pot, drift=base.drift.scaled(scale))
+        spec = sweep_cell_problem(cfg.problem, alpha, kappa, scale)
         s, trace = continuation_solve(spec, cfg.solver, cfg.continuation, cfg.diagnostics)
     except (MFGError, ValueError) as err:
         row.update(min_m=float("nan"), sup_u=float("nan"), iterations=-1,
@@ -198,12 +196,7 @@ def _sweep_cell(payload) -> dict:
 
 
 def cmd_sweep(args, cfg, out) -> int:
-    cells = [
-        (cfg, a, k, sc)
-        for a in cfg.sweep.alphas
-        for k in cfg.sweep.kappas
-        for sc in cfg.sweep.drift_scales
-    ]
+    cells = [(cfg, *cell) for cell in cfg.sweep.cells]
     jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="") as fh:  # opened first: an unwritable path fails before any cell runs

@@ -13,9 +13,10 @@ copy reproduces the run byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .diagnostics import DiagnosticsConfig, moment_majorant
 from .errors import ConfigError, MFGError, NonPositiveDensity
@@ -185,6 +186,17 @@ class SweepConfig:
         if any(k < 0 for k in self.kappas):
             raise ValueError("every entry of kappas must be >= 0")
 
+    @property
+    def cells(self) -> list[tuple[float, float, float]]:
+        """(alpha, kappa, drift scale) of every cell, in the order of the sweep table's rows."""
+        return list(itertools.product(self.alphas, self.kappas, self.drift_scales))
+
+
+def sweep_cell_problem(problem: ProblemSpec, alpha: float, kappa: float, drift_scale: float) -> ProblemSpec:
+    """The problem one sweep cell solves: `problem` at the cell's alpha and kappa, with its drift scaled."""
+    potential = replace(problem.potential, kappa=kappa)
+    return replace(problem, alpha=alpha, potential=potential, drift=problem.drift.scaled(drift_scale))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -231,11 +243,18 @@ def parse_config(doc: dict) -> RunConfig:
     diagnostics = _options(DiagnosticsConfig, doc.get("diagnostics", {}), "diagnostics")
     if any(r <= problem.alpha for r in diagnostics.r_values):
         raise ConfigError("diagnostics.r_values: every r must exceed alpha")
-    for r in diagnostics.r_values if "moment" in diagnostics.checks else ():
-        try:  # the majorant depends on (problem, r) alone: no grid or continuation can rescue an overflow
-            moment_majorant(problem, r)
-        except MFGError as err:
-            raise ConfigError(f"diagnostics.r_values: {err}") from err
+    sweep = _options(SweepConfig, doc["sweep"], "sweep") if "sweep" in doc else None
+    # a snapshot checks the moment majorant at each r > alpha of its problem, the run's or a sweep cell's; the
+    # majorant depends on (problem, r) alone, so no grid or continuation can rescue an overflow
+    checked = [("diagnostics.r_values", problem)]
+    checked += [("sweep cell alpha = %r, kappa = %r, drift_scale = %r" % cell, sweep_cell_problem(problem, *cell))
+                for cell in (sweep.cells if sweep else ())]
+    for where, spec in checked if "moment" in diagnostics.checks else ():
+        for r in (r for r in diagnostics.r_values if r > spec.alpha):
+            try:
+                moment_majorant(spec, r)
+            except MFGError as err:
+                raise ConfigError(f"{where}: {err}") from err
 
     out_obj = doc.get("output", {})
     _check_keys(out_obj, {"dump_matrix"}, "output")
@@ -255,10 +274,6 @@ def parse_config(doc: dict) -> RunConfig:
         _build("mms.grids", refinement_grids, problem.grid.dim, grids)
         u, m = (_trig(mo[key], problem.grid.dim, f"mms.{key}") for key in ("u", "m"))
         mms = MmsConfig(grids, _build("mms.m", ManufacturedCase, problem, u, m))
-
-    sweep = None
-    if "sweep" in doc:
-        sweep = _options(SweepConfig, doc["sweep"], "sweep")
 
     return RunConfig(
         problem=problem,

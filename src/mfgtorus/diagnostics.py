@@ -187,16 +187,17 @@ def moment_identity_check(spec: ProblemSpec, s: State, tol: float):
             raise BadExponent(f"need r > alpha, got r = {r}, alpha = {a}")
         p = r + 1.0 - a
         with np.errstate(over="ignore", invalid="ignore"):
+            m_r, m_ra = m**-r, m ** -(r - a)
             lhs = (
                 integral(grid, m**-p) / p
                 + integral(grid, du_sq * m ** -(r + a)) / (2.0 * r)
                 + integral(grid, dm_sq * m ** -(r + 2.0 - a))
             )
             rhs = (
-                integral(grid, (v_eff - u) * m**-r) / r
-                - integral(grid, b_dot_du * m**-r) / r
-                + integral(grid, m ** -(r - a)) / p
-                - integral(grid, div_b * m ** -(r - a)) / (r - a)
+                integral(grid, (v_eff - u) * m_r) / r
+                - integral(grid, b_dot_du * m_r) / r
+                + integral(grid, m_ra) / p
+                - integral(grid, div_b * m_ra) / (r - a)
             )
         return _finite("identity", spec, r, lhs, rhs, abs(lhs - rhs))
 

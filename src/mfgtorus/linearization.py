@@ -48,16 +48,14 @@ class LinearizedSystem:
 class _JacobianPattern:
     """The Jacobian's CSR structure on one grid and where the fill's values go in it.
 
-    The fill lists its values block by block, one length-N array per stencil
+    The fill lists its values block by block, one grid's worth per stencil
     offset, in the order `_jacobian_pattern` lists the (row, column) pairs;
-    `order` puts that list into CSR order.  `shifts` holds, per axis, the flat
-    index of each node's neighbours at offsets +1, -1, +2 and -2.
+    `order` puts that list into CSR order.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
-    shifts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=64)
@@ -65,10 +63,10 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
     """The positions `assemble_jacobian` fills: 2d + 2 in each v row, 4d + 2 in each f row."""
     n = grid.size
     node = np.arange(n)
-    shifts = []
+    shifts = []  # per axis, the flat index of each node's neighbours at offsets +1, -1, +2 and -2
     for ax in range(grid.dim):
-        nxt, prev = (read_only(a.ravel()) for a in _shifted(node.reshape(grid.shape), ax))
-        shifts.append((nxt, prev, read_only(nxt[nxt]), read_only(prev[prev])))
+        nxt, prev = (a.ravel() for a in _shifted(node.reshape(grid.shape), ax))
+        shifts.append((nxt, prev, nxt[nxt], prev[prev]))
     # v rows: A_vv at 0 and +-1, A_vf on the diagonal; f rows: A_fv at 0 and +-2, A_ff at 0 and +-1
     v_cols = [node, *(c for sh in shifts for c in sh[:2]), node + n]
     f_cols = [node, *(c for sh in shifts for c in sh[2:]), node + n, *(c + n for sh in shifts for c in sh[:2])]
@@ -79,7 +77,6 @@ def _jacobian_pattern(grid: GridSpec) -> _JacobianPattern:
         indptr=read_only(np.searchsorted(rows[order], np.arange(2 * n + 1)).astype(np.int32)),
         indices=read_only(cols[order].astype(np.int32)),
         order=read_only(order),
-        shifts=tuple(shifts),
     )
 
 
@@ -112,51 +109,45 @@ def assemble_jacobian(spec: ProblemSpec, lam: float, s: State) -> LinearizedSyst
 
     Every differential term reuses the stencils of `residual` exactly, and Du,
     |Du|^2, m^a and m^(1-a) are the state's cached residual terms.  Each block
-    is one length-N array per stencil offset, a pointwise product of shifted
-    state arrays; their concatenation is the system's `fill`, which the cached
-    `_jacobian_pattern` permutes into CSR order.  A slot with several terms adds
-    them in the order of the expression.  Exact zeros stay in the structure, so
-    every matrix on a grid has that one structure.  MMS sources are constant in
-    the unknowns, so they do not enter.
+    is one grid-shaped array per stencil offset, a pointwise product of state
+    arrays shifted by `residual`'s own `_shifted`; their concatenation, flattened,
+    is the system's `fill`, which the cached `_jacobian_pattern` permutes into CSR
+    order.  A slot with several terms adds them in the order of the expression.
+    Exact zeros stay in the structure, so every matrix on a grid has that one
+    structure.  MMS sources are constant in the unknowns, so they do not enter.
     """
     grid = spec.grid
-    m = s.m.values
+    m = s.m.reshaped()
     if m.min() <= 0.0:
         raise NonPositiveDensity("assemble_jacobian needs m > 0")
     alpha = spec.alpha
-    pattern = _jacobian_pattern(grid)
-    n = grid.size
-
     terms = _state_terms(spec, s)
-    du = [g.ravel() for g in terms.du]
-    du_sq, m_alpha, m_flux = terms.du_sq.ravel(), terms.m_alpha.ravel(), terms.m_flux.ravel()
-    bvals = [b.ravel() for b in _drift_arrays(spec.drift, grid)]
     m_neg_alpha = m**-alpha
-    pot_dm = potential_term_dm(spec, lam, s.m.reshaped()).ravel()
+    pot_dm = potential_term_dm(spec, lam, m)
 
     # the stencils' weights, each the stencil of a unit value at one node: D's on the next node, L's on a
     # neighbour and on the node itself
     half = _diff(0.0, 0, grid.h, (1.0, 0.0))
     lap_side = _second_diff(0.0, 0, grid.h, (1.0, 0.0))
-    diag = np.full(n, 1.0 - grid.dim * _second_diff(1.0, 0, grid.h, (0.0, 0.0)))
+    diag = np.full(grid.shape, 1.0 - grid.dim * _second_diff(1.0, 0, grid.h, (0.0, 0.0)))
 
     # per axis, d = +-half is D's weight on the neighbour j at +-1:
     # A_vv = I - L + sum_i diag(c_i) D_i;  A_ff = I - L - sum_i ((1-a) D_i diag(m^-a Du_i) + lam D_i diag(b_i));
     # A_fv = -sum_i D_i diag(m^(1-a)) D_i: the path through j gives (half m_j) half at +-2 and minus that at 0
     vv, fv, ff = [], [], []
     fv_diag = 0.0
-    for ax, shifts in enumerate(pattern.shifts):
-        coef = du[ax] / m_alpha + lam * bvals[ax]
-        w = m_neg_alpha * du[ax]
-        flux = [(half * m_flux[j]) * half for j in shifts[:2]]
+    for ax, (du, b) in enumerate(zip(terms.du, _drift_arrays(spec.drift, grid))):
+        coef = du / terms.m_alpha + lam * b
+        flux = [(half * m_j) * half for m_j in _shifted(terms.m_flux, ax)]
         fv_diag = fv_diag + (flux[0] + flux[1])
         fv += [-p for p in flux]
-        for j, d in zip(shifts[:2], (half, -half)):
+        for w_j, b_j, d in zip(_shifted(m_neg_alpha * du, ax), _shifted(b, ax), (half, -half)):
             vv.append(-lap_side + coef * d)
-            ff.append((-lap_side - ((1.0 - alpha) * d) * w[j]) - (lam * d) * bvals[ax][j])
-    vf = -alpha * du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm + 0.0  # an exact zero stored as +0.0
+            ff.append((-lap_side - ((1.0 - alpha) * d) * w_j) - (lam * d) * b_j)
+    vf = -alpha * terms.du_sq / (2.0 * m ** (alpha + 1.0)) - pot_dm + 0.0  # an exact zero stored as +0.0
 
-    return LinearizedSystem(np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff]), s)
+    # joined along axis 0 and flattened once: the flat order of `np.concatenate(..., axis=None)` at less cost
+    return LinearizedSystem(np.concatenate([diag, *vv, vf, fv_diag, *fv, diag, *ff]).ravel(), s)
 
 
 def fd_max_error(spec: ProblemSpec, lam: float, sys: LinearizedSystem, rng, n_dirs=20) -> float:

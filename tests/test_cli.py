@@ -698,6 +698,32 @@ class TestSweepCommand:
         assert failed == ["0.5", "1.0", "1.0", "nan", "nan", "-1", "False", "ContinuationStalled"]
         assert capsys.readouterr().out == f"sweep: 1/2 cells succeeded -> {out / 'sweep.csv'}\n"
 
+    def test_overflowing_cell_majorant_exits_one_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        # every snapshot of the kappa = 1e40 cell raises the same MFGError, so that cell can never succeed
+        import mfgtorus.cli as cli_mod
+
+        solved = []
+        monkeypatch.setattr(cli_mod, "continuation_solve", lambda *args: solved.append(args))
+        doc = edited(("problem.n", 16), ("sweep", {"alphas": [0.5], "kappas": [1.0, 1e40]}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep cell alpha = 0.5, kappa = 1e+40, drift_scale = 1.0: the moment majorant overflows "
+            "at r = 4, alpha = 0.5, constant C = 3.14159e+40"]
+        assert not out.exists() and solved == []
+
+    def test_overflowing_cell_majorant_allowed_without_the_moment_check(self):
+        checks = [c for c in DiagnosticsConfig.checks if c != "moment"]
+        doc = edited(("problem.n", 16), ("diagnostics.checks", checks),
+                     ("sweep", {"alphas": [0.5], "kappas": [1.0, 1e40]}))
+        assert parse_config(doc).sweep.kappas == (1.0, 1e40)
+
+    def test_cell_majorant_is_checked_only_above_the_cells_alpha(self):
+        # a snapshot of the alpha = 0.7 cell skips r = 0.5, where the majorant is undefined
+        doc = edited(("problem.alpha", 0.3), ("diagnostics.r_values", [0.5, 2.0]),
+                     ("sweep", {"alphas": [0.3, 0.7], "kappas": [1.0]}))
+        assert parse_config(doc).sweep.cells == [(0.3, 1.0, 1.0), (0.7, 1.0, 1.0)]
+
     @pytest.fixture
     def fake_pool(self, monkeypatch):
         """Replace the process pool with an in-process one that records `max_workers`."""

@@ -135,7 +135,7 @@ class TestPatternFill:
                         a, b = getattr(stored, attr), getattr(want, attr)
                         assert a.dtype == b.dtype and np.array_equal(a, b), (attr, alpha, lam)
 
-    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 16), (2, 8)])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 16), (2, 8), (2, 9), (2, 24)])
     def test_matrix_built_on_first_use_has_the_eager_bits(self, dim, n):
         """`matrix`, built once from the fill, has the pattern's int32 indptr and indices and, at every
         position, the reference's value with its sign bit: +0.0 where the reference stores nothing."""

@@ -5,9 +5,10 @@
 Each tree is the root of a checkout.  Every operation of the three workloads in
 `perfbench/workloads.py` is run through `mfgtorus.cli.main` with the unshifted
 inputs the stored reference was made from (`build(w, None, dir)`), and so are
-operations that no workload runs: three `jacobian-check` operations with
+operations that no workload runs: four `jacobian-check` operations with
 `output.dump_matrix` on the workloads' reference problem (1-D n = 32 and 2-D
-n = 16 and 32), a 4-cell `sweep` of that problem at 2-D n = 32 (the smallest
+n = 16, 32 and 25, the last an odd grid, whose Jacobian's stencils wrap an odd
+periodic axis), a 4-cell `sweep` of that problem at 2-D n = 32 (the smallest
 grid a 2-D continuation climbs to from a coarser one, so every command that
 reaches the climb is compared), and the branches of the residual and of the
 certificates that every workload's `separable` potential with
@@ -62,8 +63,9 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 
 import workloads  # noqa: E402
 
-# (dim, n) of each jacobian-check operation
-JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16), "jacobian-check-2d-32": (2, 32)}
+# (dim, n) of each jacobian-check operation; 2-D n = 25 dumps a Jacobian whose stencils wrap an odd periodic axis
+JACOBIAN_CHECKS = {"jacobian-check-1d": (1, 32), "jacobian-check-2d": (2, 16), "jacobian-check-2d-32": (2, 32),
+                   "jacobian-check-2d-25": (2, 25)}
 # (dim, n, sweep section) of each sweep operation
 SWEEPS = {"sweep-2d-32": (2, 32, {"alphas": [0.3, 0.9], "kappas": [1.0, 2.0], "drift_scales": [1.0]})}
 # (dim, n, potential form, kappa, epsilon_monotone) of each solve off the workloads' branch,
