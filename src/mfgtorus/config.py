@@ -7,8 +7,8 @@ parses into, which lives beside the code that reads it (`NewtonOptions` and
 rule on a value is checked once, by the type or function that owns it (the
 `mms` rules are `verification`'s); only the rules that span sections are
 checked here.
-`RunConfig.resolved()` materializes every default; re-running with the emitted
-copy reproduces the run byte for byte.
+`RunConfig.resolved()` materializes every default, a null Newton tolerance as its
+number; re-running with the emitted copy reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def _strings(val, where: str) -> tuple[str, ...]:
 
 
 # The parser of each field annotation a flat section uses (annotations are strings here).
-_PARSERS = {"int": _integer, "float": _float, "tuple[float, ...]": _floats, "tuple[str, ...]": _strings}
+_PARSERS = {"int": _integer, "float": _float, "tuple[float, ...]": _floats, "tuple[str, ...]": _strings,
+            "float | None": lambda val, where: None if val is None else _float(val, where)}
 
 
 def _build(where: str, cls, *args, **kwargs):
@@ -266,18 +267,20 @@ def parse_config(doc: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
 
+    solved = [spec for _, spec in checked]  # every problem the config names, for one null tolerance's number
     mms = None
     if "mms" in doc:
         mo = doc["mms"]
         _check_keys(mo, {"grids", "u", "m"}, "mms", required=("grids", "u", "m"))
         grids = tuple(_integer(g, "mms.grids") for g in _floats(mo["grids"], "mms.grids"))
-        _build("mms.grids", refinement_grids, problem.grid.dim, grids)
+        solved += [replace(problem, grid=g) for g in _build("mms.grids", refinement_grids, problem.grid.dim, grids)]
         u, m = (_trig(mo[key], problem.grid.dim, f"mms.{key}") for key in ("u", "m"))
         mms = MmsConfig(grids, _build("mms.m", ManufacturedCase, problem, u, m))
 
     return RunConfig(
         problem=problem,
-        solver=_options(NewtonOptions, doc.get("solver", {}), "solver"),
+        solver=_build("solver.tol_residual", _options(NewtonOptions, doc.get("solver", {}), "solver").resolved,
+                      *solved),
         continuation=_options(StepOptions, doc.get("continuation", {}), "continuation"),
         diagnostics=diagnostics,
         dump_matrix=dump,

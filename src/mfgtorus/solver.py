@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dgbsv, dlartg
 # neither is called here: perfbench/tracer.py wraps solver.spsolve and solver.lsqr by name until ROADMAP item 14
 from scipy.sparse.linalg import lsqr, spsolve
 
-from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, make_snapshot
+from .diagnostics import DiagnosticsConfig, DiagnosticsSnapshot, certified_u_bound, make_snapshot
 from .errors import (
     ContinuationStalled,
     LinearSolveFailure,
@@ -65,11 +65,21 @@ MAX_ATTEMPTS = 1000
 COARSE_MIN_N = 16
 # the MFG_LOG=info line of each Newton solve at lambda = 1 on one grid size: a climbed level, or an MMS grid
 LEVEL_LOG = "%s n=%d: start residual %.3e, %d newton iterations, %d krylov iterations"
+TOL_MIN = 1e-10  # the least Newton tolerance `newton_tolerance` gives
+
+
+def newton_tolerance(spec: ProblemSpec) -> float:
+    """TOL_MIN, or above it the residual's rounding floor on spec (Oettli-Prager): half an ulp of the certified
+    sup bound on u along the homotopy, times the Laplacian stencil's weight 1 + 4 dim n^2.  ValueError on overflow."""
+    tol = max(TOL_MIN, 2.0**-53 * certified_u_bound(spec, 0.5) * (1 + 4 * spec.grid.dim * spec.grid.n**2))
+    if not np.isfinite(tol):  # 2^-53 is half the machine epsilon
+        raise ValueError("the tolerance rule overflows on the certified sup bound on u; set a number")
+    return tol
 
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    tol_residual: float = 1e-10
+    tol_residual: float | None = None  # None: `newton_tolerance`, resolved once per run by `resolved`
     max_iters: int = 50
     positivity_fraction: float = 0.1
     armijo_c: float = 1e-4
@@ -78,10 +88,15 @@ class NewtonOptions:
     def __post_init__(self):
         if not 0.0 < self.positivity_fraction < 1.0:
             raise ValueError("positivity_fraction must lie in (0, 1)")
-        if min(self.tol_residual, self.max_iters, self.armijo_c, self.min_damping) <= 0:
+        tol = 1.0 if self.tol_residual is None else self.tol_residual
+        if min(tol, self.max_iters, self.armijo_c, self.min_damping) <= 0:
             raise ValueError("all Newton options must be positive")
         if self.armijo_c >= 1.0:  # (1 - c t) res would then reject every full step
             raise ValueError("armijo_c must lie in (0, 1)")
+
+    def resolved(self, *specs: ProblemSpec) -> NewtonOptions:
+        """These options with a None tolerance set to the largest `newton_tolerance` of specs."""
+        return self if self.tol_residual is not None else replace(self, tol_residual=max(map(newton_tolerance, specs)))
 
 
 @dataclass(frozen=True)
@@ -287,8 +302,7 @@ def newton_solve(
     sources: tuple[Field, Field] | None = None,
 ) -> tuple[State, NewtonReport]:
     """Damped Newton on F(lam, .) from s0 (m > 0 required) down to the sup-norm tolerance."""
-    grid = spec.grid
-    s = s0
+    grid, opts, s = spec.grid, opts.resolved(spec), s0
     res = residual(spec, lam, s, sources)
     history = [sup_norm(*res)]
     damping: list[float] = []
@@ -329,6 +343,9 @@ def newton_solve(
             trial_m = s.m.values + t * dm
             if np.min(trial_m) >= floor:
                 trial = State(Field(grid, s.u.values + t * dv), Field(grid, trial_m))
+                if np.array_equal(trial.u.values, s.u.values) and np.array_equal(trial_m, s.m.values):
+                    t = 0.0  # s + t d rounds to s at every shorter t too, so the Armijo test cannot pass
+                    continue
                 trial_res = residual(spec, lam, trial, sources)
                 trial_norm = sup_norm(*trial_res)
                 if trial_norm <= (1.0 - opts.armijo_c * t) * history[-1]:
@@ -366,7 +383,7 @@ def continuation_solve(
     solutions, one step per size.  If the ladder fails, its `fallback` is recorded and `_continue` runs on n."""
     if not spec.solvable:
         raise ValueError(f"the solver requires alpha < 1, got alpha = {spec.alpha}")
-    sizes, trace = ladder_sizes(spec.grid), ContinuationTrace()
+    sizes, trace, opts = ladder_sizes(spec.grid), ContinuationTrace(), opts.resolved(spec)
     if len(sizes) == 1:
         return _continue(spec, opts, step_opts, diagnostics, trace)
     try:

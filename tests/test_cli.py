@@ -10,6 +10,7 @@ from mfgtorus import ManufacturedCase, NewtonOptions, StepOptions, TrigForm, loa
 from mfgtorus.cli import build_parser, main
 from mfgtorus.config import DiagnosticsConfig, load_config, parse_config
 from mfgtorus.errors import ConfigError
+from mfgtorus.solver import newton_tolerance
 
 
 def base_config(**overrides):
@@ -146,6 +147,23 @@ class TestConfigParsing:
         assert cfg.resolved()["mms"] == {"grids": [16, 32, 64], "u": {"const": 0.1, "cos": [0.2], "sin": [0.0]},
                                          "m": {"const": 1.0, "cos": [0.25], "sin": [0.1]}}
 
+    def test_null_tolerance_resolves_to_the_largest_over_every_problem(self):
+        def tol(**edits):
+            doc = base_config(solver={"tol_residual": None}, **edits.pop("sections", {}))
+            doc["problem"].update(edits)
+            return parse_config(doc).solver.tol_residual
+
+        assert tol() == parse_config(base_config()).solver.tol_residual == 1e-10
+        one_k = parse_config(edited(("problem.n", 1024))).problem
+        assert tol(n=1024) == newton_tolerance(one_k) > 1e-10
+        mms = {"grids": [256, 512, 1024], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
+               "m": {"const": 1.0, "cos": [0.25], "sin": [0.0]}}
+        assert tol(sections={"mms": mms}) == newton_tolerance(one_k)
+        sweep = {"alphas": [0.5], "kappas": [1.0, 3.0]}  # the kappa = 3 cell has the larger sup bound on u
+        kappa3 = parse_config(edited(("problem.n", 1024), ("problem.potential.kappa", 3.0))).problem
+        assert tol(n=1024, sections={"sweep": sweep}) == newton_tolerance(kappa3) > newton_tolerance(one_k)
+        assert parse_config(edited(("problem.n", 1024), ("solver.tol_residual", 1e-12))).solver.tol_residual == 1e-12
+
 
 class TestSolveCommand:
     def test_writes_outputs_and_succeeds(self, tmp_path):
@@ -256,6 +274,17 @@ class TestSolveCommand:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
+    def test_former_floor_stall_solves_and_reruns_from_its_resolved_config(self, tmp_path):
+        cfg = write_config(tmp_path, edited(("problem.n", 1024)))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        resolved = json.loads((tmp_path / "a/resolved_config.json").read_text())
+        assert resolved["solver"]["tol_residual"] == newton_tolerance(load_config(cfg).problem) > 1e-10
+        trace = json.loads((tmp_path / "a/trace.json").read_text())
+        assert trace["success"] and trace["steps"][-1]["newton"]["residual_history"][-1] <= 1e-9
+        assert main(["solve", "--config", str(tmp_path / "a/resolved_config.json"), "--out", str(tmp_path / "b")]) == 0
+        for name in ("trace.json", "u.csv", "m.csv", "resolved_config.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_stall_exits_two_with_trace(self, tmp_path, capsys):
         doc = base_config(
             solver={"max_iters": 1},
@@ -275,8 +304,9 @@ class TestSolveCommand:
         assert (out / "jacobian_final.mtx").exists()
 
     def test_overflowing_residual_in_solve_exits_two_with_one_line(self, tmp_path, capsys):
-        # every trial state's residual overflows; each is a step failure until the step underflows
-        doc = base_config(diagnostics={"r_values": []})
+        # every trial state's residual overflows; each is a step failure until the step underflows.  The
+        # tolerance is a number: the default rule overflows on this epsilon_monotone (a config error)
+        doc = base_config(diagnostics={"r_values": []}, solver={"tol_residual": 1e-10})
         doc["problem"].update(n=32, epsilon_monotone=1e308)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
@@ -779,6 +809,10 @@ class TestConfigHardening:
             # json writes these as the extensions NaN and Infinity, and a 401-digit integer
             ("solver", {"tol_residual": float("nan")},
              "solver.tol_residual: expected a finite number, got nan"),
+            ("solver", {"tol_residual": "1e-10"}, "solver.tol_residual: expected a finite number, got '1e-10'"),
+            ("solver", {"tol_residual": False}, "solver.tol_residual: expected a finite number, got False"),
+            ("solver", {"tol_residual": 0}, "solver: all Newton options must be positive"),
+            ("solver", {"tol_residual": -1e-10}, "solver: all Newton options must be positive"),
             ("diagnostics", {"r_values": [1.0, float("inf")]},
              "diagnostics.r_values: expected a list of finite numbers"),
             ("solver", {"max_iters": 10**400}, "solver.max_iters: expected a finite number"),
@@ -805,6 +839,7 @@ class TestConfigHardening:
         ],
         ids=["shrink-out-of-range", "min-step-above-max-step", "initial-step-above-max-step",
              "negative-grow-iters", "fractional-max-iters", "fractional-grow-iters", "nan-scalar",
+             "string-tolerance", "boolean-tolerance", "zero-tolerance", "negative-tolerance",
              "infinite-list-entry", "integer-beyond-float-range", "grids-not-doubling",
              "empty-drift-scales", "bad-mms-density", "negative-budget-factor", "zero-budget-factor",
              "armijo-c-at-least-one", "shrink-near-one", "mms-grid-above-cap"],
@@ -831,11 +866,13 @@ class TestConfigHardening:
             (edited(("problem.potential.form", "x_only"), ("problem.potential.kappa", 0.0)),
              "problem.potential: form must be one of ('separable', 'saturating'), got 'x_only'"),
             (edited(("problem.n", 2**20 + 1)), "problem: n**dim must be at most 1048576, got 1048577**1"),
+            (edited(("problem.epsilon_monotone", 1e308), ("diagnostics.r_values", [])),
+             "solver.tol_residual: the tolerance rule overflows on the certified sup bound on u; set a number"),
             ('{"problem": ', "{config} is not valid JSON: "),
         ],
         ids=["section-not-an-object", "checks-not-strings", "harmonic-entry-count", "sweep-alpha-out-of-range",
              "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-form",
-             "n-above-grid-cap", "invalid-json"],
+             "n-above-grid-cap", "overflowing-tolerance-rule", "invalid-json"],
     )
     def test_rule_exits_one_with_one_line_naming_the_key(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"

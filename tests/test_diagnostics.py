@@ -9,7 +9,6 @@ from mfgtorus import (
     Field,
     GridSpec,
     MFGError,
-    NewtonOptions,
     NonPositiveDensity,
     NotASolution,
     PotentialSpec,
@@ -31,11 +30,12 @@ from mfgtorus import diagnostics
 from mfgtorus.diagnostics import DiagnosticsConfig, DiagnosticsSnapshot
 from mfgtorus.grid import gradient_arrays, integral, mesh, sup_norm
 from mfgtorus.problem import effective_potential
+from mfgtorus.solver import TOL_MIN
 
 from conftest import problem_2d, suite_problem
 
 TWO_PI = 2 * np.pi
-NEWTON_TOL = NewtonOptions().tol_residual  # the tolerance the solutions below were solved to
+NEWTON_TOL = TOL_MIN  # the tolerance the solutions below were solved to: `newton_tolerance` at every grid here
 
 
 def simpson(fn, n=10**6):

@@ -38,7 +38,8 @@ RANGES = {"tol_residual": (1e-11, 1e-6), "max_iters": (1, 100), "positivity_frac
           "growth": (1.0, 3.0), "shrink": (0.1, 0.9), "max_step": (0.05, 1.0), "min_step": (1e-8, 1e-3),
           "grow_iters": (1, 10), "identity_budget_factor": (1.0, 1e3)}
 # the boundary values of each drawn quantity: the number options by their type, the rest by name
-BOUNDARIES = {"float": [0.0, -1.0, 1.0, 1e-300, 1e300], "int": [0, -1, 1, 1.5, 10**6],
+BOUNDARIES = {"float": [0.0, -1.0, 1.0, 1e-300, 1e300], "float | None": [None, 0.0, -1.0, 1.0, 1e-300, 1e300],
+              "int": [0, -1, 1, 1.5, 10**6],
               "r_values": [[], [0.5], [60.0], [1.0, 1e3]], "checks": [[], ["bogus"]],
               "n": [7, 8, 16], "alpha": [0.0, 0.999, 1.0, -0.1], "form": ["x_only", ""],
               "kappa": [0.0, -1.0, 1e6], "drift_scale": [0.0, 30.0, 1e6], "epsilon_monotone": [0.0, -0.1, 1e6]}

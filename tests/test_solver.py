@@ -29,7 +29,14 @@ from mfgtorus import (
 )
 from mfgtorus.grid import mesh
 from mfgtorus.linearization import assemble_jacobian
-from mfgtorus.solver import KRYLOV_RTOL, _krylov_preconditioner, _solve_band, _solve_krylov
+from mfgtorus.solver import (
+    KRYLOV_RTOL,
+    TOL_MIN,
+    _krylov_preconditioner,
+    _solve_band,
+    _solve_krylov,
+    newton_tolerance,
+)
 
 from conftest import (
     diff_matrix,
@@ -156,6 +163,28 @@ class TestNewton:
         s0 = State(constant_field(spec.grid, 0.0), constant_field(spec.grid, 1.0))
         with pytest.raises(SolverFailure):
             newton_solve(spec, 1.0, s0, NewtonOptions(tol_residual=1e-18, max_iters=200))
+
+    def test_line_search_ends_at_the_first_trial_that_rounds_to_the_state(self, monkeypatch):
+        """An explicit 1e-10 lies below the floor at 1-D n = 1024: the fifth line search reaches a t at which
+        s + t d == s bit for bit after 12 trials, and stops there in place of halving on to min_damping
+        (19 trials).  The error and the report are those of the full line search."""
+        import mfgtorus.solver as solver_mod
+
+        spec = suite_problem(0.5, n=1024)
+        calls = []
+        forward = solver_mod.residual
+        monkeypatch.setattr(solver_mod, "residual", lambda *a, **k: calls.append(a[2]) or forward(*a, **k))
+        with pytest.raises(NoDescent) as exc:
+            newton_solve(spec, 0.1, exact_initial(spec), NewtonOptions(tol_residual=1e-10))
+        assert str(exc.value) == "damping underflowed below 1e-06 at iteration 4"
+        report = exc.value.report
+        assert (report.converged, report.iterations) == (False, 4)
+        assert report.damping_history == [1.0, 1.0, 0.0625, 0.0625]
+        assert report.linear_paths == ["band"] * 5 and report.krylov_iterations == [0] * 5
+        assert len(report.residual_history) == 5 and 4e-10 < report.residual_history[-1] < 4.1e-10
+        assert len(calls) == 1 + 1 + 1 + 5 + 5 + 13  # 33 when the last line search ran to min_damping
+        # the last trial evaluated still differs from the state, calls[-14], the fourth iteration accepted
+        assert not np.array_equal(calls[-1].stacked(), calls[-14].stacked())
 
 
 def strong_problem() -> ProblemSpec:
@@ -421,7 +450,7 @@ class TestInexactNewton:
     def test_forcing_rule(self):
         from mfgtorus.solver import FORCING_MAX, _forcing_term
 
-        tol = NewtonOptions().tol_residual
+        tol = TOL_MIN
         # the first iteration's term is FORCING_MAX
         assert _forcing_term([0.5], tol, 3.0) == FORCING_MAX == 1e-2
         assert _forcing_term([1e-2, 1e-4], tol, 1.0) == pytest.approx(0.9e-4, rel=1e-14)
@@ -914,7 +943,7 @@ def plain_continuation(spec: ProblemSpec):
     import mfgtorus.solver as solver_mod
     from mfgtorus.diagnostics import DiagnosticsConfig
 
-    return solver_mod._continue(spec, NewtonOptions(), StepOptions(), DiagnosticsConfig(),
+    return solver_mod._continue(spec, NewtonOptions().resolved(spec), StepOptions(), DiagnosticsConfig(),
                                 solver_mod.ContinuationTrace())
 
 
@@ -946,7 +975,7 @@ class TestGridLadder:
         assert all(st.lam == 1.0 and 0 < st.newton.iterations <= 3 for st in climbs)
         assert (trace.steps[-1].lam, trace.steps[-1].n) == (1.0, n)
         assert s.grid == spec.grid
-        assert sup_norm(*residual(spec, 1.0, s)) <= NewtonOptions().tol_residual
+        assert sup_norm(*residual(spec, 1.0, s)) <= newton_tolerance(spec) == TOL_MIN
 
     @pytest.mark.parametrize("drift_scale", [0.0, 3.0])
     @pytest.mark.parametrize("kappa", [0.0, 2.0])
@@ -1061,3 +1090,54 @@ class TestGridLadder:
         assert np.array_equal(s.stacked(), s_plain.stacked())
         assert trace.to_dict() == trace_plain.to_dict()
         assert {st.n for st in trace.steps} == {64} and trace.fallback is None
+
+
+def strong_1d(n: int) -> ProblemSpec:
+    """The strong set in 1-D: a = 4 cos, b = 4 sin, alpha = 0.5, kappa = 1."""
+    pot = PotentialSpec("separable", TrigForm(0.0, (4.0,), (0.0,)), 1.0)
+    return ProblemSpec(GridSpec(1, n), 0.5, pot, DriftSpec((TrigForm(0.0, (0.0,), (4.0,)),)))
+
+
+class TestResidualFloorTolerance:
+    """The default tolerance is `newton_tolerance`, the rounding floor of the residual where it exceeds TOL_MIN."""
+
+    @pytest.mark.parametrize("spec", [
+        *(coefficient_set_2d(*coeffs, n) for coeffs in COEFFICIENT_SETS.values() for n in (16, 24, 32, 48, 64)),
+        *(suite_problem(0.5, n=n) for n in (32, 64, 128, 256)),
+    ], ids=lambda spec: f"{spec.grid.dim}d-{spec.grid.n}-a{spec.potential.a.cos_amp[0]:g}")
+    def test_rule_keeps_tol_min_on_the_benchmark_problems(self, spec):
+        # every benchmark output at these sizes stays byte-identical only at exactly 1e-10
+        assert newton_tolerance(spec) == TOL_MIN == 1e-10
+        assert NewtonOptions().resolved(spec).tol_residual == 1e-10
+
+    @pytest.mark.parametrize("n, tol", [(512, 2.41e-10), (1024, 9.64e-10), (4096, 1.543e-8)])
+    def test_rule_above_tol_min_is_the_floor(self, n, tol):
+        spec = suite_problem(0.5, n=n)  # certified bound 0.5 + pi / 2
+        floor = 0.5 * np.finfo(float).eps * (0.5 + np.pi / 2) * (1 + 4 * n**2)
+        assert newton_tolerance(spec) == pytest.approx(floor, rel=1e-14) == pytest.approx(tol, rel=1e-3)
+
+    def test_resolved_takes_the_largest_and_keeps_an_explicit_number(self):
+        specs = [suite_problem(0.5, n=n) for n in (256, 1024, 512)]
+        assert NewtonOptions().resolved(*specs).tol_residual == newton_tolerance(specs[1])
+        explicit = NewtonOptions(tol_residual=1e-12)
+        assert explicit.resolved(*specs) is explicit
+
+    def test_overflowing_rule_is_a_value_error(self):
+        spec = suite_problem(0.5, n=64)
+        with pytest.raises(ValueError, match="the tolerance rule overflows"):
+            newton_tolerance(ProblemSpec(spec.grid, 0.5, spec.potential, spec.drift, 1e308))
+
+    @pytest.mark.parametrize("spec", [suite_problem(0.5, n=n) for n in (1024, 2048, 4096)] + [strong_1d(1024)],
+                             ids=["reference-1024", "reference-2048", "reference-4096", "strong-1024"])
+    def test_former_floor_stalls_solve_with_the_default(self, spec):
+        s, trace = continuation_solve(spec)
+        assert trace.success and trace.failures == []
+        assert all(st.newton.residual_history[-1] <= newton_tolerance(spec) for st in trace.steps)
+        assert sup_norm(*residual(spec, 1.0, s)) <= newton_tolerance(spec)
+
+    def test_strong_2d_256_climbs_without_a_fallback(self):
+        spec = coefficient_set_2d(*COEFFICIENT_SETS["strong"], 256)
+        s, trace = continuation_solve(spec)
+        assert trace.success and trace.fallback is None
+        assert [(st.n, st.lam) for st in trace.steps if st.n > 16] == [(32, 1.0), (64, 1.0), (128, 1.0), (256, 1.0)]
+        assert sup_norm(*residual(spec, 1.0, s)) <= newton_tolerance(spec)

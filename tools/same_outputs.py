@@ -22,7 +22,10 @@ workloads' strong set (1-D n = 64 and 2-D n = 32) in unit continuation steps
 with 3 Newton iterations, positivity fraction 0.9 and minimum damping 0.2,
 whose Newton solves fail by NoDescent and MaxItersExceeded before the
 continuation reaches lambda = 1 (no workload records a failed 2-D step), so
-that the failure exits of Newton are compared through the traces; and four `verify`
+that the failure exits of Newton are compared through the traces; a 1-D
+n = 1024 solve of the reference problem at an explicit `tol_residual` of 1e-10,
+below its residual's rounding floor, which stalls (exit 2) and so compares the
+line search's exit at a trial that rounds to the state; and four `verify`
 operations on the written 1-D states: the saturating state, the two 1-D
 kappa = 0 states as a refinement series (which writes `refinement.csv`), the
 n = 64 kappa = 0 state with a subset of the checks at other exponents and
@@ -79,6 +82,9 @@ BRANCH_SOLVES = {"solve-saturating-1d": (1, 64, "saturating", 1.0, 0.2),
 FAILURE_SOLVES = {"solve-failures-1d": (1, 64), "solve-failures-2d": (2, 32)}
 FAILURE_OPTIONS = {"continuation": {"initial_step": 1.0, "max_step": 1.0},
                    "solver": {"max_iters": 3, "positivity_fraction": 0.9, "min_damping": 0.2}}
+# (dim, n, solver section) of each solve of the reference problem at an explicit tolerance below its residual's
+# rounding floor, whose Newton solves stall until the line search meets a trial that rounds to the state
+FLOOR_SOLVES = {"solve-below-floor-1d-1024": (1, 1024, {"tol_residual": 1e-10})}
 # (config, solves whose states it reads) of each verify operation: a solution, a two-state
 # refinement series (refinement.csv), a subset of the checks at other exponents and budget,
 # and a state that does not solve the configured problem (failed identity rows with their note)
@@ -144,8 +150,8 @@ def sweep_ops(config_dir: Path) -> list[dict]:
 
 
 def branch_ops(config_dir: Path) -> list[dict]:
-    """Write the configs of the BRANCH_SOLVES and FAILURE_SOLVES into config_dir; return their operations, the
-    VERIFIES and the ERROR_EXITS."""
+    """Write the configs of the BRANCH_SOLVES, FAILURE_SOLVES and FLOOR_SOLVES into config_dir; return their
+    operations, the VERIFIES and the ERROR_EXITS."""
     configs = {}
     for op_id, (dim, n, form, kappa, eps) in BRANCH_SOLVES.items():
         problem = workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim)
@@ -154,6 +160,8 @@ def branch_ops(config_dir: Path) -> list[dict]:
         configs[op_id] = {"problem": problem}
     for op_id, (dim, n) in FAILURE_SOLVES.items():
         configs[op_id] = {"problem": workloads._problem(dim, n, workloads.STRONG_SET, [0] * dim), **FAILURE_OPTIONS}
+    for op_id, (dim, n, solver) in FLOOR_SOLVES.items():
+        configs[op_id] = {"problem": workloads._problem(dim, n, workloads.REFERENCE_SET, [0] * dim), "solver": solver}
     ops = []
     for op_id, config in configs.items():
         (config_dir / f"{op_id}.json").write_text(json.dumps(config))
