@@ -56,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_solve(args, cfg, out) -> int:
+    cfg = replace(cfg, solver=cfg.solver.resolved(cfg.problem))  # resolved_config.json records the number
     _write_json(os.path.join(out, "resolved_config.json"), cfg.resolved())
     try:
         s, trace = continuation_solve(cfg.problem, cfg.solver, cfg.continuation, cfg.diagnostics)
@@ -92,7 +93,7 @@ def cmd_verify(args, cfg, out) -> int:
             raise ConfigError(f"{u_path}: dimension {u.grid.dim} does not match the configured problem")
         # same problem family re-gridded: refined states give a refinement series
         spec = replace(cfg.problem, grid=u.grid)
-        _, rows = diag.make_snapshot(spec, State(u, m), 1.0, cfg.diagnostics, cfg.solver.tol_residual)
+        _, rows = diag.make_snapshot(spec, State(u, m), 1.0, cfg.diagnostics, cfg.solver.resolved(spec).tol_residual)
         entries.append({"n": u.grid.n, "checks": rows})
 
     all_passed = True

@@ -7,8 +7,9 @@ parses into, which lives beside the code that reads it (`NewtonOptions` and
 rule on a value is checked once, by the type or function that owns it (the
 `mms` rules are `verification`'s); only the rules that span sections are
 checked here.
-`RunConfig.resolved()` materializes every default, a null Newton tolerance as its
-number; re-running with the emitted copy reproduces the run byte for byte.
+`RunConfig.resolved()` materializes every default; re-running with the emitted
+copy reproduces the run byte for byte.  A null Newton tolerance stays null: the
+solver resolves it on each problem it solves.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .diagnostics import DiagnosticsConfig, moment_majorant
 from .errors import ConfigError, MFGError, NonPositiveDensity
 from .grid import GridSpec
 from .problem import DriftSpec, PotentialSpec, ProblemSpec, TrigForm
-from .solver import NewtonOptions, StepOptions
+from .solver import NewtonOptions, StepOptions, newton_tolerance
 from .verification import ManufacturedCase, refinement_grids
 
 
@@ -267,20 +268,22 @@ def parse_config(doc: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError("config.seed: expected a nonnegative integer")
 
-    solved = [spec for _, spec in checked]  # every problem the config names, for one null tolerance's number
     mms = None
     if "mms" in doc:
         mo = doc["mms"]
         _check_keys(mo, {"grids", "u", "m"}, "mms", required=("grids", "u", "m"))
         grids = tuple(_integer(g, "mms.grids") for g in _floats(mo["grids"], "mms.grids"))
-        solved += [replace(problem, grid=g) for g in _build("mms.grids", refinement_grids, problem.grid.dim, grids)]
+        _build("mms.grids", refinement_grids, problem.grid.dim, grids)
         u, m = (_trig(mo[key], problem.grid.dim, f"mms.{key}") for key in ("u", "m"))
         mms = MmsConfig(grids, _build("mms.m", ManufacturedCase, problem, u, m))
 
+    solver = _options(NewtonOptions, doc.get("solver", {}), "solver")
+    for _, spec in checked if solver.tol_residual is None else ():  # the rule overflows on the sup bound alone
+        _build("solver.tol_residual", newton_tolerance, spec)
+
     return RunConfig(
         problem=problem,
-        solver=_build("solver.tol_residual", _options(NewtonOptions, doc.get("solver", {}), "solver").resolved,
-                      *solved),
+        solver=solver,
         continuation=_options(StepOptions, doc.get("continuation", {}), "continuation"),
         diagnostics=diagnostics,
         dump_matrix=dump,

@@ -79,7 +79,7 @@ def newton_tolerance(spec: ProblemSpec) -> float:
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    tol_residual: float | None = None  # None: `newton_tolerance`, resolved once per run by `resolved`
+    tol_residual: float | None = None  # None: `newton_tolerance` of each problem solved, set by `resolved`
     max_iters: int = 50
     positivity_fraction: float = 0.1
     armijo_c: float = 1e-4
@@ -88,15 +88,14 @@ class NewtonOptions:
     def __post_init__(self):
         if not 0.0 < self.positivity_fraction < 1.0:
             raise ValueError("positivity_fraction must lie in (0, 1)")
-        tol = 1.0 if self.tol_residual is None else self.tol_residual
-        if min(tol, self.max_iters, self.armijo_c, self.min_damping) <= 0:
+        if min(x for x in (self.tol_residual, self.max_iters, self.armijo_c, self.min_damping) if x is not None) <= 0:
             raise ValueError("all Newton options must be positive")
         if self.armijo_c >= 1.0:  # (1 - c t) res would then reject every full step
             raise ValueError("armijo_c must lie in (0, 1)")
 
-    def resolved(self, *specs: ProblemSpec) -> NewtonOptions:
-        """These options with a None tolerance set to the largest `newton_tolerance` of specs."""
-        return self if self.tol_residual is not None else replace(self, tol_residual=max(map(newton_tolerance, specs)))
+    def resolved(self, spec: ProblemSpec) -> NewtonOptions:
+        """These options with a None tolerance set to `newton_tolerance(spec)`."""
+        return self if self.tol_residual is not None else replace(self, tol_residual=newton_tolerance(spec))
 
 
 @dataclass(frozen=True)
@@ -343,9 +342,6 @@ def newton_solve(
             trial_m = s.m.values + t * dm
             if np.min(trial_m) >= floor:
                 trial = State(Field(grid, s.u.values + t * dv), Field(grid, trial_m))
-                if np.array_equal(trial.u.values, s.u.values) and np.array_equal(trial_m, s.m.values):
-                    t = 0.0  # s + t d rounds to s at every shorter t too, so the Armijo test cannot pass
-                    continue
                 trial_res = residual(spec, lam, trial, sources)
                 trial_norm = sup_norm(*trial_res)
                 if trial_norm <= (1.0 - opts.armijo_c * t) * history[-1]:

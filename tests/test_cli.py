@@ -82,12 +82,12 @@ def write_config(tmp_path, doc, name="cfg.json"):
 class TestConfigParsing:
     def test_defaults_materialize(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
-        assert cfg.solver.tol_residual == 1e-10
+        assert cfg.solver.tol_residual is None and cfg.solver.resolved(cfg.problem).tol_residual == 1e-10
         assert cfg.continuation.initial_step == 0.1
         assert cfg.diagnostics.r_values == (1.0, 2.0, 4.0)
         assert cfg.seed == 0
         resolved = cfg.resolved()
-        assert resolved["solver"]["max_iters"] == 50
+        assert resolved["solver"]["max_iters"] == 50 and resolved["solver"]["tol_residual"] is None
         assert resolved["problem"]["potential"]["a_const"] == 0.0
 
     def test_resolved_reparses_identically(self, tmp_path):
@@ -147,21 +147,11 @@ class TestConfigParsing:
         assert cfg.resolved()["mms"] == {"grids": [16, 32, 64], "u": {"const": 0.1, "cos": [0.2], "sin": [0.0]},
                                          "m": {"const": 1.0, "cos": [0.25], "sin": [0.1]}}
 
-    def test_null_tolerance_resolves_to_the_largest_over_every_problem(self):
-        def tol(**edits):
-            doc = base_config(solver={"tol_residual": None}, **edits.pop("sections", {}))
-            doc["problem"].update(edits)
-            return parse_config(doc).solver.tol_residual
-
-        assert tol() == parse_config(base_config()).solver.tol_residual == 1e-10
-        one_k = parse_config(edited(("problem.n", 1024))).problem
-        assert tol(n=1024) == newton_tolerance(one_k) > 1e-10
-        mms = {"grids": [256, 512, 1024], "u": {"const": 0.0, "cos": [0.0], "sin": [0.1]},
-               "m": {"const": 1.0, "cos": [0.25], "sin": [0.0]}}
-        assert tol(sections={"mms": mms}) == newton_tolerance(one_k)
-        sweep = {"alphas": [0.5], "kappas": [1.0, 3.0]}  # the kappa = 3 cell has the larger sup bound on u
-        kappa3 = parse_config(edited(("problem.n", 1024), ("problem.potential.kappa", 3.0))).problem
-        assert tol(n=1024, sections={"sweep": sweep}) == newton_tolerance(kappa3) > newton_tolerance(one_k)
+    def test_null_tolerance_stays_null_beside_mms_and_sweep_and_a_number_is_kept(self):
+        # the solver resolves a null on each problem it solves: the run's, each sweep cell and each mms grid
+        cfg = parse_config(every_key_config() | {"solver": {"tol_residual": None}})
+        assert cfg.solver.tol_residual is None and cfg.resolved()["solver"]["tol_residual"] is None
+        assert parse_config(cfg.resolved()) == cfg
         assert parse_config(edited(("problem.n", 1024), ("solver.tol_residual", 1e-12))).solver.tol_residual == 1e-12
 
 
@@ -604,6 +594,17 @@ class TestMmsCommand:
         cfg = write_config(tmp_path, base_config())
         assert main(["mms", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    def test_a_finer_grid_leaves_the_coarser_rows_alone(self, tmp_path):
+        # each grid solves to its own tolerance: the rule gives 1e-10 at n <= 256 and 1.5e-8 at n = 4096,
+        # which stops the grids from 32 on at another iterate
+        lines = {}
+        for grids in ([16, 32, 64, 128], [16 * 2**k for k in range(9)]):
+            doc = base_config(mms={"grids": grids, "u": {"sin": [0.1]}, "m": {"const": 1.0, "cos": [0.5]}})
+            out = tmp_path / str(len(grids))
+            assert main(["mms", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            lines[len(grids)] = (out / "rates.csv").read_text().splitlines()
+        assert lines[9][:5] == lines[4] and len(lines[9]) == 10
+
     def test_info_log_has_one_stderr_line_per_grid(self, tmp_path):
         import subprocess
         import sys
@@ -727,6 +728,18 @@ class TestSweepCommand:
         assert ok[2:] == ["0.0", "1.0", "0.7853981633974483", "0", "True", ""]
         assert failed == ["0.5", "1.0", "1.0", "nan", "nan", "-1", "False", "ContinuationStalled"]
         assert capsys.readouterr().out == f"sweep: 1/2 cells succeeded -> {out / 'sweep.csv'}\n"
+
+    def test_each_cell_solves_to_its_own_tolerance(self, tmp_path):
+        # the rule gives the kappa = 1e6 cell about 2.9e-6 at n = 64; the kappa = 1 cell keeps 1e-10
+        cells = [parse_config(edited(("problem.potential.kappa", kappa))).problem for kappa in (1.0, 1e6)]
+        assert newton_tolerance(cells[0]) == 1e-10 and newton_tolerance(cells[1]) > 1e-6
+        lines = {}
+        for kappas in ([1.0], [1.0, 1e6]):
+            doc = edited(("sweep", {"alphas": [0.5], "kappas": kappas}))
+            out = tmp_path / str(len(kappas))
+            assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--jobs", "1"]) == 0
+            lines[len(kappas)] = (out / "sweep.csv").read_text().splitlines()
+        assert lines[2][:2] == lines[1] and len(lines[2]) == 3
 
     def test_overflowing_cell_majorant_exits_one_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
         # every snapshot of the kappa = 1e40 cell raises the same MFGError, so that cell can never succeed
@@ -868,11 +881,13 @@ class TestConfigHardening:
             (edited(("problem.n", 2**20 + 1)), "problem: n**dim must be at most 1048576, got 1048577**1"),
             (edited(("problem.epsilon_monotone", 1e308), ("diagnostics.r_values", [])),
              "solver.tol_residual: the tolerance rule overflows on the certified sup bound on u; set a number"),
+            (edited(("sweep", {"alphas": [0.5], "kappas": [1.0, 1e308]}), ("diagnostics.r_values", [])),
+             "solver.tol_residual: the tolerance rule overflows on the certified sup bound on u; set a number"),
             ('{"problem": ', "{config} is not valid JSON: "),
         ],
         ids=["section-not-an-object", "checks-not-strings", "harmonic-entry-count", "sweep-alpha-out-of-range",
              "sweep-negative-kappa", "dump-matrix-not-boolean", "negative-seed", "x-only-form",
-             "n-above-grid-cap", "overflowing-tolerance-rule", "invalid-json"],
+             "n-above-grid-cap", "overflowing-tolerance-rule", "overflowing-cell-tolerance-rule", "invalid-json"],
     )
     def test_rule_exits_one_with_one_line_naming_the_key(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"

@@ -164,28 +164,6 @@ class TestNewton:
         with pytest.raises(SolverFailure):
             newton_solve(spec, 1.0, s0, NewtonOptions(tol_residual=1e-18, max_iters=200))
 
-    def test_line_search_ends_at_the_first_trial_that_rounds_to_the_state(self, monkeypatch):
-        """An explicit 1e-10 lies below the floor at 1-D n = 1024: the fifth line search reaches a t at which
-        s + t d == s bit for bit after 12 trials, and stops there in place of halving on to min_damping
-        (19 trials).  The error and the report are those of the full line search."""
-        import mfgtorus.solver as solver_mod
-
-        spec = suite_problem(0.5, n=1024)
-        calls = []
-        forward = solver_mod.residual
-        monkeypatch.setattr(solver_mod, "residual", lambda *a, **k: calls.append(a[2]) or forward(*a, **k))
-        with pytest.raises(NoDescent) as exc:
-            newton_solve(spec, 0.1, exact_initial(spec), NewtonOptions(tol_residual=1e-10))
-        assert str(exc.value) == "damping underflowed below 1e-06 at iteration 4"
-        report = exc.value.report
-        assert (report.converged, report.iterations) == (False, 4)
-        assert report.damping_history == [1.0, 1.0, 0.0625, 0.0625]
-        assert report.linear_paths == ["band"] * 5 and report.krylov_iterations == [0] * 5
-        assert len(report.residual_history) == 5 and 4e-10 < report.residual_history[-1] < 4.1e-10
-        assert len(calls) == 1 + 1 + 1 + 5 + 5 + 13  # 33 when the last line search ran to min_damping
-        # the last trial evaluated still differs from the state, calls[-14], the fourth iteration accepted
-        assert not np.array_equal(calls[-1].stacked(), calls[-14].stacked())
-
 
 def strong_problem() -> ProblemSpec:
     """a = 4 cos, b = 4 sin, alpha = 0.5, 2-D n = 32."""
@@ -1116,11 +1094,11 @@ class TestResidualFloorTolerance:
         floor = 0.5 * np.finfo(float).eps * (0.5 + np.pi / 2) * (1 + 4 * n**2)
         assert newton_tolerance(spec) == pytest.approx(floor, rel=1e-14) == pytest.approx(tol, rel=1e-3)
 
-    def test_resolved_takes_the_largest_and_keeps_an_explicit_number(self):
-        specs = [suite_problem(0.5, n=n) for n in (256, 1024, 512)]
-        assert NewtonOptions().resolved(*specs).tol_residual == newton_tolerance(specs[1])
+    def test_resolved_sets_the_rule_and_keeps_an_explicit_number(self):
+        spec = suite_problem(0.5, n=1024)
+        assert NewtonOptions().resolved(spec).tol_residual == newton_tolerance(spec)
         explicit = NewtonOptions(tol_residual=1e-12)
-        assert explicit.resolved(*specs) is explicit
+        assert explicit.resolved(spec) is explicit
 
     def test_overflowing_rule_is_a_value_error(self):
         spec = suite_problem(0.5, n=64)

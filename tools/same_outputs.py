@@ -24,8 +24,9 @@ whose Newton solves fail by NoDescent and MaxItersExceeded before the
 continuation reaches lambda = 1 (no workload records a failed 2-D step), so
 that the failure exits of Newton are compared through the traces; a 1-D
 n = 1024 solve of the reference problem at an explicit `tol_residual` of 1e-10,
-below its residual's rounding floor, which stalls (exit 2) and so compares the
-line search's exit at a trial that rounds to the state; and four `verify`
+below its residual's rounding floor, which stalls (exit 2) and so compares a
+tolerance given as a number, used as given, through its written config and the
+stalled trace; and four `verify`
 operations on the written 1-D states: the saturating state, the two 1-D
 kappa = 0 states as a refinement series (which writes `refinement.csv`), the
 n = 64 kappa = 0 state with a subset of the checks at other exponents and
@@ -83,7 +84,7 @@ FAILURE_SOLVES = {"solve-failures-1d": (1, 64), "solve-failures-2d": (2, 32)}
 FAILURE_OPTIONS = {"continuation": {"initial_step": 1.0, "max_step": 1.0},
                    "solver": {"max_iters": 3, "positivity_fraction": 0.9, "min_damping": 0.2}}
 # (dim, n, solver section) of each solve of the reference problem at an explicit tolerance below its residual's
-# rounding floor, whose Newton solves stall until the line search meets a trial that rounds to the state
+# rounding floor, whose Newton solves stall until the damping underflows
 FLOOR_SOLVES = {"solve-below-floor-1d-1024": (1, 1024, {"tol_residual": 1e-10})}
 # (config, solves whose states it reads) of each verify operation: a solution, a two-state
 # refinement series (refinement.csv), a subset of the checks at other exponents and budget,
